@@ -35,6 +35,7 @@ from .weights import (
 from .gcdsum import (
     GcdMatrix,
     IndexSet,
+    cross_sum,
     cube_sum_closed_form,
     gcd_matrix,
     gcd_row_sums,
@@ -58,6 +59,7 @@ from .transforms import (
     completeness_exchange_identity,
     completeness_step,
     divisor_closure,
+    first_active_swap,
     is_complete,
     is_divisor_closed,
     normalize_to_complete,

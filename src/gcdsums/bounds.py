@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .gcdsum import IndexSet, gcd_sum, lcm_closure
+from .gcdsum import IndexSet, closure_inner_sums, gcd_sum, lcm_closure
 from .multiindex import MultiIndex
 from .transforms import is_complete
 from .weights import (
@@ -224,10 +224,6 @@ class BoundChainReport:
         }
 
 
-def _leq_all(E: np.ndarray, row: np.ndarray) -> np.ndarray:
-    return np.all(E <= row[None, :], axis=1)
-
-
 def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainReport:
     """Certify the estimate chain on a concrete complete square-free set.
 
@@ -272,23 +268,15 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
 
     records: list[BetaRecord] = []
     cs_ok = euler_ok = witness_ok = high_ok = low_exp_ok = True
-    squares = []
-    ratio_sums_by_beta = []
     witnesses: set[int] = set()
     sum_t_low = math.fsum(t.weight_at(i) for i in range(1, kfloor + 1))
     max_log_aux_sum = -math.inf
 
     members = B.members
+    inner_sums = closure_inner_sums(E, F, log_t, log_w, log_tw)
     for r in range(len(closure)):
         row = F[r]
-        below = _leq_all(E, row)
-        idx = np.flatnonzero(below)
-        diff = (row[None, :] - E[idx]).astype(np.float64)
-        inner = float(math.fsum(np.exp(diff @ log_t)))
-        aux_sum = float(math.fsum(np.exp(diff @ log_w)))
-        ratio_sum = float(math.fsum(np.exp(diff @ log_tw)))
-        squares.append(inner * inner)
-        ratio_sums_by_beta.append(ratio_sum)
+        inner, aux_sum, ratio_sum = inner_sums[r].tolist()
 
         supp_pos = np.flatnonzero(row)
         low_pos = [p for p in supp_pos if universe[p] <= threshold]
@@ -298,6 +286,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
 
         # witness pair: first (k, l) in canonical order whose join is this row
         wk = wl = -1
+        idx = np.flatnonzero(np.all(E <= row, axis=1))
         for k in idx:
             joined = np.maximum(E[k], E[idx])
             hit = np.flatnonzero(np.all(joined == row[None, :], axis=1))
@@ -341,7 +330,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
         if not holds:
             witness_ok = False
 
-    majorant = float(math.fsum(squares))
+    majorant = float(math.fsum(inner_sums[:, 0] * inner_sums[:, 0]))
     majorant_ok = s_value <= majorant * (1.0 + _VERDICT_TOL)
 
     # summation-order exchange: the per-closure-member ratio sums against the
@@ -351,7 +340,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
         above = np.all(F >= E[k][None, :], axis=1)
         diff = (F[above] - E[k][None, :]).astype(np.float64)
         inner_by_member.append(float(math.fsum(np.exp(diff @ log_tw))))
-    sum_by_beta = math.fsum(ratio_sums_by_beta)
+    sum_by_beta = math.fsum(inner_sums[:, 2])
     sum_by_member = math.fsum(inner_by_member)
     exchange_ok = abs(sum_by_beta - sum_by_member) <= _VERDICT_TOL * max(
         sum_by_beta, 1.0

@@ -22,7 +22,7 @@ from .bounds import (
     lower_curve,
     squarefree_upper_curve,
 )
-from .errors import DomainError, ParseError
+from .errors import ConvergenceError, DomainError, ParseError, TransformLimitError
 from .gcdsum import (
     IndexSet,
     cube_sum_closed_form,
@@ -296,6 +296,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {args.tol}")
     config = _config_from(args, "matrix")
     t = load_weights(config)
     B = parse_set_file(args.set_file)
@@ -441,9 +443,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except DomainError as exc:
+    except ConvergenceError as exc:
+        print(f"error: {exc} (estimate={exc.estimate!r}, residual={exc.residual!r}, "
+              f"iterations={exc.iterations})", file=sys.stderr)
+    except (DomainError, TransformLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

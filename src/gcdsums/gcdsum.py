@@ -1,11 +1,12 @@
 """GCD sums over multi-index sets, their matrices, and spectral quantities.
 
 The central quantity is S(t, B) = sum over all ordered pairs (a, b) of B of
-t^|a-b|.  Summation runs over every pair directly; for square-free sets with
-a small position universe the pairwise powers come from an XOR-indexed
-product table, otherwise from exponent-matrix blocks.  Per-row partial sums
-are combined with compensated summation in canonical member order, so results
-are deterministic.
+t^|a-b|.  One blocked pair kernel, `_pair_blocks`, evaluates every float
+t^|a-b| behind the sums, row sums, cross sums, weighted forms and matrices.
+It has two paths: for square-free sets on a small position universe the
+pairwise powers come from an XOR-indexed product table, otherwise from
+exponent-matrix blocks.  Per-row partial sums are combined with compensated
+summation in canonical member order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .multiindex import MultiIndex, abs_diff, from_integer, lcm
 from .weights import WeightSequence
 
 _XOR_TABLE_MAX_BITS = 22
-_DENSE_CAP = 20_000
-_DENSE_MATVEC_DEFAULT = 4096
+_DENSE_CAP = 4096  # dense storage, dense matvec and dense eigvalsh up to this n
 _BLOCK_BUDGET = 4_000_000  # floats per pair block
 
 
@@ -118,27 +118,34 @@ def _power_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def _pair_blocks(t: WeightSequence, B: IndexSet) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, block) with block[r - lo, c] = t^|B[r] - B[c]|."""
+def _pair_blocks(
+    t: WeightSequence, A: IndexSet, B: IndexSet | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, block) with block[r - lo, c] = t^|A[r] - B[c]|; B defaults
+    to A.  Positions range over the sorted union of the two universes."""
+    B = A if B is None else B
+    universe = A.universe() if B is A else tuple(sorted({*A.universe(), *B.universe()}))
     n = len(B)
-    universe = B.universe()
     m = len(universe)
     w = t.weights_for(universe)
-    if B.is_square_free() and m <= _XOR_TABLE_MAX_BITS:
-        masks = _xor_masks(B, universe)
+    if m <= _XOR_TABLE_MAX_BITS and A.is_square_free() and (B is A or B.is_square_free()):
+        left = _xor_masks(A, universe)
+        right = left if B is A else _xor_masks(B, universe)
         table = _power_table(w)
         rows = max(1, _BLOCK_BUDGET // max(n, 1))
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            x = masks[lo:hi, None] ^ masks[None, :]
+        for lo in range(0, len(A), rows):
+            hi = min(lo + rows, len(A))
+            # x stays alive across the yield, so the next block reuses its memory
+            x = left[lo:hi, None] ^ right[None, :]
             yield lo, hi, table[x]
     else:
-        E = B.exponent_matrix(universe)
+        left = A.exponent_matrix(universe)
+        right = left if B is A else B.exponent_matrix(universe)
         logw = np.log(w)
         rows = max(1, _BLOCK_BUDGET // max(n * max(m, 1), 1))
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            diff = np.abs(E[lo:hi, None, :].astype(np.int32) - E[None, :, :])
+        for lo in range(0, len(A), rows):
+            hi = min(lo + rows, len(A))
+            diff = np.abs(left[lo:hi, None, :].astype(np.int32) - right[None, :, :])
             yield lo, hi, np.exp(np.tensordot(diff, logw, axes=([2], [0])))
 
 
@@ -153,6 +160,11 @@ def gcd_row_sums(t: WeightSequence, B: IndexSet) -> np.ndarray:
 def gcd_sum(t: WeightSequence, B: IndexSet) -> float:
     """S(t, B): the full pair sum including the diagonal; always >= |B|."""
     return float(math.fsum(gcd_row_sums(t, B)))
+
+
+def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
+    """sum over a in A and b in B of t^|a-b|; cross_sum(t, B, B) == gcd_sum(t, B)."""
+    return float(math.fsum(r for _, _, block in _pair_blocks(t, A, B) for r in block.sum(axis=1)))
 
 
 def gcd_sum_mp(t: WeightSequence, B: IndexSet, dps: int = 50) -> mp.mpf:
@@ -199,6 +211,17 @@ def lcm_closure(B: IndexSet) -> IndexSet:
     return IndexSet(out)
 
 
+def closure_inner_sums(E: np.ndarray, F: np.ndarray, *logws: np.ndarray) -> np.ndarray:
+    """out[r, k] = fsum over members a <= F[r] of exp((F[r] - E[a]) . logws[k]),
+    for member and closure exponent matrices E, F over one universe."""
+    out = np.empty((len(F), len(logws)), dtype=np.float64)
+    for r, row in enumerate(F):
+        diff = (row[None, :] - E[np.all(E <= row, axis=1)]).astype(np.float64)
+        for k, logw in enumerate(logws):
+            out[r, k] = math.fsum(np.exp(diff @ logw))
+    return out
+
+
 def lcm_closure_bound(
     t: WeightSequence, B: IndexSet, tol: float = 1e-12
 ) -> tuple[float, bool]:
@@ -209,17 +232,9 @@ def lcm_closure_bound(
     """
     closure = lcm_closure(B)
     universe = closure.universe()
-    E = B.exponent_matrix(universe)
-    F = closure.exponent_matrix(universe)
-    logw = np.log(t.weights_for(universe))
-    squares = []
-    for r in range(len(closure)):
-        row = F[r]
-        mask = np.all(E <= row, axis=1)
-        diff = (row[None, :] - E[mask]).astype(np.float64)
-        inner = float(math.fsum(np.exp(diff @ logw)))
-        squares.append(inner * inner)
-    rhs = float(math.fsum(squares))
+    E, F = B.exponent_matrix(universe), closure.exponent_matrix(universe)
+    inner = closure_inner_sums(E, F, np.log(t.weights_for(universe)))[:, 0]
+    rhs = float(math.fsum(inner * inner))
     s = gcd_sum(t, B)
     return rhs, s <= rhs * (1.0 + tol) + tol
 
@@ -227,22 +242,18 @@ def lcm_closure_bound(
 class GcdMatrix:
     """Symmetric unit-diagonal matrix with entries t^|a-b| over B's members.
 
-    Dense storage is built lazily and only below the hard cap; matvec falls
-    back to streaming recomputed blocks above `dense_limit`.
+    Up to n = _DENSE_CAP the matrix is stored densely (built lazily) and
+    matvec multiplies it; above, matvec streams recomputed pair blocks.
     """
 
-    def __init__(self, t: WeightSequence, B: IndexSet, dense_limit: int = _DENSE_MATVEC_DEFAULT):
+    def __init__(self, t: WeightSequence, B: IndexSet):
         self.t = t
         self.B = B
-        self.dense_limit = dense_limit
         self._dense: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.B)
-
-    def entry(self, k: int, l: int) -> float:
-        return self.t.pow(abs_diff(self.B.members[k], self.B.members[l]))
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
@@ -255,7 +266,7 @@ class GcdMatrix:
         return self._dense
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.n <= self.dense_limit or self._dense is not None:
+        if self.n <= _DENSE_CAP:
             return self.dense() @ v
         out = np.empty(self.n, dtype=np.float64)
         for lo, hi, block in _pair_blocks(self.t, self.B):
@@ -266,8 +277,8 @@ class GcdMatrix:
         return gcd_row_sums(self.t, self.B)
 
 
-def gcd_matrix(t: WeightSequence, B: IndexSet, dense_limit: int = _DENSE_MATVEC_DEFAULT) -> GcdMatrix:
-    return GcdMatrix(t, B, dense_limit=dense_limit)
+def gcd_matrix(t: WeightSequence, B: IndexSet) -> GcdMatrix:
+    return GcdMatrix(t, B)
 
 
 def _power_iteration(
@@ -305,8 +316,8 @@ def spectral_norm(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_00
 
 
 def min_eigenvalue(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_000) -> float:
-    """Smallest eigenvalue: direct symmetric solve up to n=200, else shifted iteration."""
-    if M.n <= 200:
+    """Smallest eigenvalue: dense symmetric solve up to _DENSE_CAP, else shifted iteration."""
+    if M.n <= _DENSE_CAP:
         return float(np.linalg.eigvalsh(M.dense())[0])
     shift = spectral_norm(M, tol=tol, max_iterations=max_iterations) * (1.0 + 1e-12)
     mu = _power_iteration(
@@ -337,13 +348,10 @@ def weighted_sf_form(
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
         raise DomainError("sizes must be positive")
-    members = reps.members
-    roots = [math.sqrt(s) for s in sizes]
-    terms = []
-    for k, a in enumerate(members):
-        terms.append(float(sizes[k]))
-        for l in range(k + 1, len(members)):
-            terms.append(2.0 * roots[k] * roots[l] * u.pow(abs_diff(a, members[l])))
+    roots = np.sqrt(np.array(sizes, dtype=np.float64))
+    terms = np.empty(len(reps), dtype=np.float64)
+    for lo, hi, block in _pair_blocks(u, reps):
+        terms[lo:hi] = roots[lo:hi] * (block @ roots)
     return float(math.fsum(terms))
 
 

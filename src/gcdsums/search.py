@@ -17,7 +17,7 @@ from typing import Iterator
 from .errors import DomainError
 from .gcdsum import IndexSet, gcd_sum
 from .multiindex import MultiIndex
-from .transforms import _first_active_swap, completeness_step
+from .transforms import completeness_step, first_active_swap
 from .weights import WeightSequence
 
 EXHAUSTIVE_MAX_INDEX = 6
@@ -208,7 +208,7 @@ def local_search(
 
     for it in range(iterations):
         if it % 8 == 7:
-            pair = _first_active_swap(current)
+            pair = first_active_swap(current)
             if pair is not None and pair[1] <= m:
                 current, _ = completeness_step(t, current, *pair)
                 chosen = {_mi_to_mask(mi) for mi in current}

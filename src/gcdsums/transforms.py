@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .errors import DomainError, TransformLimitError
-from .gcdsum import IndexSet, gcd_sum, gcd_sum_mp
-from .multiindex import MultiIndex, abs_diff
+from .gcdsum import IndexSet, cross_sum, gcd_sum, gcd_sum_mp
+from .multiindex import MultiIndex
 from .weights import WeightSequence
 
 STRICT_MARGIN_FLOOR = 1e-9
@@ -249,9 +249,11 @@ def normalize_to_complete(
     current, trace = divisor_closure(t, B)
     if max_steps is None:
         max_steps = 10 + 2 * sum(m.weighted_rank() for m in current)
+    # S(t, current), carried over from the previous step so it is summed once
+    s_current = trace.steps[-1].s_after if trace.steps else None
     steps = 0
     while True:
-        pair = _first_active_swap(current)
+        pair = first_active_swap(current)
         if pair is None:
             break
         if steps >= max_steps:
@@ -260,18 +262,22 @@ def normalize_to_complete(
                 f"swap iteration cap {max_steps} exceeded", trace=trace
             )
         i, j = pair
-        s_before = gcd_sum(t, current)
+        if s_current is None:
+            s_current = gcd_sum(t, current)
         current, _ = completeness_step(t, current, i, j, certify_dps=certify_dps)
+        s_after = gcd_sum(t, current)
         trace.steps.append(
-            TraceStep(f"swap position {j} -> {i}", len(current), s_before,
-                      gcd_sum(t, current))
+            TraceStep(f"swap position {j} -> {i}", len(current), s_current, s_after)
         )
+        s_current = s_after
         steps += 1
     trace.final = current
     return current, trace
 
 
-def _first_active_swap(B: IndexSet) -> tuple[int, int] | None:
+def first_active_swap(B: IndexSet) -> tuple[int, int] | None:
+    """The first swap (i, j) with a movable member, scanning ascending j, then
+    ascending i < j; None when the set admits no swap."""
     membership = B.as_set()
     for j in sorted({j for m in B for j in m.support()}):
         for i in range(1, j):
@@ -312,13 +318,6 @@ def completeness_exchange_identity(
         [m.with_unit_removed(j).with_unit_added(i) for m in part.movable]
     )
 
-    def cross(left: IndexSet, right: IndexSet | None) -> float:
-        if right is None:
-            return 0.0
-        return float(
-            math.fsum(t.pow(abs_diff(a, b)) for a in left for b in right)
-        )
-
     ti = t.weight_at(i)
     tj = t.weight_at(j)
     coefficients = (
@@ -327,16 +326,12 @@ def completeness_exchange_identity(
         1.0 / tj,
         ti / tj,
     )
-    lhs = math.fsum(
-        cross(moved, cls)
-        for cls in (part.saturated, part.both_lifted, part.i_lifted, part.rest)
-    )
+    classes = (part.saturated, part.both_lifted, part.i_lifted, part.rest)
+    lhs = math.fsum(cross_sum(t, moved, cls) for cls in classes if cls is not None)
     rhs = math.fsum(
-        c * cross(part.movable, cls)
-        for c, cls in zip(
-            coefficients,
-            (part.saturated, part.both_lifted, part.i_lifted, part.rest),
-        )
+        c * cross_sum(t, part.movable, cls)
+        for c, cls in zip(coefficients, classes)
+        if cls is not None
     )
     ok = all(c >= 1.0 for c in coefficients) and (
         abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1.0)

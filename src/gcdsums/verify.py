@@ -29,9 +29,9 @@ from .transforms import (
     MONOTONE_TOL,
     completeness_step,
     divisor_closure,
+    first_active_swap,
     is_complete,
     normalize_to_complete,
-    _first_active_swap,
 )
 from .weights import PrimePowerWeights, count_above_half, doubled_weights
 
@@ -118,7 +118,7 @@ def check_swap_strict(seed: int, quick: bool) -> CheckResult:
         B = random_index_set(rng, 10, 7)
         current, _ = divisor_closure(t, B)
         while True:
-            pair = _first_active_swap(current)
+            pair = first_active_swap(current)
             if pair is None:
                 break
             current, strict = completeness_step(t, current, *pair)

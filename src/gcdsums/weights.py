@@ -61,6 +61,14 @@ class WeightSequence:
     def count_above_half(self) -> int:
         raise DomainError(f"{self.label()} does not certify a vanishing tail")
 
+    def _leading_above_half(self) -> int:
+        """Length of the leading run of weights > 1/2; for decreasing sequences
+        that is the count of all of them."""
+        count = 0
+        while self.weight_at(count + 1) > 0.5:
+            count += 1
+        return count
+
     def label(self) -> str:
         raise NotImplementedError
 
@@ -92,14 +100,7 @@ class PrimePowerWeights(WeightSequence):
         return primes ** (-self.alpha)
 
     def count_above_half(self) -> int:
-        count = 0
-        j = 1
-        while True:
-            if self.weight_at(j) > 0.5:
-                count += 1
-                j += 1
-            else:
-                return count
+        return self._leading_above_half()
 
     def label(self) -> str:
         return f"p^-{self.alpha:g}"
@@ -149,14 +150,7 @@ class ExplicitWeights(WeightSequence):
     def count_above_half(self) -> int:
         if self.tail_ratio is None:
             raise DomainError("constant-tail weights do not vanish; count_above_half rejected")
-        count = 0
-        j = 1
-        while True:
-            if self.weight_at(j) > 0.5:
-                count += 1
-                j += 1
-            else:
-                return count
+        return self._leading_above_half()
 
     def label(self) -> str:
         tail = "const" if self.tail_ratio is None else f"geo{self.tail_ratio:g}"

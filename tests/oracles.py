@@ -36,6 +36,20 @@ def brute_cross_sum(t, left, right) -> float:
     )
 
 
+def brute_pair_matrix(t, members) -> list:
+    """Rows of t^|a-b| over the members, termwise with dict arithmetic."""
+    return [[pow_from_scratch(t, dict_abs_diff(a, b)) for b in members] for a in members]
+
+
+def brute_weighted_form(t, members, sizes) -> float:
+    """sum over pairs of sqrt(sizes_k * sizes_l) * t^|members_k - members_l|."""
+    return math.fsum(
+        math.sqrt(sk * sl) * pow_from_scratch(t, dict_abs_diff(a, b))
+        for a, sk in zip(members, sizes)
+        for b, sl in zip(members, sizes)
+    )
+
+
 def brute_downsets(m: int, n: int) -> set:
     """Every size-n downset of the m-cube by scanning all 2^(2^m) subsets."""
     assert m <= 4

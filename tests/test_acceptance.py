@@ -35,7 +35,7 @@ from gcdsums import (
     tail_sum,
     bound_chain_report,
 )
-from gcdsums.transforms import _first_active_swap
+from gcdsums.transforms import first_active_swap
 
 half = PrimePowerWeights(0.5)
 
@@ -81,7 +81,7 @@ def transform_suite():
         current = closed
         s_current = gcd_sum(half, current)
         while True:
-            pair = _first_active_swap(current)
+            pair = first_active_swap(current)
             if pair is None:
                 break
             current, strict = completeness_step(half, current, *pair)

@@ -5,7 +5,7 @@ import pytest
 
 from gcdsums import IndexSet, MultiIndex, PrimePowerWeights, gcd_sum
 from gcdsums.cli import main, parse_set_file
-from gcdsums.errors import ParseError
+from gcdsums.errors import ConvergenceError, ParseError
 
 half = PrimePowerWeights(0.5)
 
@@ -287,3 +287,40 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["n"] == 2
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+def test_matrix_rejects_bad_tol(tmp_path, capsys, tol):
+    path = write(tmp_path, "set.txt", "1\n2\n")
+    code, out, err = run(capsys, ["matrix", path, "--tol", tol])
+    assert_one_line_error(code, err)
+    assert out == ""
+    assert "tol" in err
+
+
+def test_unwritable_output_is_one_line(tmp_path, capsys):
+    setp = write(tmp_path, "set.txt", "1\n2\n")
+    code, out, err = run(capsys, ["sum", setp, "--output", str(tmp_path / "missing" / "x.json")])
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
+    import gcdsums.cli as cli
+
+    def no_convergence(M, tol):
+        raise ConvergenceError("power iteration did not converge in 7 iterations",
+                               estimate=1.5, residual=0.25, iterations=7)
+
+    monkeypatch.setattr(cli, "spectral_norm", no_convergence)
+    path = write(tmp_path, "set.txt", "1\n2\n")
+    code, out, err = run(capsys, ["matrix", path, "--stat", "spectral"])
+    assert_one_line_error(code, err)
+    assert "estimate=1.5" in err and "residual=0.25" in err and "iterations=7" in err

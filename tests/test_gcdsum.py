@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import index_sets, square_free_sets
-from oracles import brute_pair_sum
+from oracles import brute_cross_sum, brute_pair_matrix, brute_pair_sum, brute_weighted_form
 
 import gcdsums.gcdsum as gcdsum_module
 from gcdsums import (
@@ -16,6 +16,7 @@ from gcdsums import (
     IndexSet,
     MultiIndex,
     PrimePowerWeights,
+    cross_sum,
     cube_sum_closed_form,
     gcd_matrix,
     gcd_sum,
@@ -200,15 +201,23 @@ def test_spectral_norm_matches_dense_eigensolver():
         assert lam == pytest.approx(float(np.linalg.eigvalsh(M.dense())[-1]), rel=1e-10)
 
 
-def test_matrix_free_matvec_agrees():
+def test_matrix_free_matvec_agrees(monkeypatch):
     rng = random.Random(11)
     members = set()
     while len(members) < 50:
         members.add(MultiIndex({j: 1 for j in rng.sample(range(1, 9), rng.randint(0, 5))}))
     B = IndexSet(members)
-    lam_dense = spectral_norm(gcd_matrix(half, B))
-    lam_free = spectral_norm(gcd_matrix(half, B, dense_limit=0))
-    assert lam_free == pytest.approx(lam_dense, rel=1e-11)
+    reference = np.array(brute_pair_matrix(half, B.members))
+    # above the dense cap matvec streams pair blocks, here several per product
+    monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 10)
+    monkeypatch.setattr(gcdsum_module, "_BLOCK_BUDGET", 600)
+    M = gcd_matrix(half, B)
+    v = np.linspace(-1.0, 1.0, len(B))
+    assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-15)
+    with pytest.raises(DomainError):
+        M.dense()
+    lam_free = spectral_norm(M)
+    assert lam_free == pytest.approx(float(np.linalg.eigvalsh(reference)[-1]), rel=1e-11)
 
 
 def test_power_iteration_failure_carries_state():
@@ -238,14 +247,25 @@ def test_min_eigenvalue_positive_and_cross_checked():
         np.linalg.cholesky(M.dense())  # independent positive-definiteness witness
 
 
-def test_min_eigenvalue_shifted_path():
+def test_min_eigenvalue_shifted_path(monkeypatch):
     rng = random.Random(13)
     members = set()
     while len(members) < 210:
         members.add(MultiIndex({j: 1 for j in rng.sample(range(1, 11), rng.randint(0, 7))}))
-    M = gcd_matrix(half, IndexSet(members))
-    mn = min_eigenvalue(M)
-    assert mn == pytest.approx(float(np.linalg.eigvalsh(M.dense())[0]), abs=1e-8)
+    B = IndexSet(members)
+    reference = np.array(brute_pair_matrix(half, B.members))
+    # the shifted power iteration runs only above the dense cap
+    monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 100)
+    mn = min_eigenvalue(gcd_matrix(half, B))
+    assert mn == pytest.approx(float(np.linalg.eigvalsh(reference)[0]), abs=1e-8)
+
+
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_cube_spectrum_closed_forms(k):
+    M = gcd_matrix(half, cube_construction(k))
+    ts = [half.weight_at(j) for j in range(1, k + 1)]
+    assert spectral_norm(M) == pytest.approx(math.prod(1 + x for x in ts), rel=1e-10)
+    assert min_eigenvalue(M) == pytest.approx(math.prod(1 - x for x in ts), rel=1e-10)
 
 
 def test_group_by_support_examples():
@@ -273,6 +293,60 @@ def test_weighted_sf_form_examples():
     assert weighted_sf_form(half, reps, [1, 1]) == pytest.approx(gcd_sum(half, reps), rel=1e-14)
     t1 = half.weight_at(1)
     assert weighted_sf_form(half, reps, [4, 1]) == pytest.approx(5 + 4 * t1, rel=1e-14)
+
+
+# _XOR_TABLE_MAX_BITS = 0 sends every set with a nonempty universe to the
+# exponent-block path
+KERNEL_PATHS = [gcdsum_module._XOR_TABLE_MAX_BITS, 0]
+
+
+@pytest.mark.parametrize("xor_bits", KERNEL_PATHS)
+@settings(max_examples=50)
+@given(square_free_sets(max_index=5, max_n=8), square_free_sets(max_index=9, max_n=8))
+def test_cross_sum_square_free_matches_brute_force(xor_bits, A, B):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcdsum_module, "_XOR_TABLE_MAX_BITS", xor_bits)
+        mp.setattr(gcdsum_module, "_BLOCK_BUDGET", 40)
+        value = cross_sum(half, A, B)
+    assert value == pytest.approx(brute_cross_sum(half, A.members, B.members), rel=1e-12)
+
+
+@pytest.mark.parametrize("xor_bits", KERNEL_PATHS)
+@settings(max_examples=50)
+@given(index_sets(max_index=6, max_exponent=3, max_n=8), square_free_sets(max_index=9, max_n=8))
+def test_cross_sum_mixed_exponents_matches_brute_force(xor_bits, A, B):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcdsum_module, "_XOR_TABLE_MAX_BITS", xor_bits)
+        forward = cross_sum(half, A, B)
+        backward = cross_sum(half, B, A)
+    expected = brute_cross_sum(half, A.members, B.members)
+    assert forward == pytest.approx(expected, rel=1e-12)
+    assert backward == pytest.approx(expected, rel=1e-12)
+
+
+def test_cross_sum_examples():
+    t1, t2, t3 = (half.weight_at(j) for j in (1, 2, 3))
+    # disjoint universes: every pair differs in both supports
+    assert cross_sum(half, IndexSet([e1]), IndexSet([e2, e3])) == pytest.approx(
+        t1 * t2 + t1 * t3, rel=1e-14
+    )
+    assert cross_sum(half, IndexSet([MultiIndex({1: 2})]), IndexSet([zero, e1])) == pytest.approx(
+        t1**2 + t1, rel=1e-14
+    )
+    B = cube_construction(4)
+    assert cross_sum(half, B, B) == gcd_sum(half, B)
+
+
+@pytest.mark.parametrize("xor_bits", KERNEL_PATHS)
+@settings(max_examples=50)
+@given(square_free_sets(max_index=9, max_n=10), st.data())
+def test_weighted_sf_form_matches_brute_force(xor_bits, reps, data):
+    sizes = data.draw(st.lists(st.integers(1, 9), min_size=len(reps), max_size=len(reps)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcdsum_module, "_XOR_TABLE_MAX_BITS", xor_bits)
+        mp.setattr(gcdsum_module, "_BLOCK_BUDGET", 40)
+        value = weighted_sf_form(half, reps, sizes)
+    assert value == pytest.approx(brute_weighted_form(half, reps.members, sizes), rel=1e-12)
 
 
 def test_weighted_sf_form_validation():

@@ -20,7 +20,7 @@ from gcdsums import (
     normalize_to_complete,
     swap_partition,
 )
-from gcdsums.transforms import MONOTONE_TOL, _first_active_swap
+from gcdsums.transforms import MONOTONE_TOL, first_active_swap
 
 half = PrimePowerWeights(0.5)
 zero = MultiIndex.zero()
@@ -164,7 +164,7 @@ def test_completeness_step_certified_path_matches():
 @given(square_free_sets(max_index=7, max_n=9))
 def test_exchange_identity_on_random_sets(B):
     closed, _ = divisor_closure(half, B)
-    pair = _first_active_swap(closed)
+    pair = first_active_swap(closed)
     if pair is None:
         return
     i, j = pair
@@ -183,7 +183,7 @@ def test_exchange_identity_on_random_sets(B):
 @given(square_free_sets(max_index=7, max_n=9))
 def test_completeness_step_strictly_increases(B):
     closed, _ = divisor_closure(half, B)
-    pair = _first_active_swap(closed)
+    pair = first_active_swap(closed)
     if pair is None:
         return
     after, strict = completeness_step(half, closed, *pair)
@@ -224,7 +224,7 @@ def test_normalize_strict_for_multiple_alphas():
                 members.add(MultiIndex({j: 1 for j in rng.sample(range(1, 8), rng.randint(0, 5))}))
             current, _ = divisor_closure(t, IndexSet(members))
             while True:
-                pair = _first_active_swap(current)
+                pair = first_active_swap(current)
                 if pair is None:
                     break
                 current, strict = completeness_step(t, current, *pair)
