@@ -316,7 +316,7 @@ def _cmd_matrix(args) -> int:
             # diagnostic ratio only; no finite constant is asserted for it
             payload["spectral_vs_log_n_gamma"] = lam / (math.log(len(B)) * payload["gamma"])
     if args.stat in ("mineig", "both"):
-        payload["min_eigenvalue"] = min_eigenvalue(M)
+        payload["min_eigenvalue"] = min_eigenvalue(M, tol=args.tol)
     _emit(_json_report(config, payload), config.output)
     return 0
 

@@ -1,18 +1,25 @@
 """GCD sums over multi-index sets, their matrices, and spectral quantities.
 
 The central quantity is S(t, B) = sum over all ordered pairs (a, b) of B of
-t^|a-b|.  One blocked pair kernel, `_pair_blocks`, evaluates every float
-t^|a-b| behind the sums, row sums, cross sums, weighted forms and matrices.
-It has two paths: for square-free sets on a small position universe the
-pairwise powers come from an XOR-indexed product table, otherwise from
-exponent-matrix blocks.  Per-row partial sums are combined with compensated
-summation in canonical member order, so results are deterministic.
+t^|a-b|.  The path is chosen from the input alone:
+- a square-free set on at most `_XOR_TABLE_MAX_BITS` positions, when the cost
+  model `_transform_cheaper` prefers it, takes the Walsh-Hadamard transform:
+  its sum, row sums, weighted form and large-matrix matvec cost O(m 2^m)
+  instead of O(N^2);
+- otherwise the one blocked pair kernel, `_pair_blocks`, evaluates t^|a-b|.
+  For square-free sets on at most `_MASK_MAX_BITS` positions the powers are
+  products of lookups in XOR-indexed tables, one per slice of at most
+  `_TABLE_SLICE_BITS` positions; all other sets take exponent-matrix blocks.
+Cross sums of two different sets and dense matrices always use the pair
+kernel.  Sums are combined with compensated summation in a fixed order, so
+results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath as mp
@@ -22,7 +29,15 @@ from .errors import ConvergenceError, DomainError
 from .multiindex import MultiIndex, abs_diff, from_integer, lcm
 from .weights import WeightSequence
 
-_XOR_TABLE_MAX_BITS = 22
+_XOR_TABLE_MAX_BITS = 22  # the transform path's largest universe: arrays of 2^m floats
+_TABLE_SLICE_BITS = 16  # positions per product table of the pair blocks
+_MASK_MAX_BITS = 62  # square-free sets on more positions take exponent blocks
+# Cost of one transform element against one gathered pair.  On a 2-vCPU x86
+# VM (numpy 2.4) the pair blocks gather at about 5.3 ns per pair and the
+# transform path costs about 6 ns per element for m >= 14, where its fixed
+# per-level numpy overhead no longer counts; for m = 9..12 the measured
+# crossover lies between n^2 = 2 m 2^m and 4 m 2^m.
+_TRANSFORM_COST = 4
 _DENSE_CAP = 4096  # dense storage, dense matvec and dense eigvalsh up to this n
 _BLOCK_BUDGET = 4_000_000  # floats per pair block
 
@@ -118,6 +133,69 @@ def _power_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
+def _fwht(x: np.ndarray) -> None:
+    """Unnormalised Walsh-Hadamard transform of a length-2^m array, in place."""
+    h = 1
+    while h < len(x):
+        pairs = x.reshape(-1, 2, h)
+        low = pairs[:, 0, :].copy()
+        pairs[:, 0, :] += pairs[:, 1, :]
+        np.subtract(low, pairs[:, 1, :], out=pairs[:, 1, :])
+        h *= 2
+
+
+def _transform_cheaper(n: int, m: int) -> bool:
+    """Cost model: a transform of length 2^m costs about _TRANSFORM_COST * m * 2^m
+    gathered pairs; the pair blocks gather n^2."""
+    return _TRANSFORM_COST * m * (1 << m) < n * n
+
+
+class _Transform:
+    """The Walsh-Hadamard form of a square-free set's pair matrix.
+
+    With K(x) the product of t_j over the set bits of x, the matrix is the XOR
+    convolution M[r, c] = K(mask_r xor mask_c), and the transform of K is
+    K^(s) = prod_j (1 + (-1)^(s_j) t_j).  For V the vector v placed at the masks
+    and H the unnormalised transform, M v = 2^-m H(K^ . H V) at the masks and
+    v . M v = 2^-m sum_s K^(s) (H V)(s)^2, a sum of non-negative terms.
+    """
+
+    def __init__(self, t: WeightSequence, B: IndexSet):
+        universe = B.universe()
+        w = t.weights_for(universe)
+        self.masks = _xor_masks(B, universe)
+        # prod_j (1 +- t_j) = prod_j (1 + t_j) * prod over set bits of (1 - t_j) / (1 + t_j)
+        self.spectrum = _power_table((1.0 - w) / (1.0 + w)) * np.prod(1.0 + w)
+
+    def _transformed(self, v) -> np.ndarray:
+        x = np.zeros(len(self.spectrum), dtype=np.float64)
+        x[self.masks] = v
+        _fwht(x)
+        return x
+
+    def form(self, v) -> float:
+        """v . M v"""
+        x = self._transformed(v)
+        x *= x
+        x *= self.spectrum
+        return math.fsum(x) / len(x)
+
+    def apply(self, v) -> np.ndarray:
+        """M v"""
+        x = self._transformed(v)
+        x *= self.spectrum
+        _fwht(x)
+        return x[self.masks] / len(x)
+
+
+def _transform_path(t: WeightSequence, B: IndexSet) -> _Transform | None:
+    """The transform path for B, when B is square-free and the cost model prefers it."""
+    m = len(B.universe())
+    if m <= _XOR_TABLE_MAX_BITS and _transform_cheaper(len(B), m) and B.is_square_free():
+        return _Transform(t, B)
+    return None
+
+
 def _pair_blocks(
     t: WeightSequence, A: IndexSet, B: IndexSet | None = None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -128,16 +206,33 @@ def _pair_blocks(
     n = len(B)
     m = len(universe)
     w = t.weights_for(universe)
-    if m <= _XOR_TABLE_MAX_BITS and A.is_square_free() and (B is A or B.is_square_free()):
+    if m <= _MASK_MAX_BITS and A.is_square_free() and (B is A or B.is_square_free()):
         left = _xor_masks(A, universe)
         right = left if B is A else _xor_masks(B, universe)
-        table = _power_table(w)
-        rows = max(1, _BLOCK_BUDGET // max(n, 1))
+        # t^(a xor b) is the product of lookups in one table per slice of at
+        # most _TABLE_SLICE_BITS positions; past about 2^16 entries a table
+        # falls out of cache and two lookups in small tables are cheaper
+        count = max(1, -(-m // _TABLE_SLICE_BITS))
+        width = -(-m // count)
+        low = (1 << width) - 1
+        slices = [(_power_table(w), left, right)] if count == 1 else [
+            (_power_table(w[s : s + width]), left >> s & low, right >> s & low)
+            for s in range(0, m, width)
+        ]
+        # live per pair: the index array and the block, plus one gathered
+        # factor when there are several tables; dividing the rows by the table
+        # count keeps them within two arrays of _BLOCK_BUDGET
+        rows = max(1, _BLOCK_BUDGET // max(n * len(slices), 1))
         for lo in range(0, len(A), rows):
             hi = min(lo + rows, len(A))
+            table, lefts, rights = slices[0]
             # x stays alive across the yield, so the next block reuses its memory
-            x = left[lo:hi, None] ^ right[None, :]
-            yield lo, hi, table[x]
+            x = lefts[lo:hi, None] ^ rights[None, :]
+            block = table[x]
+            for table, lefts, rights in slices[1:]:
+                np.bitwise_xor(lefts[lo:hi, None], rights[None, :], out=x)
+                block *= table[x]
+            yield lo, hi, block
     else:
         left = A.exponent_matrix(universe)
         right = left if B is A else B.exponent_matrix(universe)
@@ -149,21 +244,33 @@ def _pair_blocks(
             yield lo, hi, np.exp(np.tensordot(diff, logw, axes=([2], [0])))
 
 
-def gcd_row_sums(t: WeightSequence, B: IndexSet) -> np.ndarray:
-    """Per-member row sums sum_b t^|a-b| in canonical member order."""
+def _block_row_sums(t: WeightSequence, B: IndexSet) -> np.ndarray:
     out = np.empty(len(B), dtype=np.float64)
     for lo, hi, block in _pair_blocks(t, B):
         out[lo:hi] = block.sum(axis=1)
     return out
 
 
+def gcd_row_sums(t: WeightSequence, B: IndexSet) -> np.ndarray:
+    """Per-member row sums sum_b t^|a-b| in canonical member order."""
+    transform = _transform_path(t, B)
+    if transform is not None:
+        return transform.apply(np.ones(len(B)))
+    return _block_row_sums(t, B)
+
+
 def gcd_sum(t: WeightSequence, B: IndexSet) -> float:
     """S(t, B): the full pair sum including the diagonal; always >= |B|."""
-    return float(math.fsum(gcd_row_sums(t, B)))
+    transform = _transform_path(t, B)
+    if transform is not None:
+        return transform.form(np.ones(len(B)))
+    return float(math.fsum(_block_row_sums(t, B)))
 
 
 def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
     """sum over a in A and b in B of t^|a-b|; cross_sum(t, B, B) == gcd_sum(t, B)."""
+    if A == B:
+        return gcd_sum(t, A)
     return float(math.fsum(r for _, _, block in _pair_blocks(t, A, B) for r in block.sum(axis=1)))
 
 
@@ -243,7 +350,8 @@ class GcdMatrix:
     """Symmetric unit-diagonal matrix with entries t^|a-b| over B's members.
 
     Up to n = _DENSE_CAP the matrix is stored densely (built lazily) and
-    matvec multiplies it; above, matvec streams recomputed pair blocks.
+    matvec multiplies it; above, matvec takes the transform path when the cost
+    model prefers it, and otherwise streams recomputed pair blocks.
     """
 
     def __init__(self, t: WeightSequence, B: IndexSet):
@@ -265,16 +373,19 @@ class GcdMatrix:
             self._dense = out
         return self._dense
 
+    @cached_property
+    def _transform(self) -> _Transform | None:
+        return _transform_path(self.t, self.B)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.n <= _DENSE_CAP:
             return self.dense() @ v
+        if self._transform is not None:
+            return self._transform.apply(v)
         out = np.empty(self.n, dtype=np.float64)
         for lo, hi, block in _pair_blocks(self.t, self.B):
             out[lo:hi] = block @ v
         return out
-
-    def row_sums(self) -> np.ndarray:
-        return gcd_row_sums(self.t, self.B)
 
 
 def gcd_matrix(t: WeightSequence, B: IndexSet) -> GcdMatrix:
@@ -349,6 +460,9 @@ def weighted_sf_form(
     if any(s < 1 for s in sizes):
         raise DomainError("sizes must be positive")
     roots = np.sqrt(np.array(sizes, dtype=np.float64))
+    transform = _transform_path(u, reps)
+    if transform is not None:
+        return transform.form(roots)
     terms = np.empty(len(reps), dtype=np.float64)
     for lo, hi, block in _pair_blocks(u, reps):
         terms[lo:hi] = roots[lo:hi] * (block @ roots)

@@ -68,16 +68,20 @@ def is_divisor_closed(B: IndexSet) -> bool:
 
 
 def is_complete(B: IndexSet) -> bool:
-    """Divisor closed, and for each member, supported position j, and i < j:
-    either i is already supported or the j-to-i swap stays in the set."""
-    if not is_divisor_closed(B):
-        return False
-    for m in B:
-        for j, _ in m.items:
-            for i in range(1, j):
-                if m.exponent(i) >= 1:
-                    continue
-                if m.with_unit_removed(j).with_unit_added(i) not in B:
+    """Divisor closed, and for each member, supported position j, and free
+    position i < j, the j-to-i swap stays in the set.  Square-free sets only."""
+    _require_square_free(B, "is_complete")
+    # bit j - 1 of a member's mask is set when position j is supported
+    masks = {sum(1 << (j - 1) for j, _ in m.items) for m in B}
+    for x in masks:
+        for j in range(x.bit_length()):
+            if not x >> j & 1:
+                continue
+            below = x ^ 1 << j
+            if below not in masks:
+                return False
+            for i in range(j):
+                if not x >> i & 1 and below | 1 << i not in masks:
                     return False
     return True
 

@@ -50,6 +50,24 @@ def brute_weighted_form(t, members, sizes) -> float:
     )
 
 
+def brute_is_complete(members) -> bool:
+    """Completeness by multi-index arithmetic: divisor closed, and every swap of
+    a supported position j for a free i < j stays in the set."""
+    membership = set(members)
+    for m in members:
+        for j, _ in m.items:
+            if m.with_unit_removed(j) not in membership:
+                return False
+    for m in members:
+        for j, _ in m.items:
+            for i in range(1, j):
+                if m.exponent(i) >= 1:
+                    continue
+                if m.with_unit_removed(j).with_unit_added(i) not in membership:
+                    return False
+    return True
+
+
 def brute_downsets(m: int, n: int) -> set:
     """Every size-n downset of the m-cube by scanning all 2^(2^m) subsets."""
     assert m <= 4

@@ -35,6 +35,7 @@ from gcdsums import (
     tail_sum,
     bound_chain_report,
 )
+import gcdsums.gcdsum as gcdsum_module
 from gcdsums.transforms import first_active_swap
 
 half = PrimePowerWeights(0.5)
@@ -116,23 +117,29 @@ def maximizer_suite():
     return results
 
 
-def test_criterion_01_cube_product_identity():
+def test_criterion_01_cube_product_identity(monkeypatch):
     worst = 0.0
     elapsed_k14 = None
+    default_path = gcdsum_module._transform_cheaper
     for k in range(1, 15):
         cube = cube_construction(k)
+        closed = cube_sum_closed_form(half, k)
+        # the direct O(N^2) sum over the XOR table, forced, then the default path
+        monkeypatch.setattr(gcdsum_module, "_transform_cheaper", lambda n, m: False)
         start = time.perf_counter()
         direct = gcd_sum(half, cube)
         elapsed = time.perf_counter() - start
+        monkeypatch.setattr(gcdsum_module, "_transform_cheaper", default_path)
+        default = gcd_sum(half, cube)
         if k == 14:
             elapsed_k14 = elapsed
-        closed = cube_sum_closed_form(half, k)
-        rel = abs(direct - closed) / closed
-        worst = max(worst, rel)
-        assert rel <= 1e-10, f"k={k}: relative gap {rel}"
+        for value in (direct, default):
+            rel = abs(value - closed) / closed
+            worst = max(worst, rel)
+            assert rel <= 1e-10, f"k={k}: relative gap {rel}"
     assert elapsed_k14 < 120.0, f"k=14 took {elapsed_k14:.1f}s"
-    print(f"PASS criterion 1: cube identity k<=14, worst rel {worst:.2e}, "
-          f"k=14 in {elapsed_k14:.2f}s")
+    print(f"PASS criterion 1: cube identity k<=14, direct and default paths, worst rel "
+          f"{worst:.2e}, direct k=14 in {elapsed_k14:.2f}s")
 
 
 def test_criterion_02_maximizers_complete(maximizer_suite):

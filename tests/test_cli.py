@@ -324,3 +324,30 @@ def test_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["matrix", path, "--stat", "spectral"])
     assert_one_line_error(code, err)
     assert "estimate=1.5" in err and "residual=0.25" in err and "iterations=7" in err
+
+
+def test_matrix_tol_reaches_min_eigenvalue(tmp_path, capsys, monkeypatch):
+    import random
+
+    import gcdsums.gcdsum as gcdsum_module
+
+    rng = random.Random(13)
+    masks = set()
+    while len(masks) < 60:
+        masks.add(sum(1 << b for b in rng.sample(range(8), rng.randint(0, 5))))
+    lines = ["mi" + "".join(f" {b + 1}:1" for b in range(8) if x >> b & 1) for x in masks]
+    path = write(tmp_path, "set.txt", "\n".join(lines) + "\n")
+    seen = []
+    iterate = gcdsum_module._power_iteration
+
+    def recording(matvec, n, tol, max_iterations):
+        seen.append(tol)
+        return iterate(matvec, n, tol, max_iterations)
+
+    # above the dense cap min_eigenvalue takes the shifted power iteration
+    monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 10)
+    monkeypatch.setattr(gcdsum_module, "_power_iteration", recording)
+    code, out, _ = run(capsys, ["matrix", path, "--stat", "mineig", "--tol", "1e-9"])
+    assert code == 0
+    assert seen and all(tol == 1e-9 for tol in seen)
+    assert json.loads(out)["min_eigenvalue"] > 0

@@ -1,5 +1,6 @@
 import math
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gcdsums import (
     cross_sum,
     cube_sum_closed_form,
     gcd_matrix,
+    gcd_row_sums,
     gcd_sum,
     gcd_sum_integers,
     gcd_sum_mp,
@@ -33,6 +35,30 @@ from gcdsums import (
     weighted_sf_form,
 )
 from gcdsums.search import cube_construction
+
+# Settings of the module that force each path.  The two pair-block paths
+# of old keep their ids, the largest universe of the XOR-table path: 22 takes
+# one product table for these small sets, 0 sends every set with a nonempty
+# universe to exponent blocks.  "split" takes product tables on slices of three
+# positions, and "transform" the Walsh-Hadamard path wherever it is allowed.
+NO_TRANSFORM = {"_transform_cheaper": lambda n, m: False}
+KERNEL_PATHS = {
+    22: NO_TRANSFORM,
+    0: {**NO_TRANSFORM, "_MASK_MAX_BITS": 0},
+    "split": {**NO_TRANSFORM, "_TABLE_SLICE_BITS": 3},
+    "transform": {"_transform_cheaper": lambda n, m: True},
+}
+PAIR_BLOCK_PATHS = [22, 0, "split"]
+
+
+@contextmanager
+def kernel_path(name, **settings):
+    """Force one kernel path, plus any other module settings, for the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        for attr, value in {**KERNEL_PATHS[name], **settings}.items():
+            mp.setattr(gcdsum_module, attr, value)
+        yield
+
 
 half = PrimePowerWeights(0.5)
 zero = MultiIndex.zero()
@@ -67,6 +93,37 @@ def test_gcd_sum_matches_brute_force(B):
 @given(square_free_sets(max_index=7, max_n=9))
 def test_gcd_sum_square_free_path_matches_brute_force(B):
     assert gcd_sum(half, B) == pytest.approx(brute_pair_sum(half, B.members), rel=1e-12)
+
+
+@pytest.mark.parametrize("path", list(KERNEL_PATHS))
+@settings(max_examples=50)
+@given(square_free_sets(max_index=9, max_n=12))
+def test_sum_and_row_sums_match_brute_force_on_every_path(path, B):
+    with kernel_path(path, _BLOCK_BUDGET=40):
+        value = gcd_sum(half, B)
+        rows = gcd_row_sums(half, B)
+    assert value == pytest.approx(brute_pair_sum(half, B.members), rel=1e-12)
+    expected = [math.fsum(row) for row in brute_pair_matrix(half, B.members)]
+    assert np.allclose(rows, expected, rtol=1e-12, atol=0)
+
+
+def test_split_tables_on_wide_sets():
+    rng = random.Random(3)
+    members = {zero}
+    while len(members) < 40:
+        members.add(MultiIndex({j: 1 for j in rng.sample(range(1, 63), rng.randint(1, 8))}))
+    B = IndexSet(members)
+    assert len(B.universe()) > gcdsum_module._XOR_TABLE_MAX_BITS
+    assert gcd_sum(half, B) == pytest.approx(brute_pair_sum(half, B.members), rel=1e-12)
+    expected = [math.fsum(row) for row in brute_pair_matrix(half, B.members)]
+    assert np.allclose(gcd_row_sums(half, B), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [15, 16, 17, 18])
+def test_cube_closed_form_large(k):
+    assert gcd_sum(half, cube_construction(k)) == pytest.approx(
+        cube_sum_closed_form(half, k), rel=1e-12
+    )
 
 
 def test_gcd_sum_block_paths(monkeypatch):
@@ -201,23 +258,35 @@ def test_spectral_norm_matches_dense_eigensolver():
         assert lam == pytest.approx(float(np.linalg.eigvalsh(M.dense())[-1]), rel=1e-10)
 
 
-def test_matrix_free_matvec_agrees(monkeypatch):
+def test_matrix_free_matvec_agrees():
     rng = random.Random(11)
     members = set()
     while len(members) < 50:
         members.add(MultiIndex({j: 1 for j in rng.sample(range(1, 9), rng.randint(0, 5))}))
     B = IndexSet(members)
     reference = np.array(brute_pair_matrix(half, B.members))
-    # above the dense cap matvec streams pair blocks, here several per product
-    monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 10)
-    monkeypatch.setattr(gcdsum_module, "_BLOCK_BUDGET", 600)
-    M = gcd_matrix(half, B)
     v = np.linspace(-1.0, 1.0, len(B))
-    assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-15)
-    with pytest.raises(DomainError):
-        M.dense()
-    lam_free = spectral_norm(M)
-    assert lam_free == pytest.approx(float(np.linalg.eigvalsh(reference)[-1]), rel=1e-11)
+    positive = np.linspace(0.5, 2.0, len(B))
+    for path in KERNEL_PATHS:
+        # above the dense cap matvec transforms or streams pair blocks, here
+        # several per product
+        with kernel_path(path, _DENSE_CAP=10, _BLOCK_BUDGET=600):
+            M = gcd_matrix(half, B)
+            assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-15)
+            assert np.allclose(M.matvec(positive), reference @ positive, rtol=1e-12, atol=0)
+            assert (M._transform is not None) == (path == "transform")
+            with pytest.raises(DomainError):
+                M.dense()
+            lam_free = spectral_norm(M)
+        assert lam_free == pytest.approx(float(np.linalg.eigvalsh(reference)[-1]), rel=1e-11)
+
+
+def test_spectral_norm_13_cube_by_transform():
+    M = gcd_matrix(half, cube_construction(13))
+    assert M.n > gcdsum_module._DENSE_CAP
+    closed = math.prod(1 + half.weight_at(j) for j in range(1, 14))
+    assert spectral_norm(M) == pytest.approx(closed, rel=1e-10)
+    assert M._transform is not None
 
 
 def test_power_iteration_failure_carries_state():
@@ -295,28 +364,20 @@ def test_weighted_sf_form_examples():
     assert weighted_sf_form(half, reps, [4, 1]) == pytest.approx(5 + 4 * t1, rel=1e-14)
 
 
-# _XOR_TABLE_MAX_BITS = 0 sends every set with a nonempty universe to the
-# exponent-block path
-KERNEL_PATHS = [gcdsum_module._XOR_TABLE_MAX_BITS, 0]
-
-
-@pytest.mark.parametrize("xor_bits", KERNEL_PATHS)
+@pytest.mark.parametrize("path", PAIR_BLOCK_PATHS)
 @settings(max_examples=50)
 @given(square_free_sets(max_index=5, max_n=8), square_free_sets(max_index=9, max_n=8))
-def test_cross_sum_square_free_matches_brute_force(xor_bits, A, B):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gcdsum_module, "_XOR_TABLE_MAX_BITS", xor_bits)
-        mp.setattr(gcdsum_module, "_BLOCK_BUDGET", 40)
+def test_cross_sum_square_free_matches_brute_force(path, A, B):
+    with kernel_path(path, _BLOCK_BUDGET=40):
         value = cross_sum(half, A, B)
     assert value == pytest.approx(brute_cross_sum(half, A.members, B.members), rel=1e-12)
 
 
-@pytest.mark.parametrize("xor_bits", KERNEL_PATHS)
+@pytest.mark.parametrize("path", PAIR_BLOCK_PATHS)
 @settings(max_examples=50)
 @given(index_sets(max_index=6, max_exponent=3, max_n=8), square_free_sets(max_index=9, max_n=8))
-def test_cross_sum_mixed_exponents_matches_brute_force(xor_bits, A, B):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gcdsum_module, "_XOR_TABLE_MAX_BITS", xor_bits)
+def test_cross_sum_mixed_exponents_matches_brute_force(path, A, B):
+    with kernel_path(path):
         forward = cross_sum(half, A, B)
         backward = cross_sum(half, B, A)
     expected = brute_cross_sum(half, A.members, B.members)
@@ -337,14 +398,12 @@ def test_cross_sum_examples():
     assert cross_sum(half, B, B) == gcd_sum(half, B)
 
 
-@pytest.mark.parametrize("xor_bits", KERNEL_PATHS)
+@pytest.mark.parametrize("path", list(KERNEL_PATHS))
 @settings(max_examples=50)
 @given(square_free_sets(max_index=9, max_n=10), st.data())
-def test_weighted_sf_form_matches_brute_force(xor_bits, reps, data):
+def test_weighted_sf_form_matches_brute_force(path, reps, data):
     sizes = data.draw(st.lists(st.integers(1, 9), min_size=len(reps), max_size=len(reps)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gcdsum_module, "_XOR_TABLE_MAX_BITS", xor_bits)
-        mp.setattr(gcdsum_module, "_BLOCK_BUDGET", 40)
+    with kernel_path(path, _BLOCK_BUDGET=40):
         value = weighted_sf_form(half, reps, sizes)
     assert value == pytest.approx(brute_weighted_form(half, reps.members, sizes), rel=1e-12)
 

@@ -3,9 +3,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from conftest import square_free_sets
-from oracles import brute_cross_sum, brute_pair_sum
+from oracles import brute_cross_sum, brute_is_complete, brute_pair_sum
 
 from gcdsums import (
     DomainError,
@@ -41,6 +42,68 @@ def test_is_complete_examples():
     assert is_complete(IndexSet([zero, e1, e2, e1 + e2]))
     assert is_complete(IndexSet([zero, e1, e2]))
     assert not is_complete(IndexSet([zero, e1, e3]))
+
+
+def completion(masks) -> IndexSet:
+    """The smallest complete set containing the masks (bit b is position b + 1)."""
+    seen = set(masks) | {0}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for j in range(x.bit_length()):
+            if x >> j & 1:
+                below = x ^ 1 << j
+                for y in [below] + [below | 1 << i for i in range(j) if not x >> i & 1]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+    return IndexSet(
+        MultiIndex({b + 1: 1 for b in range(x.bit_length()) if x >> b & 1}) for x in seen
+    )
+
+
+@st.composite
+def near_complete_sets(draw):
+    """A completion of a few small supports reaching position 70, then maybe
+    one member removed or one member added."""
+    gens = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 69)).map(lambda p: 1 << p[0] | 1 << p[1]),
+        min_size=1, max_size=3,
+    ))
+    members = list(completion(gens).members)
+    change = draw(st.sampled_from(("none", "drop", "add")))
+    if change == "drop" and len(members) > 1:
+        members.pop(draw(st.integers(0, len(members) - 1)))
+    elif change == "add":
+        extra = MultiIndex({j: 1 for j in draw(st.frozensets(st.integers(1, 70), max_size=3))})
+        if extra not in members:
+            members.append(extra)
+    return IndexSet(members)
+
+
+def test_is_complete_above_64_positions():
+    assert is_complete(completion([1 << 69]))
+    assert is_complete(completion([1 << 1 | 1 << 66, 1 << 64]))
+    B = completion([1 | 1 << 65])
+    assert not is_complete(IndexSet(m for m in B if m != MultiIndex({1: 1, 60: 1})))
+    assert is_complete(IndexSet([*B, MultiIndex({67: 1})]))
+    assert not is_complete(IndexSet([*B, MultiIndex({1: 1, 67: 1})]))
+
+
+@settings(max_examples=60)
+@given(near_complete_sets())
+def test_is_complete_matches_multiindex_definition(B):
+    assert is_complete(B) == brute_is_complete(B.members)
+
+
+@given(square_free_sets(max_index=6, max_n=12))
+def test_is_complete_matches_multiindex_definition_small(B):
+    assert is_complete(B) == brute_is_complete(B.members)
+
+
+def test_is_complete_rejects_non_square_free():
+    with pytest.raises(DomainError):
+        is_complete(IndexSet([zero, e1, MultiIndex({1: 2})]))
 
 
 def test_divisor_closure_singleton():
