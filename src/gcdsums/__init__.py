@@ -12,12 +12,14 @@ from .multiindex import (
     abs_diff,
     format_multiindex,
     from_integer,
+    from_mask,
     is_square_free,
     lcm,
     leq,
     parse_multiindex,
     support,
     to_integer,
+    to_mask,
 )
 from .primes import DEFAULT_TABLE, PrimeTable
 from .weights import (

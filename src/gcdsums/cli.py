@@ -229,12 +229,7 @@ def _cmd_cube(args) -> int:
     cube = cube_construction(args.k)
     closed = cube_sum_closed_form(t, args.k)
     start = time.perf_counter()
-    if args.k <= 14:
-        value = gcd_sum(t, cube)
-        method = "direct"
-    else:
-        value = closed
-        method = "closed_form"
+    value = gcd_sum(t, cube)
     elapsed = (time.perf_counter() - start) * 1000.0
     if args.k <= 12:
         complete = is_complete(cube)
@@ -248,7 +243,8 @@ def _cmd_cube(args) -> int:
         "sum": value,
         "gamma": value / len(cube),
         "closed_form": closed,
-        "method": method,
+        # kept for the report schema: the sum is always computed by gcd_sum
+        "method": "direct",
         "complete": complete,
         "completeness_check": completeness_check,
     }
@@ -281,11 +277,11 @@ def _cmd_transform(args) -> int:
         result, trace = normalize_to_complete(t, B, certify_dps=config.precision)
     lines = [json.dumps({"schema": SCHEMA_VERSION, "config": config.to_dict()}, sort_keys=True)]
     for i, step in enumerate(trace.steps):
-        lines.append(json.dumps(
-            {"step": i, "description": step.description,
-             "s_before": step.s_before, "s_after": step.s_after},
-            sort_keys=True,
-        ))
+        line = {"step": i, "description": step.description,
+                "s_before": step.s_before, "s_after": step.s_after}
+        if step.strict is not None:
+            line["strict"] = step.strict
+        lines.append(json.dumps(line, sort_keys=True))
     lines.append(json.dumps(
         {"final": [str(m) for m in result], "n": len(result),
          "s_value": gcd_sum(t, result), "complete": is_complete(result)},

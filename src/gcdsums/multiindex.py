@@ -156,6 +156,24 @@ def is_square_free(a: MultiIndex) -> bool:
     return a.is_square_free()
 
 
+def to_mask(a: MultiIndex) -> int:
+    """Bitmask of a square-free multi-index: bit j - 1 is set iff position j
+    is supported.  Python ints, so there is no position limit."""
+    mask = 0
+    for j, e in a.items:
+        if e != 1:
+            raise DomainError(f"{format_multiindex(a)} is not square-free")
+        mask |= 1 << (j - 1)
+    return mask
+
+
+def from_mask(mask: int) -> MultiIndex:
+    """Square-free multi-index of a bitmask; inverse of to_mask."""
+    if mask < 0:
+        raise DomainError(f"mask must be >= 0, got {mask}")
+    return MultiIndex({b + 1: 1 for b in range(mask.bit_length()) if mask >> b & 1})
+
+
 def from_integer(n: int, table: PrimeTable = DEFAULT_TABLE) -> MultiIndex:
     """Multi-index of n's prime factorization; from_integer(1) is zero."""
     n = int(n)

@@ -3,8 +3,9 @@
 Divisor-closed square-free families over positions {1..m} are exactly the
 downsets (order ideals) of the m-dimensional boolean lattice, and a set can
 always be replaced by a downset without lowering its pair sum, so exhaustive
-search ranges over downsets only.  Members are bitmasks: bit b set means
-position b+1 is supported.
+search ranges over downsets only.  The search runs on the members' bitmasks
+(`multiindex.to_mask`): positions {1..m} are the masks below 2^m.  IndexSets
+are built only for the pair sums and the reports.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator
 
 from .errors import DomainError
 from .gcdsum import IndexSet, gcd_sum
-from .multiindex import MultiIndex
+from .multiindex import from_mask, to_mask
 from .transforms import completeness_step, first_active_swap
 from .weights import WeightSequence
 
@@ -25,12 +26,8 @@ CUBE_MAX_DIMENSION = 20
 TIE_TOL = 1e-12
 
 
-def _mask_to_multiindex(mask: int) -> MultiIndex:
-    return MultiIndex({b + 1: 1 for b in range(mask.bit_length()) if mask >> b & 1})
-
-
-def _masks_to_set(masks) -> IndexSet:
-    return IndexSet([_mask_to_multiindex(x) for x in masks])
+def _preds(x: int, m: int) -> list[int]:
+    return [x ^ (1 << b) for b in range(m) if x >> b & 1]
 
 
 def cube_construction(k: int) -> IndexSet:
@@ -39,7 +36,7 @@ def cube_construction(k: int) -> IndexSet:
         raise DomainError(f"k must be >= 1, got {k}")
     if k > CUBE_MAX_DIMENSION:
         raise DomainError(f"cube dimension capped at {CUBE_MAX_DIMENSION} (2^k members)")
-    return _masks_to_set(range(1 << k))
+    return IndexSet(map(from_mask, range(1 << k)))
 
 
 def enumerate_downsets(m: int, n: int) -> Iterator[IndexSet]:
@@ -60,20 +57,19 @@ def enumerate_downsets(m: int, n: int) -> Iterator[IndexSet]:
         raise DomainError(f"need 1 <= n <= 2^m, got n={n}")
 
     masks = sorted(range(1 << m), key=lambda x: (bin(x).count("1"), x))
-    preds = [[x ^ (1 << b) for b in range(m) if x >> b & 1] for x in masks]
-    order = {x: i for i, x in enumerate(masks)}
+    preds = [_preds(x, m) for x in masks]
     total = len(masks)
     chosen: set[int] = set()
     picked: list[int] = []
 
     def walk(pos: int) -> Iterator[IndexSet]:
         if len(picked) == n:
-            yield _masks_to_set(picked)
+            yield IndexSet(map(from_mask, picked))
             return
         if pos >= total or len(picked) + (total - pos) < n:
             return
         x = masks[pos]
-        if all(p in chosen for p in preds[order[x]]):
+        if all(p in chosen for p in preds[pos]):
             chosen.add(x)
             picked.append(x)
             yield from walk(pos + 1)
@@ -155,19 +151,16 @@ def extremal_sf(
     )
 
 
-def _preds(x: int, m: int) -> list[int]:
-    return [x ^ (1 << b) for b in range(m) if x >> b & 1]
+def _addable(chosen: set[int], m: int) -> list[int]:
+    # ascending masks outside the set whose predecessors all lie in it
+    return [x for x in range(1 << m)
+            if x not in chosen and all(p in chosen for p in _preds(x, m))]
 
 
 def _random_downset(rng: random.Random, n: int, m: int) -> set[int]:
     chosen = {0}
     while len(chosen) < n:
-        addable = sorted(
-            x
-            for x in range(1 << m)
-            if x not in chosen and all(p in chosen for p in _preds(x, m))
-        )
-        chosen.add(rng.choice(addable))
+        chosen.add(rng.choice(_addable(chosen, m)))
     return chosen
 
 
@@ -201,7 +194,7 @@ def local_search(
     start = time.perf_counter()
     rng = random.Random(seed)
     chosen = _random_downset(rng, n, m)
-    current = _masks_to_set(chosen)
+    current = IndexSet(map(from_mask, chosen))
     s_current = gcd_sum(t, current)
     best_set, best_value = current, s_current
     evaluations = 1
@@ -209,9 +202,9 @@ def local_search(
     for it in range(iterations):
         if it % 8 == 7:
             pair = first_active_swap(current)
-            if pair is not None and pair[1] <= m:
+            if pair is not None:
                 current, _ = completeness_step(t, current, *pair)
-                chosen = {_mi_to_mask(mi) for mi in current}
+                chosen = {to_mask(mi) for mi in current}
                 s_current = gcd_sum(t, current)
                 evaluations += 1
         else:
@@ -220,18 +213,12 @@ def local_search(
                 continue
             x = rng.choice(removable)
             without = chosen - {x}
-            addable = sorted(
-                y
-                for y in range(1 << m)
-                if y != x
-                and y not in without
-                and all(p in without for p in _preds(y, m))
-            )
+            addable = [y for y in _addable(without, m) if y != x]
             if not addable:
                 continue
             y = rng.choice(addable)
             candidate_masks = without | {y}
-            candidate = _masks_to_set(candidate_masks)
+            candidate = IndexSet(map(from_mask, candidate_masks))
             s_candidate = gcd_sum(t, candidate)
             evaluations += 1
             if s_candidate > s_current:
@@ -252,10 +239,3 @@ def local_search(
         seed=seed,
         iterations=iterations,
     )
-
-
-def _mi_to_mask(mi: MultiIndex) -> int:
-    acc = 0
-    for j, _ in mi.items:
-        acc |= 1 << (j - 1)
-    return acc

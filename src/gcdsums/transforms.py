@@ -6,18 +6,24 @@ divisors), and swapping a high position j for a lower free position i in
 every member where the swap target is absent.  Iterating both to a fixed
 point yields a complete set: divisor closed, and closed under replacing any
 supported position by any smaller one.
+
+The functions take and return IndexSets of square-free members and raise
+DomainError on any other set.  Inside, members are bitmasks
+(`multiindex.to_mask`), so with u_j the one-bit mask of position j, dropping
+j from member x is x ^ u_j and swapping j for i is x ^ u_j | u_i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import mpmath as mp
+from functools import reduce
+from operator import or_
+from typing import Collection
 
 from .errors import DomainError, TransformLimitError
 from .gcdsum import IndexSet, cross_sum, gcd_sum, gcd_sum_mp
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, from_mask, to_mask
 from .weights import WeightSequence
 
 STRICT_MARGIN_FLOOR = 1e-9
@@ -30,6 +36,8 @@ class TraceStep:
     size_before: int
     s_before: float
     s_after: float
+    # swaps only: whether S rose strictly (recertified when the margin is tiny)
+    strict: bool | None = None
 
 
 @dataclass
@@ -52,43 +60,67 @@ class TransformTrace:
                     "size_before": s.size_before,
                     "s_before": s.s_before,
                     "s_after": s.s_after,
+                    "strict": s.strict,
                 }
                 for s in self.steps
             ],
         }
 
 
+def _by_mask(B: IndexSet, op: str) -> dict[int, MultiIndex]:
+    """B's members keyed by bitmask, so a move rebuilds only what it changes."""
+    try:
+        return {to_mask(m): m for m in B}
+    except DomainError:
+        raise DomainError(f"{op} requires a square-free set") from None
+
+
+def _unit(j: int) -> int:
+    """One-bit mask of position j."""
+    return to_mask(MultiIndex.unit(j))
+
+
+def _position(u: int) -> int:
+    """Position of a one-bit mask."""
+    return from_mask(u).max_index()
+
+
+def _units(x: int) -> list[int]:
+    """One-bit masks of the positions of x, ascending."""
+    return [1 << b for b in range(x.bit_length()) if x >> b & 1]
+
+
+def _is_divisor_closed(masks: Collection[int]) -> bool:
+    return all(x ^ u in masks for x in masks for u in _units(x))
+
+
+def _movable(masks: Collection[int], ui: int, uj: int) -> list[int]:
+    """Members with position j set and i free whose swap target is absent."""
+    return [x for x in masks if x & uj and not x & ui and x ^ uj | ui not in masks]
+
+
+def _first_swap(masks: Collection[int]) -> tuple[int, int] | None:
+    """One-bit masks (u_i, u_j) of the swap first_active_swap returns."""
+    for uj in _units(reduce(or_, masks, 0)):
+        ui = 1
+        while ui < uj:
+            if _movable(masks, ui, uj):
+                return ui, uj
+            ui <<= 1
+    return None
+
+
 def is_divisor_closed(B: IndexSet) -> bool:
-    """True iff every member keeps membership after removing any supported position."""
-    for m in B:
-        for j, _ in m.items:
-            if m.with_unit_removed(j) not in B:
-                return False
-    return True
+    """True iff every member keeps membership after removing any supported
+    position.  Square-free sets only."""
+    return _is_divisor_closed(_by_mask(B, "is_divisor_closed"))
 
 
 def is_complete(B: IndexSet) -> bool:
     """Divisor closed, and for each member, supported position j, and free
     position i < j, the j-to-i swap stays in the set.  Square-free sets only."""
-    _require_square_free(B, "is_complete")
-    # bit j - 1 of a member's mask is set when position j is supported
-    masks = {sum(1 << (j - 1) for j, _ in m.items) for m in B}
-    for x in masks:
-        for j in range(x.bit_length()):
-            if not x >> j & 1:
-                continue
-            below = x ^ 1 << j
-            if below not in masks:
-                return False
-            for i in range(j):
-                if not x >> i & 1 and below | 1 << i not in masks:
-                    return False
-    return True
-
-
-def _require_square_free(B: IndexSet, op: str) -> None:
-    if not B.is_square_free():
-        raise DomainError(f"{op} requires a square-free set")
+    masks = _by_mask(B, "is_complete")
+    return _is_divisor_closed(masks) and _first_swap(masks) is None
 
 
 def divisor_closure(
@@ -101,34 +133,30 @@ def divisor_closure(
     preserved and S never decreases.  Output depends on the sweep order; this
     implementation fixes ascending positions.
     """
-    _require_square_free(B, "divisor_closure")
+    current = _by_mask(B, "divisor_closure")
     trace = TransformTrace(weights=t.label(), initial=B)
-    current = set(B.members)
+    result = B
     s_current = None
     changed = True
     while changed:
         changed = False
-        for j in sorted({j for m in current for j in m.support()}):
-            batch = [
-                m
-                for m in current
-                if m.exponent(j) == 1 and m.with_unit_removed(j) not in current
-            ]
+        for u in _units(reduce(or_, current, 0)):
+            batch = [x for x in current if x & u and x ^ u not in current]
             if not batch:
                 continue
             if s_current is None:
-                s_current = gcd_sum(t, IndexSet(current))
-            for m in batch:
-                current.remove(m)
-                current.add(m.with_unit_removed(j))
-            s_after = gcd_sum(t, IndexSet(current))
+                s_current = gcd_sum(t, result)
+            for x in batch:
+                del current[x]
+                current[x ^ u] = from_mask(x ^ u)
+            result = IndexSet(current.values())
+            s_after = gcd_sum(t, result)
             trace.steps.append(
-                TraceStep(f"drop position {j} from {len(batch)} member(s)",
+                TraceStep(f"drop position {_position(u)} from {len(batch)} member(s)",
                           len(current), s_current, s_after)
             )
             s_current = s_after
             changed = True
-    result = IndexSet(current)
     trace.final = result
     return result, trace
 
@@ -153,52 +181,41 @@ class SwapPartition:
         return (self.movable, self.saturated, self.both_lifted, self.i_lifted, self.rest)
 
 
-def _maybe_set(members: list[MultiIndex]) -> IndexSet | None:
-    return IndexSet(members) if members else None
+def _swap_members(B: IndexSet, i: int, j: int, op: str) -> tuple[dict, int, int]:
+    """Check the swap's preconditions; B's members by mask, and u_i and u_j."""
+    if i >= j:
+        raise DomainError(f"need i < j, got i={i}, j={j}")
+    ui, uj = _unit(i), _unit(j)
+    members = _by_mask(B, op)
+    if not _is_divisor_closed(members):
+        raise DomainError(f"{op} requires a divisor-closed set")
+    return members, ui, uj
 
 
 def swap_partition(B: IndexSet, i: int, j: int) -> SwapPartition:
     """Partition B for the swap j -> i; requires i < j and a divisor-closed
     square-free B.  The classification tests membership of the base element
     (positions i and j cleared) with i, j, or both added back."""
-    if i >= j:
-        raise DomainError(f"need i < j, got i={i}, j={j}")
-    if i < 1:
-        raise DomainError(f"positions must be >= 1, got i={i}")
-    _require_square_free(B, "swap_partition")
-    if not is_divisor_closed(B):
-        raise DomainError("swap_partition requires a divisor-closed set")
-
-    movable, saturated, both_lifted, i_lifted, rest = [], [], [], [], []
-    for m in B:
-        if (
-            m.exponent(j) == 1
-            and m.exponent(i) == 0
-            and m.with_unit_removed(j).with_unit_added(i) not in B
-        ):
-            movable.append(m)
+    members, ui, uj = _swap_members(B, i, j, "swap_partition")
+    movable = _movable(members, ui, uj)
+    moving = set(movable)
+    saturated, both_lifted, i_lifted, rest = [], [], [], []
+    for x in members:
+        if x in moving:
             continue
-        base = dict(m.items)
-        base.pop(i, None)
-        base.pop(j, None)
-        base_mi = MultiIndex(base)
-        with_i = base_mi.with_unit_added(i)
-        with_j = base_mi.with_unit_added(j)
-        if with_i.with_unit_added(j) in B:
-            saturated.append(m)
-        elif with_i in B and with_j in B:
-            both_lifted.append(m)
-        elif with_i in B:
-            i_lifted.append(m)
+        base = x & ~(ui | uj)
+        if base | ui | uj in members:
+            saturated.append(x)
+        elif base | ui in members and base | uj in members:
+            both_lifted.append(x)
+        elif base | ui in members:
+            i_lifted.append(x)
         else:
-            rest.append(m)
-    return SwapPartition(
-        movable=_maybe_set(movable),
-        saturated=_maybe_set(saturated),
-        both_lifted=_maybe_set(both_lifted),
-        i_lifted=_maybe_set(i_lifted),
-        rest=_maybe_set(rest),
-    )
+            rest.append(x)
+    return SwapPartition(*(
+        IndexSet(members[x] for x in part) if part else None
+        for part in (movable, saturated, both_lifted, i_lifted, rest)
+    ))
 
 
 def completeness_step(
@@ -215,20 +232,15 @@ def completeness_step(
     double-precision margin falls below `margin_floor`, both sums are
     recomputed at `certify_dps` digits and strictness is decided there.
     """
-    part = swap_partition(B, i, j)
-    if part.movable is None:
+    members, ui, uj = _swap_members(B, i, j, "completeness_step")
+    movable = _movable(members, ui, uj)
+    if not movable:
         raise DomainError(f"no movable members for swap ({i}, {j})")
-    moved = []
-    kept = [m for m in B if m not in part.movable]
-    kept_set = set(kept)
-    for m in part.movable:
-        m2 = m.with_unit_removed(j).with_unit_added(i)
-        if m2 in kept_set:
-            # impossible for a valid divisor-closed input: the swap target
-            # being present contradicts movability
-            raise RuntimeError(f"swap collision at {m2}")
-        moved.append(m2)
-    result = IndexSet(kept + moved)
+    # targets lack j and are absent by movability, so no two members collide
+    for x in movable:
+        del members[x]
+        members[x ^ uj | ui] = from_mask(x ^ uj | ui)
+    result = IndexSet(members.values())
     s_before = gcd_sum(t, B)
     s_after = gcd_sum(t, result)
     if abs(s_after - s_before) >= margin_floor:
@@ -249,7 +261,8 @@ def normalize_to_complete(
     the first active pair is applied and the scan restarts.  Each swap
     strictly lowers the total weighted rank, so the loop terminates.
     """
-    _require_square_free(B, "normalize_to_complete")
+    if not B.is_square_free():
+        raise DomainError("normalize_to_complete requires a square-free set")
     current, trace = divisor_closure(t, B)
     if max_steps is None:
         max_steps = 10 + 2 * sum(m.weighted_rank() for m in current)
@@ -268,10 +281,10 @@ def normalize_to_complete(
         i, j = pair
         if s_current is None:
             s_current = gcd_sum(t, current)
-        current, _ = completeness_step(t, current, i, j, certify_dps=certify_dps)
+        current, strict = completeness_step(t, current, i, j, certify_dps=certify_dps)
         s_after = gcd_sum(t, current)
         trace.steps.append(
-            TraceStep(f"swap position {j} -> {i}", len(current), s_current, s_after)
+            TraceStep(f"swap position {j} -> {i}", len(current), s_current, s_after, strict)
         )
         s_current = s_after
         steps += 1
@@ -281,18 +294,11 @@ def normalize_to_complete(
 
 def first_active_swap(B: IndexSet) -> tuple[int, int] | None:
     """The first swap (i, j) with a movable member, scanning ascending j, then
-    ascending i < j; None when the set admits no swap."""
-    membership = B.as_set()
-    for j in sorted({j for m in B for j in m.support()}):
-        for i in range(1, j):
-            for m in B:
-                if (
-                    m.exponent(j) == 1
-                    and m.exponent(i) == 0
-                    and m.with_unit_removed(j).with_unit_added(i) not in membership
-                ):
-                    return i, j
-    return None
+    ascending i < j; None when the set admits no swap.  Square-free sets only."""
+    pair = _first_swap(_by_mask(B, "first_active_swap"))
+    if pair is None:
+        return None
+    return _position(pair[0]), _position(pair[1])
 
 
 @dataclass(frozen=True)
@@ -318,9 +324,8 @@ def completeness_exchange_identity(
     part = swap_partition(B, i, j)
     if part.movable is None:
         raise DomainError(f"no movable members for swap ({i}, {j})")
-    moved = IndexSet(
-        [m.with_unit_removed(j).with_unit_added(i) for m in part.movable]
-    )
+    ui, uj = _unit(i), _unit(j)
+    moved = IndexSet(from_mask(to_mask(m) ^ uj | ui) for m in part.movable)
 
     ti = t.weight_at(i)
     tj = t.weight_at(j)

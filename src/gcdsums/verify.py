@@ -27,9 +27,7 @@ from .multiindex import MultiIndex
 from .search import cube_construction
 from .transforms import (
     MONOTONE_TOL,
-    completeness_step,
     divisor_closure,
-    first_active_swap,
     is_complete,
     normalize_to_complete,
 )
@@ -116,15 +114,13 @@ def check_swap_strict(seed: int, quick: bool) -> CheckResult:
     steps = 0
     for _ in range(rounds):
         B = random_index_set(rng, 10, 7)
-        current, _ = divisor_closure(t, B)
-        while True:
-            pair = first_active_swap(current)
-            if pair is None:
-                break
-            current, strict = completeness_step(t, current, *pair)
-            steps += 1
-            if not strict:
-                return CheckResult("swap_strict_increase", False, f"non-strict at {pair}")
+        current, trace = normalize_to_complete(t, B)
+        swaps = [step for step in trace.steps if step.strict is not None]
+        steps += len(swaps)
+        for step in swaps:
+            if not step.strict:
+                return CheckResult("swap_strict_increase", False,
+                                   f"non-strict at {step.description}")
         if not is_complete(current):
             return CheckResult("swap_strict_increase", False, "fixed point not complete")
     return CheckResult("swap_strict_increase", True, f"{steps} swaps over {rounds} sets")

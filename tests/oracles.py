@@ -50,14 +50,22 @@ def brute_weighted_form(t, members, sizes) -> float:
     )
 
 
-def brute_is_complete(members) -> bool:
-    """Completeness by multi-index arithmetic: divisor closed, and every swap of
-    a supported position j for a free i < j stays in the set."""
+def brute_is_divisor_closed(members) -> bool:
+    """Every member minus any supported position stays in the set."""
     membership = set(members)
     for m in members:
         for j, _ in m.items:
             if m.with_unit_removed(j) not in membership:
                 return False
+    return True
+
+
+def brute_is_complete(members) -> bool:
+    """Completeness by multi-index arithmetic: divisor closed, and every swap of
+    a supported position j for a free i < j stays in the set."""
+    if not brute_is_divisor_closed(members):
+        return False
+    membership = set(members)
     for m in members:
         for j, _ in m.items:
             for i in range(1, j):
@@ -66,6 +74,50 @@ def brute_is_complete(members) -> bool:
                 if m.with_unit_removed(j).with_unit_added(i) not in membership:
                     return False
     return True
+
+
+def _brute_movable(m, i, j, membership) -> bool:
+    return (
+        m.exponent(j) == 1
+        and m.exponent(i) == 0
+        and m.with_unit_removed(j).with_unit_added(i) not in membership
+    )
+
+
+def brute_first_active_swap(members):
+    """First (i, j), ascending j then ascending i < j, with a movable member."""
+    membership = set(members)
+    for j in sorted({j for m in members for j in m.support()}):
+        for i in range(1, j):
+            if any(_brute_movable(m, i, j, membership) for m in members):
+                return i, j
+    return None
+
+
+def brute_swap_partition(members, i, j) -> tuple:
+    """(movable, saturated, both_lifted, i_lifted, rest) as sets of members,
+    classified by multi-index arithmetic on the (i, j)-free base."""
+    membership = set(members)
+    parts = tuple(set() for _ in range(5))
+    for m in members:
+        if _brute_movable(m, i, j, membership):
+            parts[0].add(m)
+            continue
+        base = m
+        for k in (i, j):
+            if base.exponent(k):
+                base = base.with_unit_removed(k)
+        with_i = base.with_unit_added(i)
+        with_j = base.with_unit_added(j)
+        if with_i.with_unit_added(j) in membership:
+            parts[1].add(m)
+        elif with_i in membership and with_j in membership:
+            parts[2].add(m)
+        elif with_i in membership:
+            parts[3].add(m)
+        else:
+            parts[4].add(m)
+    return parts
 
 
 def brute_downsets(m: int, n: int) -> set:

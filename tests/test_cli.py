@@ -131,6 +131,24 @@ def test_cube_command(capsys):
     assert report["method"] == "direct"
 
 
+def test_cube_command_sums_every_dimension(capsys, monkeypatch):
+    import gcdsums.cli as cli
+
+    sizes = []
+
+    def recording(t, B):
+        sizes.append(len(B))
+        return gcd_sum(t, B)
+
+    monkeypatch.setattr(cli, "gcd_sum", recording)
+    code, out, _ = run(capsys, ["cube", "--k", "15", "--alpha", "0.5", "--deterministic"])
+    assert code == 0
+    report = json.loads(out)
+    assert sizes == [1 << 15]
+    assert report["method"] == "direct"
+    assert report["sum"] == pytest.approx(report["closed_form"], rel=1e-10)
+
+
 def test_search_command_matches_library(capsys):
     code, out, _ = run(capsys, ["search", "--n", "4", "--max-index", "4", "--deterministic"])
     assert code == 0
@@ -163,6 +181,30 @@ def test_transform_command_jsonl(tmp_path, capsys):
     final = lines[-1]
     assert final["final"] == ["mi", "mi 1:1"]
     assert final["complete"] is True
+
+
+def test_transform_reports_swap_verdicts(tmp_path, capsys, monkeypatch):
+    import gcdsums.transforms as transforms
+
+    seen = []
+    step = transforms.completeness_step
+
+    def recording(t, B, i, j, certify_dps=50, **kwargs):
+        seen.append(certify_dps)
+        return step(t, B, i, j, certify_dps=certify_dps, **kwargs)
+
+    monkeypatch.setattr(transforms, "completeness_step", recording)
+    monkeypatch.setenv("GCDSUMS_PRECISION", "60")
+    path = write(tmp_path, "set.txt", "mi 2:1 3:1\nmi 3:1\nmi 4:1 5:1\nmi 5:1\n")
+    code, out, _ = run(capsys, ["transform", path, "--mode", "complete", "--deterministic"])
+    assert code == 0
+    steps = [json.loads(l) for l in out.splitlines()[1:-1]]
+    swaps = [l for l in steps if l["description"].startswith("swap")]
+    drops = [l for l in steps if l["description"].startswith("drop")]
+    assert swaps and drops
+    assert seen == [60] * len(swaps)
+    assert all(l["strict"] is True for l in swaps)
+    assert all("strict" not in l for l in drops)
 
 
 def test_transform_closure_mode(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import multi_indices
+from conftest import multi_indices, square_free_indices
 from oracles import FIRST_PRIMES, trial_division
 
 from gcdsums import (
@@ -11,12 +11,14 @@ from gcdsums import (
     abs_diff,
     format_multiindex,
     from_integer,
+    from_mask,
     is_square_free,
     lcm,
     leq,
     parse_multiindex,
     support,
     to_integer,
+    to_mask,
 )
 
 zero = MultiIndex.zero()
@@ -147,3 +149,29 @@ def test_subtraction_guard():
     with pytest.raises(DomainError):
         _ = e1 - e2
     assert (e1 + e2) - e1 == e2
+
+
+def test_mask_examples():
+    assert to_mask(zero) == 0 and from_mask(0) == zero
+    assert to_mask(e1) == 1 and from_mask(1) == e1
+    high = MultiIndex({3: 1, 65: 1, 130: 1})
+    assert to_mask(high) == 1 << 2 | 1 << 64 | 1 << 129
+    assert from_mask(1 << 2 | 1 << 64 | 1 << 129) == high
+
+
+@given(square_free_indices(max_index=130))
+def test_mask_round_trip(m):
+    assert to_mask(m) == sum(2 ** (j - 1) for j in m.support())
+    assert from_mask(to_mask(m)) == m
+
+
+@given(st.integers(0, 2 ** 140))
+def test_mask_round_trip_from_integers(x):
+    assert to_mask(from_mask(x)) == x
+
+
+def test_mask_rejects_out_of_scope():
+    with pytest.raises(DomainError):
+        to_mask(MultiIndex({2: 2}))
+    with pytest.raises(DomainError):
+        from_mask(-1)

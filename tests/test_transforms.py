@@ -6,7 +6,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import square_free_sets
-from oracles import brute_cross_sum, brute_is_complete, brute_pair_sum
+from oracles import (
+    brute_cross_sum,
+    brute_first_active_swap,
+    brute_is_complete,
+    brute_is_divisor_closed,
+    brute_pair_sum,
+    brute_swap_partition,
+)
 
 from gcdsums import (
     DomainError,
@@ -104,6 +111,60 @@ def test_is_complete_matches_multiindex_definition_small(B):
 def test_is_complete_rejects_non_square_free():
     with pytest.raises(DomainError):
         is_complete(IndexSet([zero, e1, MultiIndex({1: 2})]))
+
+
+@pytest.mark.parametrize("scan", [is_divisor_closed, first_active_swap])
+def test_square_free_scans_reject_non_square_free(scan):
+    with pytest.raises(DomainError):
+        scan(IndexSet([zero, e1, MultiIndex({1: 2})]))
+
+
+@settings(max_examples=60)
+@given(near_complete_sets())
+def test_scans_match_multiindex_definitions(B):
+    assert is_divisor_closed(B) == brute_is_divisor_closed(B.members)
+    assert first_active_swap(B) == brute_first_active_swap(B.members)
+
+
+@given(square_free_sets(max_index=6, max_n=12))
+def test_scans_match_multiindex_definitions_small(B):
+    assert is_divisor_closed(B) == brute_is_divisor_closed(B.members)
+    assert first_active_swap(B) == brute_first_active_swap(B.members)
+
+
+@st.composite
+def closed_sets_and_pairs(draw):
+    """A divisor-closed set, reaching position 70 or small, and a pair i < j
+    with j usually in its support."""
+    B = draw(st.one_of(near_complete_sets(), square_free_sets(max_index=7, max_n=12)))
+    if not brute_is_divisor_closed(B.members):
+        B, _ = divisor_closure(half, B)
+    j = draw(st.sampled_from([j for j in B.universe() if j > 1] or [2]) | st.integers(2, 72))
+    return B, draw(st.integers(1, j - 1)), j
+
+
+@settings(max_examples=80)
+@given(closed_sets_and_pairs())
+def test_swap_partition_matches_multiindex_definition(case):
+    B, i, j = case
+    part = swap_partition(B, i, j)
+    got = tuple(p.as_set() if p is not None else set() for p in part.parts())
+    assert got == brute_swap_partition(B.members, i, j)
+
+
+@settings(max_examples=60)
+@given(closed_sets_and_pairs())
+def test_completeness_step_matches_multiindex_swap(case):
+    B, i, j = case
+    movable = brute_swap_partition(B.members, i, j)[0]
+    if not movable:
+        with pytest.raises(DomainError):
+            completeness_step(half, B, i, j)
+        return
+    expected = {m.with_unit_removed(j).with_unit_added(i) if m in movable else m for m in B}
+    # margin_floor 0 skips the high-precision recertification of the verdict
+    after, _ = completeness_step(half, B, i, j, margin_floor=0.0)
+    assert after.as_set() == expected
 
 
 def test_divisor_closure_singleton():
@@ -274,6 +335,8 @@ def test_normalize_properties(B):
     assert brute_pair_sum(half, done.members) >= brute_pair_sum(half, B.members) - MONOTONE_TOL
     for step in trace.steps:
         assert step.s_after >= step.s_before - MONOTONE_TOL
+        # closure steps carry no verdict; every swap is strict
+        assert step.strict is (None if step.description.startswith("drop") else True)
 
 
 def test_normalize_strict_for_multiple_alphas():
