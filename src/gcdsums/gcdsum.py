@@ -26,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .multiindex import MultiIndex, abs_diff, from_integer, lcm
+from .multiindex import MultiIndex, abs_diff, from_integer
 from .weights import WeightSequence
 
 _XOR_TABLE_MAX_BITS = 22  # the transform path's largest universe: arrays of 2^m floats
@@ -309,13 +309,41 @@ def gcd_sum_integers(ns: Sequence[int], alpha: float) -> float:
 
 
 def lcm_closure(B: IndexSet) -> IndexSet:
-    """All pairwise componentwise maxima of B; contains B, at most n(n+1)/2 members."""
-    members = B.members
-    out = set(members)
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            out.add(lcm(a, b))
-    return IndexSet(out)
+    """All pairwise componentwise maxima of B; contains B, at most n(n+1)/2 members.
+
+    The joins of each block of rows of the exponent matrix with the rows from
+    the block's start onward are formed in numpy and deduplicated as keys, per
+    block and then across blocks; only the distinct joins become MultiIndex
+    members.  A key packs each column into the bit width of its largest
+    exponent (for a square-free set, one bit per position: the bitmask) into
+    one int64 when the widths sum to at most 63 bits; wider rows are keyed by
+    their bytes.  Exponents above 30 000, the exponent matrix's cap, raise
+    DomainError.
+    """
+    E = B.exponent_matrix()
+    n, m = E.shape
+    widths = np.array([int(e).bit_length() for e in E.max(axis=0)], dtype=np.int64)
+    packed = int(widths.sum()) <= 63
+    shifts = np.cumsum(widths) - widths
+    row_bytes = np.dtype((np.void, E.itemsize * m))
+    keys = []
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, _BLOCK_BUDGET // max((n - lo) * m, 1)))
+        joined = np.maximum(E[lo:hi, None, :], E[None, lo:, :])
+        # fields do not overlap, so the sum of the shifted columns is their OR
+        key = joined @ (1 << shifts) if packed else joined.reshape(-1, m).view(row_bytes)
+        keys.append(np.unique(key))
+        lo = hi
+    keys = np.unique(np.concatenate(keys))
+    if packed:
+        rows = (keys[:, None] >> shifts) & ((1 << widths) - 1)
+    else:
+        rows = keys.view(E.dtype).reshape(-1, m)
+    universe = B.universe()
+    return IndexSet(
+        MultiIndex({j: e for j, e in zip(universe, row) if e}) for row in rows.tolist()
+    )
 
 
 def closure_inner_sums(E: np.ndarray, F: np.ndarray, *logws: np.ndarray) -> np.ndarray:

@@ -50,6 +50,19 @@ def brute_weighted_form(t, members, sizes) -> float:
     )
 
 
+def brute_lcm_closure(members) -> set:
+    """Every componentwise max of two members (a member with itself included),
+    each as its sorted (position, exponent) tuple."""
+    out = set()
+    for a in members:
+        for b in members:
+            d = {j: e for j, e in a.items}
+            for j, e in b.items:
+                d[j] = max(d.get(j, 0), e)
+            out.add(tuple(sorted(d.items())))
+    return out
+
+
 def brute_is_divisor_closed(members) -> bool:
     """Every member minus any supported position stays in the set."""
     membership = set(members)

@@ -4,11 +4,17 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import index_sets, square_free_sets
-from oracles import brute_cross_sum, brute_pair_matrix, brute_pair_sum, brute_weighted_form
+from conftest import index_sets, multi_indices, square_free_sets
+from oracles import (
+    brute_cross_sum,
+    brute_lcm_closure,
+    brute_pair_matrix,
+    brute_pair_sum,
+    brute_weighted_form,
+)
 
 import gcdsums.gcdsum as gcdsum_module
 from gcdsums import (
@@ -19,6 +25,7 @@ from gcdsums import (
     PrimePowerWeights,
     cross_sum,
     cube_sum_closed_form,
+    from_mask,
     gcd_matrix,
     gcd_row_sums,
     gcd_sum,
@@ -185,8 +192,47 @@ def test_integer_and_multiindex_forms_agree(ns, alpha):
 
 def test_lcm_closure_examples():
     assert lcm_closure(IndexSet([zero])) == IndexSet([zero])
+    single = IndexSet([MultiIndex({2: 5, 70: 1})])
+    assert lcm_closure(single) == single
     assert lcm_closure(IndexSet([e1, e2])) == IndexSet([e1, e2, e1 + e2])
     assert lcm_closure(IndexSet([zero, e1, e2])) == IndexSet([zero, e1, e2, e1 + e2])
+
+
+def test_lcm_closure_exponent_cap():
+    capped = IndexSet([MultiIndex({1: 30_000}), e2])
+    assert lcm_closure(capped) == IndexSet([*capped, MultiIndex({1: 30_000, 2: 1})])
+    with pytest.raises(DomainError):
+        lcm_closure(IndexSet([MultiIndex({1: 30_001})]))
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_lcm_closure_of_cube_is_cube(k):
+    cube = cube_construction(k)
+    assert lcm_closure(cube) == cube
+
+
+# Exponents of 10^4 on positions 1..5 make the packed key 5 * 14 = 70 bits
+# wide, so these sets always take the byte-row keys; the mixed sets (at most
+# 12 * 2 bits) always take packed keys, and the square-free sets on up to 70
+# positions take either.
+_SPIKES = tuple(MultiIndex({j: 10**4}) for j in range(1, 6))
+_CLOSURE_INPUTS = st.one_of(
+    st.lists(st.integers(0, (1 << 70) - 1), min_size=1, max_size=12, unique=True).map(
+        lambda masks: IndexSet(map(from_mask, masks))
+    ),
+    index_sets(max_index=12, max_exponent=3, max_n=12),
+    st.lists(multi_indices(max_index=8, max_exponent=10**4), max_size=8).map(
+        lambda members: IndexSet({*members, *_SPIKES})
+    ),
+)
+
+
+@given(_CLOSURE_INPUTS)
+@example(IndexSet(from_mask(x) for x in (0, (1 << 35) - 1, ((1 << 35) - 1) << 35, 0x5555 << 50)))
+@example(IndexSet(from_mask(x) for x in (3, 5, 1 << 62, 1 << 69)))
+def test_lcm_closure_matches_brute_force(B):
+    closure = lcm_closure(B)
+    assert [m.items for m in closure] == sorted(brute_lcm_closure(B.members))
 
 
 @given(index_sets(max_index=6, max_exponent=2, max_n=8))
@@ -194,7 +240,7 @@ def test_lcm_closure_properties(B):
     closure = lcm_closure(B)
     assert B.as_set() <= closure.as_set()
     n = len(B)
-    assert len(closure) <= n * (n + 1) // 2 + n
+    assert len(closure) <= n * (n + 1) // 2
 
 
 def test_closure_bound_examples():
