@@ -31,7 +31,7 @@ from .weights import (
 )
 
 _MIN_N = 21
-_TAIL_DIRECT_CAP = 10 ** 7
+_TAIL_DIRECT_END = 1 << 17
 _VERDICT_TOL = 1e-9
 
 
@@ -90,9 +90,10 @@ def support_tail_bound(
 
 @dataclass(frozen=True)
 class TailEstimate:
-    value: float  # the series, direct terms plus an integral tail bound
+    value: float  # upper bound of the series: direct terms plus a midpoint remainder
     estimate: float  # logloglog n / loglog n
     scaled_gap: float  # |value - estimate| * loglog n
+    width: float  # value minus a lower bound of the series
 
 
 def _tail_antiderivative(x: float, a: float) -> float:
@@ -101,38 +102,37 @@ def _tail_antiderivative(x: float, a: float) -> float:
     return math.log((u - a) / u) / a
 
 
+def _tail_term(j, a: float):
+    """The summand 1 / (j log j (log j - a)), at a float or an array of j."""
+    u = np.log(j)
+    return 1.0 / (j * u * (u - a))
+
+
 def tail_sum(n: float) -> TailEstimate:
     """Series sum_{j > log n / log 2} 1 / (j log j (log j - loglog n)).
 
-    Terms are summed directly (in chunks) until they are negligible or the
-    direct cap is reached; the remainder is bounded by the closed-form
-    integral, valid because the summand decreases past log n.
+    Terms below J = 2^17 are summed directly.  Past log n the summand is a
+    product of positive, decreasing, convex factors, hence convex, so each
+    term is at most the integral over the unit interval centred on it and the
+    remainder from J on is at most the integral from J - 1/2: `value` is an
+    upper bound of the full series.  The trapezoid rule bounds the same
+    remainder from below by f(J)/2 plus the integral from J; `width` is the
+    distance between the two bounds.
     """
     n = _require_n(n)
     a = loglog(n)
     j0 = math.floor(math.log(n) / math.log(2.0)) + 1
-    total = 0.0
-    lo = j0
-    last = j0 - 1
-    chunk = 65_536
-    while lo <= _TAIL_DIRECT_CAP:
-        hi = min(lo + chunk - 1, _TAIL_DIRECT_CAP)
-        js = np.arange(lo, hi + 1, dtype=np.float64)
-        logs = np.log(js)
-        part = float(np.sum(1.0 / (js * logs * (logs - a))))
-        total += part
-        last = hi
-        lo = hi + 1
-        chunk = min(chunk * 2, 1 << 21)
-        if part < 1e-16 * total:
-            break
-    # remaining terms are bounded by the integral from the last summed j
-    # (the antiderivative vanishes at infinity), keeping `value` an upper
-    # bound of the full series
-    total += -_tail_antiderivative(float(last), a)
+    direct = math.fsum(_tail_term(np.arange(j0, _TAIL_DIRECT_END, dtype=np.float64), a))
+    end = float(_TAIL_DIRECT_END)
+    # the antiderivative vanishes at infinity
+    value = direct - _tail_antiderivative(end - 0.5, a)
+    lower = direct + float(_tail_term(end, a)) / 2.0 - _tail_antiderivative(end, a)
     estimate = logloglog(n) / a
     return TailEstimate(
-        value=total, estimate=estimate, scaled_gap=abs(total - estimate) * a
+        value=value,
+        estimate=estimate,
+        scaled_gap=abs(value - estimate) * a,
+        width=value - lower,
     )
 
 
@@ -202,6 +202,7 @@ class BoundChainReport:
                 "value": self.tail.value,
                 "estimate": self.tail.estimate,
                 "scaled_gap": self.tail.scaled_gap,
+                "width": self.tail.width,
             },
             "exact": dict(self.exact),
             "ratios": dict(self.ratios),
@@ -374,16 +375,20 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     high_sum_ok = high_ratio_sum <= high_ratio_bound * (1.0 + _VERDICT_TOL) + 1e-300
 
     # each direct tail term is dominated by the integral over the unit
-    # interval to its left (the summand decreases past log n)
+    # interval to its left (the summand decreases past log n), and by the
+    # integral over the unit interval centred on it (the summand is convex),
+    # the inequality the midpoint remainder of tail_sum rests on
     j0 = kfloor + 1
     a = ll
-    term_vs_integral_ok = True
+    term_vs_integral_ok = term_vs_midpoint_ok = True
     for j in range(j0, j0 + 64):
-        g = 1.0 / (j * math.log(j) * (math.log(j) - a))
-        piece = _tail_antiderivative(float(j), a) - _tail_antiderivative(float(j - 1), a)
-        if g > piece * (1.0 + _VERDICT_TOL):
+        g = float(_tail_term(float(j), a))
+        left = _tail_antiderivative(float(j), a) - _tail_antiderivative(float(j - 1), a)
+        if g > left * (1.0 + _VERDICT_TOL):
             term_vs_integral_ok = False
-            break
+        mid = _tail_antiderivative(j + 0.5, a) - _tail_antiderivative(j - 0.5, a)
+        if g > mid * (1.0 + _VERDICT_TOL):
+            term_vs_midpoint_ok = False
 
     exact = {
         "pair_sum_vs_majorant": majorant_ok,
@@ -398,6 +403,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
         "high_term_bound": high_term_ok,
         "high_sum_vs_tail": high_sum_ok,
         "term_vs_integral": term_vs_integral_ok,
+        "term_vs_midpoint": term_vs_midpoint_ok,
     }
 
     curve_low = c * math.sqrt(logn / ll)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import DomainError
-from .primes import DEFAULT_TABLE, PrimeTable
+from .errors import DomainError, PrimeRangeError
+from .primes import DEFAULT_TABLE, PrimeTable, factorize
 
 
 class MultiIndex:
@@ -175,35 +175,22 @@ def from_mask(mask: int) -> MultiIndex:
 
 
 def from_integer(n: int, table: PrimeTable = DEFAULT_TABLE) -> MultiIndex:
-    """Multi-index of n's prime factorization; from_integer(1) is zero."""
+    """Multi-index of n's prime factorization; from_integer(1) is zero.
+
+    A prime factor above the table's ceiling raises PrimeRangeError before
+    the table grows; every other factor is ranked by the table, which
+    sieves up to the largest of them.
+    """
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    exps: dict[int, int] = {}
-
-    def account(p: int, e: int) -> None:
-        exps[table.index_of(p)] = e
-
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            account(p, e)
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                account(p, e)
-        d += 6
-    if n > 1:
-        account(n, 1)
-    return MultiIndex(exps)
+    factors = factorize(n)
+    top = max(factors, default=1)
+    if top > table.ceiling:
+        raise PrimeRangeError(
+            f"prime factor {top} of {n} exceeds the prime table ceiling {table.ceiling}"
+        )
+    return MultiIndex({table.index_of(p): e for p, e in factors.items()})
 
 
 def to_integer(a: MultiIndex, table: PrimeTable = DEFAULT_TABLE) -> int:

@@ -6,6 +6,9 @@ double loops, closed forms) so it shares no code path with the library.
 
 import math
 
+import mpmath
+import numpy as np
+
 
 def dict_abs_diff(a, b) -> dict:
     d = {j: e for j, e in a.items}
@@ -165,6 +168,58 @@ def trial_division(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def primes_upto(limit: int) -> list:
+    """Primes <= limit by a plain bytearray sieve of Eratosthenes."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(limit + 1) if flags[p]]
+
+
+def tail_series_reference(n, digits: int = 40):
+    """sum_{j > log n / log 2} 1 / (j log j (log j - loglog n)) at `digits`
+    digits: terms summed directly below M = 2000, then Euler-Maclaurin from M
+    with the closed-form integral and the corrections through f^(5), whose
+    remainder is far below 1e-20 relative at M = 2000."""
+    with mpmath.workdps(digits):
+        n = mpmath.mpf(n)
+        a = mpmath.log(mpmath.log(n))
+        j0 = int(mpmath.floor(mpmath.log(n) / mpmath.log(2))) + 1
+
+        def f(x):
+            u = mpmath.log(x)
+            return 1 / (x * u * (u - a))
+
+        M = mpmath.mpf(2000)
+        direct = mpmath.fsum(f(mpmath.mpf(j)) for j in range(j0, 2000))
+        u = mpmath.log(M)
+        integral = -mpmath.log((u - a) / u) / a
+        tail = (
+            integral
+            + f(M) / 2
+            - mpmath.diff(f, M, 1) / 12
+            + mpmath.diff(f, M, 3) / 720
+            - mpmath.diff(f, M, 5) / 30240
+        )
+        return direct + tail
+
+
+def tail_direct_sum(n, cap: int = 10 ** 7) -> float:
+    """The series summed term by term up to j = cap, plus the integral from
+    cap to infinity: an upper bound, high by about half the last term."""
+    a = math.log(math.log(n))
+    j0 = math.floor(math.log(n) / math.log(2)) + 1
+    parts = []
+    for lo in range(j0, cap + 1, 1 << 20):
+        js = np.arange(lo, min(lo + (1 << 20), cap + 1), dtype=np.float64)
+        logs = np.log(js)
+        parts.append(float(np.sum(1.0 / (js * logs * (logs - a)))))
+    u = math.log(cap)
+    return math.fsum(parts) - math.log((u - a) / u) / a
 
 
 FIRST_PRIMES = (

@@ -20,6 +20,8 @@ from gcdsums import (
 )
 import random
 
+from oracles import tail_direct_sum, tail_series_reference
+
 half = PrimePowerWeights(0.5)
 zero = MultiIndex.zero()
 
@@ -142,6 +144,22 @@ def test_tail_sum_bracketed_by_integrals(n):
     )
 
 
+@pytest.mark.parametrize("n", [25, 10**4, 10**6, 10**9, 10**12])
+def test_tail_sum_against_40_digit_reference(n):
+    est = tail_sum(n)
+    ref = float(tail_series_reference(n))
+    assert ref <= est.value <= ref * (1 + 1e-12)
+    assert est.width > 0
+    assert est.value - est.width <= ref
+
+
+@pytest.mark.parametrize("n", [25, 10**4, 10**6, 10**9, 10**12])
+def test_tail_sum_below_direct_sum(n):
+    # the old direct sum to 10^7 overshoots by about half its last term
+    old = tail_direct_sum(n)
+    assert old * (1 - 4e-10) <= tail_sum(n).value <= old
+
+
 def test_tail_sum_values():
     est = tail_sum(10**6)
     assert est.estimate == pytest.approx(0.36765, abs=1e-4)
@@ -178,6 +196,8 @@ def test_chain_report_on_cube():
     assert set(report.ratios) >= {"kappa_empirical", "tail_gap_scaled"}
     assert all(math.isfinite(v) for v in report.ratios.values())
     assert len(report.records) == report.closure_size == 32
+    assert report.exact["term_vs_midpoint"] and report.exact["term_vs_integral"]
+    assert report.to_dict()["tail"]["width"] == report.tail.width > 0
 
 
 def test_chain_report_high_branch():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -50,6 +51,21 @@ def test_parse_set_file_overflow(tmp_path):
     path = write(tmp_path, "big.txt", f"{1 << 70}\n")
     with pytest.raises(ParseError):
         parse_set_file(path)
+
+
+def test_out_of_range_member_fails_fast(tmp_path, capsys):
+    # both prime factors lie above the 10^9 table ceiling; no sieve growth
+    from gcdsums.primes import DEFAULT_TABLE
+
+    path = write(tmp_path, "big.txt", f"2\n{1_000_000_007 * 1_000_000_009}\n3\n")
+    limit = DEFAULT_TABLE.limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sum", path, "--alpha", "0.5"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "line 2" in err and "ceiling" in err
+    assert DEFAULT_TABLE.limit == limit
 
 
 def test_sum_json_matches_library(tmp_path, capsys):

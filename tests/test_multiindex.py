@@ -1,13 +1,17 @@
+import time
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import multi_indices, square_free_indices
-from oracles import FIRST_PRIMES, trial_division
+from oracles import FIRST_PRIMES, primes_upto, trial_division
 
 from gcdsums import (
     DomainError,
     MultiIndex,
+    PrimeRangeError,
+    PrimeTable,
     abs_diff,
     format_multiindex,
     from_integer,
@@ -105,6 +109,57 @@ def test_round_trip_large_deterministic():
     # composites near the top of the supported range with bounded factors
     for n in (10**9, 999_999_999, 2**30 - 1, 6 * 10**8 + 4, 999_999_937 - 1, 123_456_789):
         assert to_integer(from_integer(n)) == n
+
+
+_SMALL_CEILING = 10 ** 6
+_SMALL_TABLE = PrimeTable(ceiling=_SMALL_CEILING)
+_RANK = {p: j for j, p in enumerate(primes_upto(_SMALL_CEILING), start=1)}
+
+
+@given(st.integers(1, 10**12))
+def test_from_integer_matches_trial_division(n):
+    # a table with a 10^6 ceiling: about a third of these n are 10^6-smooth,
+    # the rest must raise before the table grows past its ceiling
+    factors = trial_division(n)
+    if max(factors, default=1) > _SMALL_CEILING:
+        with pytest.raises(PrimeRangeError):
+            from_integer(n, _SMALL_TABLE)
+    else:
+        assert from_integer(n, _SMALL_TABLE) == MultiIndex(
+            {_RANK[p]: e for p, e in factors.items()}
+        )
+    assert _SMALL_TABLE.limit <= _SMALL_CEILING
+
+
+def test_from_integer_explicit_cases():
+    assert from_integer(1, _SMALL_TABLE) == zero
+    assert from_integer(2**62) == MultiIndex({1: 62})
+    assert from_integer(3**39) == MultiIndex({2: 39})
+    for p in (2, 997, 1009, 7919, 999_983):  # prime squares around the trial bound
+        assert from_integer(p * p, _SMALL_TABLE) == MultiIndex({_RANK[p]: 2})
+    assert from_integer(1009**3 * 1013, _SMALL_TABLE) == MultiIndex(
+        {_RANK[1009]: 3, _RANK[1013]: 1}
+    )
+    # the two largest primes below 10^7 and below 10^8, with their ranks
+    # pi(10^7) = 664579 and pi(10^8) = 5761455
+    assert from_integer(9_999_991 * 9_999_973) == MultiIndex({664_579: 1, 664_578: 1})
+    assert from_integer(9_999_991**2) == MultiIndex({664_579: 2})
+    table = PrimeTable(ceiling=10**8)
+    assert from_integer(99_999_989 * 99_999_971, table) == MultiIndex(
+        {5_761_455: 1, 5_761_454: 1}
+    )
+    assert table.limit <= 10**8
+
+
+def test_from_integer_out_of_range_fails_fast():
+    # both factors lie above the 10^9 ceiling; trial division would run to 10^9
+    table = PrimeTable()
+    limit = table.limit
+    start = time.perf_counter()
+    with pytest.raises(PrimeRangeError, match="1000000009"):
+        from_integer(1_000_000_007 * 1_000_000_009, table)
+    assert time.perf_counter() - start < 1.0
+    assert table.limit == limit
 
 
 def test_canonical_order():

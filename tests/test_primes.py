@@ -1,9 +1,14 @@
+import math
+
 import pytest
 
-from oracles import FIRST_PRIMES
+from hypothesis import given
+import hypothesis.strategies as st
 
-from gcdsums import DomainError, PrimeRangeError, PrimeTable
-from gcdsums.primes import sieve_upto
+from oracles import FIRST_PRIMES, primes_upto, trial_division
+
+from gcdsums import DomainError, PrimeRangeError, PrimeTable, from_integer
+from gcdsums.primes import factorize, is_prime, sieve_upto
 
 
 def is_prime_slow(n):
@@ -57,3 +62,50 @@ def test_ceiling_enforced():
     table = PrimeTable(initial_limit=100, ceiling=10_000)
     with pytest.raises(PrimeRangeError):
         table.prime(10_000)
+
+
+def test_is_prime_matches_sieve():
+    limit = 200_000
+    primes = set(primes_upto(limit))
+    assert [n for n in range(limit + 1) if is_prime(n)] == sorted(primes)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to every prime base up to 11, 13, 23 and 37
+    for n, factors in (
+        (2_152_302_898_747, (6763, 10627, 29947)),
+        (3_474_749_660_383, (1303, 16927, 157543)),
+        (3_825_123_056_546_413_051, (149491, 747451, 34233211)),
+        (318_665_857_834_031_151_167_461, (399165290221, 798330580441)),
+    ):
+        assert n == math.prod(factors)
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+    assert is_prime(_PSI_13)  # where exactness ends
+
+
+# the least strong pseudoprime to the first thirteen prime bases
+_PSI_13 = 1_287_836_182_261 * 2_575_672_364_521
+
+
+def test_probable_prime_above_exact_bound_only_raises():
+    # a composite reported prime is a "factor" above the ceiling
+    with pytest.raises(PrimeRangeError):
+        from_integer(_PSI_13, PrimeTable(initial_limit=100, ceiling=10_000))
+
+
+@given(st.integers(1, 10**12))
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == trial_division(n)
+
+
+def test_factorize_large_factors():
+    assert factorize(1) == {}
+    assert factorize(2**62) == {2: 62}
+    assert factorize(3**39) == {3: 39}
+    assert factorize(99_999_989**2 * 9_999_991) == {99_999_989: 2, 9_999_991: 1}
+    assert factorize(1_000_000_007 * 1_000_000_009) == {1_000_000_007: 1, 1_000_000_009: 1}
+    assert factorize((2**31 - 1) * (2**61 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
+    with pytest.raises(DomainError):
+        factorize(0)
