@@ -203,9 +203,8 @@ def local_search(
         if it % 8 == 7:
             pair = first_active_swap(current)
             if pair is not None:
-                current, _ = completeness_step(t, current, *pair)
+                current, _, s_current = completeness_step(t, current, *pair, s_before=s_current)
                 chosen = {to_mask(mi) for mi in current}
-                s_current = gcd_sum(t, current)
                 evaluations += 1
         else:
             removable = _removable(chosen, m)

@@ -225,12 +225,14 @@ def completeness_step(
     j: int,
     certify_dps: int = 50,
     margin_floor: float = STRICT_MARGIN_FLOOR,
-) -> tuple[IndexSet, bool]:
+    s_before: float | None = None,
+) -> tuple[IndexSet, bool, float]:
     """Swap position j for i in every movable member; S strictly increases.
 
-    Returns the new set and whether the increase was strict.  When the
-    double-precision margin falls below `margin_floor`, both sums are
-    recomputed at `certify_dps` digits and strictness is decided there.
+    Returns the new set, whether the increase was strict, and S(t, new set).
+    `s_before`, when given, is taken as S(t, B) instead of summing B again.
+    When the double-precision margin falls below `margin_floor`, both sums
+    are recomputed at `certify_dps` digits and strictness is decided there.
     """
     members, ui, uj = _swap_members(B, i, j, "completeness_step")
     movable = _movable(members, ui, uj)
@@ -241,12 +243,13 @@ def completeness_step(
         del members[x]
         members[x ^ uj | ui] = from_mask(x ^ uj | ui)
     result = IndexSet(members.values())
-    s_before = gcd_sum(t, B)
+    if s_before is None:
+        s_before = gcd_sum(t, B)
     s_after = gcd_sum(t, result)
     if abs(s_after - s_before) >= margin_floor:
-        return result, s_after > s_before
+        return result, s_after > s_before, s_after
     strict = gcd_sum_mp(t, result, dps=certify_dps) > gcd_sum_mp(t, B, dps=certify_dps)
-    return result, strict
+    return result, strict, s_after
 
 
 def normalize_to_complete(
@@ -266,7 +269,7 @@ def normalize_to_complete(
     current, trace = divisor_closure(t, B)
     if max_steps is None:
         max_steps = 10 + 2 * sum(m.weighted_rank() for m in current)
-    # S(t, current), carried over from the previous step so it is summed once
+    # S(t, current), carried over from the previous step so each swap sums once
     s_current = trace.steps[-1].s_after if trace.steps else None
     steps = 0
     while True:
@@ -281,8 +284,9 @@ def normalize_to_complete(
         i, j = pair
         if s_current is None:
             s_current = gcd_sum(t, current)
-        current, strict = completeness_step(t, current, i, j, certify_dps=certify_dps)
-        s_after = gcd_sum(t, current)
+        current, strict, s_after = completeness_step(
+            t, current, i, j, certify_dps=certify_dps, s_before=s_current
+        )
         trace.steps.append(
             TraceStep(f"swap position {j} -> {i}", len(current), s_current, s_after, strict)
         )

@@ -1,37 +1,24 @@
-"""Self-contained invariant suite behind the `verify` CLI subcommand.
-
-Each check runs a seeded randomized or closed-form experiment against the
-library and reports pass/fail with a short detail string.  The quick suite
-uses reduced counts; full matches the documented scale.
-"""
+"""The invariant suite behind `gcdsums verify`: one seeded check per acceptance
+criterion.  The full suite runs every check at its criterion's count and bound,
+as tests/test_acceptance.py does with each criterion's own seed; the quick
+suite runs the same checks on fewer or smaller instances."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 
-from .bounds import support_tail_bound, tail_sum
-from .gcdsum import (
-    IndexSet,
-    cube_sum_closed_form,
-    gcd_matrix,
-    gcd_sum,
-    gcd_sum_integers,
-    index_set_from_integers,
-    lcm_closure_bound,
-    min_eigenvalue,
-    rayleigh_bounds,
-)
+from .bounds import bound_chain_report, support_tail_bound, tail_sum
+from .gcdsum import (IndexSet, cube_sum_closed_form, gcd_matrix, gcd_sum, gcd_sum_integers,
+                     index_set_from_integers, lcm_closure_bound, min_eigenvalue, rayleigh_bounds)
 from .multiindex import MultiIndex
-from .search import cube_construction
-from .transforms import (
-    MONOTONE_TOL,
-    divisor_closure,
-    is_complete,
-    normalize_to_complete,
-)
+from .search import cube_construction, extremal_sf
+from .transforms import MONOTONE_TOL, STRICT_MARGIN_FLOOR, is_complete, normalize_to_complete
 from .weights import PrimePowerWeights, count_above_half, doubled_weights
+
+HALF = PrimePowerWeights(0.5)
 
 
 @dataclass
@@ -39,184 +26,222 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    support_members: int = 0  # complete-set members the support tail bound was asserted on
 
 
-def random_multiindex(rng: random.Random, max_index: int, max_exponent: int) -> MultiIndex:
-    size = rng.randint(0, max_index)
-    positions = rng.sample(range(1, max_index + 1), size) if size else []
-    return MultiIndex({j: rng.randint(1, max_exponent) for j in positions})
+class _Failed(Exception):
+    """An invariant does not hold; the message is the check's detail."""
 
 
-def random_index_set(
-    rng: random.Random,
-    max_n: int,
-    max_index: int,
-    max_exponent: int = 1,
-    min_n: int = 1,
-) -> IndexSet:
-    n = rng.randint(min_n, max_n)
+def _require(ok, detail: str) -> str:
+    if not ok:
+        raise _Failed(detail)
+    return detail
+
+
+def _check(name: str):
+    """check(seed, quick) -> CheckResult from a body returning detail[, support members]."""
+    def wrap(body):
+        @functools.wraps(body)
+        def check(seed: int, quick: bool) -> CheckResult:
+            try:
+                out = body(seed, quick)
+            except _Failed as exc:
+                return CheckResult(name, False, str(exc))
+            return CheckResult(name, True, *(out if isinstance(out, tuple) else (out,)))
+        return check
+    return wrap
+
+
+def random_index_set(rng: random.Random, max_n=12, max_index=8, max_exponent=1) -> IndexSet:
+    """1 to max_n distinct members on at most min(max_index, 6) of positions
+    1..max_index each; exponents are drawn only when max_exponent > 1."""
+    n = rng.randint(1, max_n)
     members: set[MultiIndex] = set()
-    guard = 0
     while len(members) < n:
-        members.add(random_multiindex(rng, max_index, max_exponent))
-        guard += 1
-        if guard > 100 * max_n:
-            break
+        positions = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_index, 6)))
+        members.add(MultiIndex(
+            {j: rng.randint(1, max_exponent) if max_exponent > 1 else 1 for j in positions}))
     return IndexSet(members)
 
 
-def check_cube_identity(seed: int, quick: bool) -> CheckResult:
-    t = PrimePowerWeights(0.5)
-    k_max = 8 if quick else 10
+def _support_bound_members(B: IndexSet) -> int:
+    for m in B:
+        _require(support_tail_bound(B, m)[0], f"support bound fails for {m} in {B!r}")
+    return len(B)
+
+
+@_check("cube_product_identity")
+def check_cube_identity(seed: int, quick: bool):
+    """Criterion 1: S over the k-cube equals prod(2 + 2 t_j)."""
+    k_max = 8 if quick else 14
     worst = 0.0
     for k in range(1, k_max + 1):
-        direct = gcd_sum(t, cube_construction(k))
-        closed = cube_sum_closed_form(t, k)
-        worst = max(worst, abs(direct - closed) / closed)
-    return CheckResult(
-        "cube_product_identity",
-        worst <= 1e-10,
-        f"k<= {k_max}, worst relative gap {worst:.3e}",
-    )
+        closed = cube_sum_closed_form(HALF, k)
+        worst = max(worst, abs(gcd_sum(HALF, cube_construction(k)) - closed) / closed)
+    return _require(worst <= 1e-10, f"k<={k_max}, worst relative gap {worst:.3e}")
 
 
-def check_closure_bound(seed: int, quick: bool) -> CheckResult:
+@_check("maximizers_complete")
+def check_maximizers_complete(seed: int, quick: bool):
+    """Criteria 2 and 9: exhaustive maximizers are complete and meet the support bound."""
+    alphas, m_max = ((0.5,), 3) if quick else ((0.5, 0.8, 1.0), 5)
+    count = members = 0
+    for alpha in alphas:
+        for m in range(1, m_max + 1):
+            for n in range(1, min(10, 1 << m) + 1):
+                maximizers = extremal_sf(PrimePowerWeights(alpha), n, m).maximizers
+                _require(maximizers, f"no maximizer for n={n}, m={m}, alpha={alpha}")
+                for s in maximizers:
+                    _require(is_complete(s), f"incomplete maximizer at alpha={alpha}: {s!r}")
+                    members += _support_bound_members(s)
+                count += len(maximizers)
+    return f"{count} maximizers all complete, support bound on {members} members", members
+
+
+@_check("transforms_monotone_complete")
+def check_transforms(seed: int, quick: bool):
+    """Criteria 3 and 9: closure never lowers S, each swap raises it strictly, and the
+    fixed point is complete and meets the support bound."""
     rng = random.Random(seed)
-    t = PrimePowerWeights(0.5)
-    rounds = 200 if quick else 2000
+    rounds = 150 if quick else 10_000
+    swaps = recertified = members = 0
     for _ in range(rounds):
-        B = random_index_set(rng, 12, 8, max_exponent=rng.choice((1, 3)))
-        rhs, holds = lcm_closure_bound(t, B)
-        if not holds:
-            return CheckResult("pair_sum_majorant", False, f"violated at {B!r}")
-    return CheckResult("pair_sum_majorant", True, f"{rounds} random sets")
-
-
-def check_closure_monotone(seed: int, quick: bool) -> CheckResult:
-    rng = random.Random(seed)
-    t = PrimePowerWeights(0.5)
-    rounds = 200 if quick else 2000
-    for _ in range(rounds):
-        B = random_index_set(rng, 12, 8)
-        closed, trace = divisor_closure(t, B)
+        B = random_index_set(rng)
+        complete, trace = normalize_to_complete(HALF, B)
         for step in trace.steps:
-            if step.s_after < step.s_before - MONOTONE_TOL:
-                return CheckResult(
-                    "divisor_closure_monotone", False, f"S dropped at {step.description}"
-                )
-    return CheckResult("divisor_closure_monotone", True, f"{rounds} random sets")
+            if step.strict is None:
+                _require(step.s_after >= step.s_before - MONOTONE_TOL,
+                         f"S dropped at {step.description} in {B!r}")
+            else:
+                _require(step.strict, f"non-strict {step.description} in {B!r}")
+                swaps += 1
+                recertified += step.s_after - step.s_before < STRICT_MARGIN_FLOOR
+        _require(is_complete(complete), f"fixed point of {B!r} not complete")
+        members += _support_bound_members(complete)
+    return (f"{rounds} sets, closure monotone, {swaps} swaps all strict ({recertified} "
+            f"decided at 50 digits), support bound on {members} members"), members
 
 
-def check_swap_strict(seed: int, quick: bool) -> CheckResult:
+@_check("pair_sum_majorant")
+def check_closure_bound(seed: int, quick: bool):
+    """Criterion 4: S stays below its square majorant over the lcm closure."""
     rng = random.Random(seed)
-    t = PrimePowerWeights(0.5)
-    rounds = 150 if quick else 1500
-    steps = 0
-    for _ in range(rounds):
-        B = random_index_set(rng, 10, 7)
-        current, trace = normalize_to_complete(t, B)
-        swaps = [step for step in trace.steps if step.strict is not None]
-        steps += len(swaps)
-        for step in swaps:
-            if not step.strict:
-                return CheckResult("swap_strict_increase", False,
-                                   f"non-strict at {step.description}")
-        if not is_complete(current):
-            return CheckResult("swap_strict_increase", False, "fixed point not complete")
-    return CheckResult("swap_strict_increase", True, f"{steps} swaps over {rounds} sets")
+    rounds = 200 if quick else 10_000
+    worst = 0.0
+    for i in range(rounds):
+        B = random_index_set(rng, max_exponent=1 if i % 2 else 3)
+        rhs, holds = lcm_closure_bound(HALF, B)
+        _require(holds, f"violated at {B!r}")
+        worst = max(worst, gcd_sum(HALF, B) / rhs)
+    return f"{rounds} sets, max lhs/rhs {worst:.6f}"
 
 
-def check_positive_definite(seed: int, quick: bool) -> CheckResult:
+@_check("positive_definite")
+def check_positive_definite(seed: int, quick: bool):
+    """Criterion 5: the pair matrix of distinct members is positive definite."""
     rng = random.Random(seed)
-    rounds = 100 if quick else 500
+    rounds = 100 if quick else 1_000
     worst = math.inf
     for _ in range(rounds):
         t = PrimePowerWeights(rng.choice((0.5, 1.0)))
-        B = random_index_set(rng, 25, 8, max_exponent=rng.choice((1, 2)))
+        B = random_index_set(rng, max_n=40, max_index=9, max_exponent=2)
         worst = min(worst, min_eigenvalue(gcd_matrix(t, B)))
-        if worst <= 0:
-            return CheckResult("positive_definite", False, f"min eigenvalue {worst:.3e}")
-    return CheckResult("positive_definite", True, f"{rounds} sets, min eigenvalue {worst:.3e}")
+        _require(worst > 0, f"min eigenvalue {worst:.3e} at {B!r}")
+    return f"{rounds} sets, min eigenvalue {worst:.3e}"
 
 
-def check_integer_consistency(seed: int, quick: bool) -> CheckResult:
+@_check("integer_consistency")
+def check_integer_consistency(seed: int, quick: bool):
+    """Criterion 6: the integer GCD sum equals S over the lifted multi-indices."""
     rng = random.Random(seed)
-    rounds = 100 if quick else 500
+    rounds, top = (100, 10 ** 5) if quick else (1_000, 10 ** 6)
     worst = 0.0
-    for _ in range(rounds):
-        alpha = rng.choice((0.5, 0.7, 1.0))
-        ns = rng.sample(range(1, 10 ** 6), rng.randint(1, 15))
+    for i in range(rounds):
+        alpha = (0.5, 0.7, 1.0)[i % 3]
+        ns = rng.sample(range(1, top + 1), rng.randint(1, 20))
         direct = gcd_sum_integers(ns, alpha)
         lifted = gcd_sum(PrimePowerWeights(alpha), index_set_from_integers(ns))
         worst = max(worst, abs(direct - lifted) / direct)
-    return CheckResult(
-        "integer_consistency", worst <= 1e-10, f"{rounds} sets, worst gap {worst:.3e}"
-    )
+        _require(worst <= 1e-10, f"gap {worst:.3e} at {ns}")
+    return f"{rounds} sets of integers up to {top}, worst gap {worst:.3e}"
 
 
-def check_doubled_weights(seed: int, quick: bool) -> CheckResult:
-    t = PrimePowerWeights(0.5)
-    u = doubled_weights(t)
+@_check("rayleigh_sandwich")
+def check_rayleigh(seed: int, quick: bool):
+    """Criterion 7: S/N <= lambda_max <= max row sum; on cubes lambda_max = prod(1 + t_j)."""
+    def sandwiched(rb):
+        return rb.lower <= rb.spectral * (1 + 1e-10) and rb.spectral <= rb.upper * (1 + 1e-10)
+    k_max, max_n = (6, 30) if quick else (12, 200)
+    worst = 0.0
+    for k in range(1, k_max + 1):
+        rb = rayleigh_bounds(HALF, cube_construction(k))
+        closed = math.prod(1 + HALF.weight_at(j) for j in range(1, k + 1))
+        worst = max(worst, abs(rb.spectral - closed) / closed)
+        _require(sandwiched(rb) and worst <= 1e-8, f"cube k={k}, spectral gap {worst:.3e}")
+    rng = random.Random(seed)
+    for _ in range(10):
+        B = random_index_set(rng, max_n=max_n, max_index=10, max_exponent=2)
+        _require(sandwiched(rayleigh_bounds(HALF, B)), f"random set {B!r}")
+    return f"cubes k<={k_max} (spectral worst rel {worst:.2e}), 10 sets of <= {max_n} members"
+
+
+@_check("bound_sandwich")
+def check_bound_sandwich(seed: int, quick: bool):
+    """Criterion 8: on cubes, N exp(0.5 sqrt(L / LL)) <= S <= N exp(7 sqrt(L LLL / LL))."""
+    ks = range(8, 10) if quick else range(8, 17)
+    worst = math.inf
+    for k in ks:
+        n, s = 1 << k, gcd_sum(HALF, cube_construction(k))
+        logn, ll = math.log(n), math.log(math.log(n))
+        lower = n * math.exp(0.5 * math.sqrt(logn / ll))
+        upper = n * math.exp(7.0 * math.sqrt(logn * math.log(ll) / ll))
+        _require(lower <= s <= upper, f"k={k}: {lower} <= {s} <= {upper} fails")
+        worst = min(worst, s / lower)
+    return f"cubes k={ks.start}..{ks.stop - 1}, min S/lower {worst:.2f}"
+
+
+@_check("tail_scaled_gap")
+def check_tail_gap(seed: int, quick: bool):
+    """Criterion 10: the tail estimate's scaled gap stays at most 4."""
+    exponents = (4, 6) if quick else (4, 6, 9, 12)
+    gaps = [tail_sum(10 ** e).scaled_gap for e in exponents]
+    return _require(max(gaps) <= 4.0, "scaled gaps " + ", ".join(
+        f"1e{e}:{g:.3f}" for e, g in zip(exponents, gaps)))
+
+
+@_check("chain_certificates")
+def check_chain_certificates(seed: int, quick: bool):
+    """Criterion 11: the chain certificate's exact verdicts hold and its ratios are finite."""
+    alphas, ks = ((0.5,), range(5, 7)) if quick else ((0.5, 1.0), range(5, 11))
+    for alpha in alphas:
+        for k in ks:
+            report = bound_chain_report(PrimePowerWeights(alpha), cube_construction(k), 1.0)
+            failed = [name for name, ok in report.exact.items() if not ok]
+            _require(not failed, f"k={k}, alpha={alpha}: failed verdicts {failed}")
+            _require(report.ratios and all(map(math.isfinite, report.ratios.values())),
+                     f"k={k}, alpha={alpha}: asymptotic ratios missing or not finite")
+    return f"{len(alphas) * len(ks)} certificates, all exact verdicts true"
+
+
+@_check("doubled_weights_values")
+def check_doubled_weights(seed: int, quick: bool):
+    """Criterion 12: the doubled weights match the paper's printed values."""
+    u = doubled_weights(HALF)
     expected = (1 / math.sqrt(2), 1 / math.sqrt(3), 2 / math.sqrt(5), 2 / math.sqrt(7))
     gap = max(abs(u.weight_at(j + 1) - e) for j, e in enumerate(expected))
-    ok = gap <= 1e-15 and count_above_half(t) == 2
-    return CheckResult("doubled_weights_values", ok, f"first four gap {gap:.1e}")
-
-
-def check_rayleigh(seed: int, quick: bool) -> CheckResult:
-    rng = random.Random(seed)
-    t = PrimePowerWeights(0.5)
-    for k in range(1, 7 if quick else 9):
-        rb = rayleigh_bounds(t, cube_construction(k))
-        closed = math.prod(1.0 + t.weight_at(j) for j in range(1, k + 1))
-        if not (rb.lower <= rb.spectral * (1 + 1e-9) and rb.spectral <= rb.upper * (1 + 1e-9)):
-            return CheckResult("rayleigh_sandwich", False, f"cube k={k}")
-        if abs(rb.spectral - closed) > 1e-8 * closed:
-            return CheckResult("rayleigh_sandwich", False, f"cube spectral gap at k={k}")
-    for _ in range(10 if quick else 40):
-        B = random_index_set(rng, 30, 8)
-        rb = rayleigh_bounds(t, B)
-        if not (rb.lower <= rb.spectral * (1 + 1e-9) and rb.spectral <= rb.upper * (1 + 1e-9)):
-            return CheckResult("rayleigh_sandwich", False, f"random set {B!r}")
-    return CheckResult("rayleigh_sandwich", True, "cubes and random sets")
-
-
-def check_tail_gap(seed: int, quick: bool) -> CheckResult:
-    ns = (1e4, 1e6) if quick else (1e4, 1e6, 1e9, 1e12)
-    worst = max(tail_sum(n).scaled_gap for n in ns)
-    return CheckResult("tail_scaled_gap", worst <= 4.0, f"worst scaled gap {worst:.3f}")
-
-
-def check_support_bound(seed: int, quick: bool) -> CheckResult:
-    rng = random.Random(seed)
-    t = PrimePowerWeights(0.5)
-    rounds = 60 if quick else 400
-    for _ in range(rounds):
-        B = random_index_set(rng, 10, 7)
-        complete, _ = normalize_to_complete(t, B)
-        for m in complete:
-            holds, _ = support_tail_bound(complete, m)
-            if not holds:
-                return CheckResult("support_tail_bound", False, f"failed for {m}")
-    return CheckResult("support_tail_bound", True, f"{rounds} normalized sets")
+    return _require(gap <= 1e-15 and count_above_half(HALF) == 2,
+                    f"first four gap {gap:.1e}, count above half {count_above_half(HALF)}")
 
 
 ALL_CHECKS = (
-    check_cube_identity,
-    check_closure_bound,
-    check_closure_monotone,
-    check_swap_strict,
-    check_positive_definite,
-    check_integer_consistency,
-    check_doubled_weights,
-    check_rayleigh,
-    check_tail_gap,
-    check_support_bound,
+    check_cube_identity, check_maximizers_complete, check_transforms, check_closure_bound,
+    check_positive_definite, check_integer_consistency, check_rayleigh, check_bound_sandwich,
+    check_tail_gap, check_chain_certificates, check_doubled_weights,
 )
 
 
 def run_suite(suite: str = "quick", seed: int = 0) -> list[CheckResult]:
     if suite not in ("quick", "full"):
         raise ValueError(f"unknown suite {suite!r}")
-    quick = suite == "quick"
-    return [check(seed, quick) for check in ALL_CHECKS]
+    return [check(seed, suite == "quick") for check in ALL_CHECKS]

@@ -95,8 +95,10 @@ class PrimePowerWeights(WeightSequence):
         idx = np.asarray(list(indices), dtype=np.int64)
         if idx.size == 0:
             return np.zeros(0, dtype=np.float64)
-        self.table.first(int(idx.max()))
-        primes = np.array([self.table.prime(int(j)) for j in idx], dtype=np.float64)
+        if idx.min() < 1:
+            # a position below 1 would index the table from its end
+            raise DomainError(f"prime index must be >= 1, got {int(idx.min())}")
+        primes = self.table.first(int(idx.max()))[idx - 1].astype(np.float64)
         return primes ** (-self.alpha)
 
     def count_above_half(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 from gcdsums import IndexSet, MultiIndex, PrimePowerWeights, gcd_sum
 from gcdsums.cli import main, parse_set_file
 from gcdsums.errors import ConvergenceError, ParseError
+from gcdsums.verify import ALL_CHECKS
 
 half = PrimePowerWeights(0.5)
 
@@ -313,7 +314,7 @@ def test_verify_quick(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
-    assert len(lines) == 10
+    assert len(lines) == len(ALL_CHECKS)
 
 
 def test_precision_env(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,7 @@ from gcdsums import (
     completeness_exchange_identity,
     completeness_step,
     divisor_closure,
+    gcd_sum,
     is_complete,
     is_divisor_closed,
     normalize_to_complete,
@@ -163,7 +164,7 @@ def test_completeness_step_matches_multiindex_swap(case):
         return
     expected = {m.with_unit_removed(j).with_unit_added(i) if m in movable else m for m in B}
     # margin_floor 0 skips the high-precision recertification of the verdict
-    after, _ = completeness_step(half, B, i, j, margin_floor=0.0)
+    after, _, _ = completeness_step(half, B, i, j, margin_floor=0.0)
     assert after.as_set() == expected
 
 
@@ -258,13 +259,13 @@ def test_swap_partition_partitions(B):
 
 
 def test_completeness_step_examples():
-    B2, strict = completeness_step(half, IndexSet([zero, e2]), 1, 2)
+    B2, strict, _ = completeness_step(half, IndexSet([zero, e2]), 1, 2)
     assert B2 == IndexSet([zero, e1])
     assert strict
     assert brute_pair_sum(half, [zero, e2]) == pytest.approx(3.1547005, abs=1e-6)
     assert brute_pair_sum(half, B2.members) == pytest.approx(3.4142136, abs=1e-6)
 
-    B3, strict3 = completeness_step(half, IndexSet([zero, e1, e3]), 2, 3)
+    B3, strict3, _ = completeness_step(half, IndexSet([zero, e1, e3]), 2, 3)
     assert B3 == IndexSet([zero, e1, e2])
     assert strict3
 
@@ -278,8 +279,8 @@ def test_completeness_step_certified_path_matches():
     # forcing every margin through the high-precision comparison must not
     # change any verdict
     B = IndexSet([zero, e2, e3, e2 + e3])
-    fast, strict_fast = completeness_step(half, B, 1, 2)
-    slow, strict_slow = completeness_step(half, B, 1, 2, margin_floor=math.inf)
+    fast, strict_fast, _ = completeness_step(half, B, 1, 2)
+    slow, strict_slow, _ = completeness_step(half, B, 1, 2, margin_floor=math.inf)
     assert fast == slow
     assert strict_fast == strict_slow is True
 
@@ -310,10 +311,12 @@ def test_completeness_step_strictly_increases(B):
     pair = first_active_swap(closed)
     if pair is None:
         return
-    after, strict = completeness_step(half, closed, *pair)
+    after, strict, s_after = completeness_step(half, closed, *pair)
     assert strict
     assert len(after) == len(closed)
     assert brute_pair_sum(half, after.members) > brute_pair_sum(half, closed.members)
+    # the third value is the sum of the new set, bit for bit
+    assert s_after == gcd_sum(half, after)
 
 
 def test_normalize_examples():
@@ -353,9 +356,45 @@ def test_normalize_strict_for_multiple_alphas():
                 pair = first_active_swap(current)
                 if pair is None:
                     break
-                current, strict = completeness_step(t, current, *pair)
+                current, strict, _ = completeness_step(t, current, *pair)
                 assert strict
             assert is_complete(current)
+
+
+def test_completeness_step_reuses_given_sum():
+    B = IndexSet([zero, e2, e3, e2 + e3])
+    after, strict, s_after = completeness_step(half, B, 1, 2)
+    # a given s_before stands in for S(t, B): a wrong one decides the verdict
+    assert completeness_step(half, B, 1, 2, s_before=gcd_sum(half, B)) == (after, strict, s_after)
+    assert completeness_step(half, B, 1, 2, s_before=1e9)[1] is False
+
+
+def test_normalize_sums_once_per_swap(monkeypatch):
+    import gcdsums.transforms as transforms
+
+    calls = []
+    counted = transforms.gcd_sum
+
+    def counting(t, B):
+        calls.append(len(B))
+        return counted(t, B)
+
+    monkeypatch.setattr(transforms, "gcd_sum", counting)
+    rng = random.Random(7)
+    total_swaps = 0
+    for _ in range(40):
+        members = {MultiIndex({j: 1 for j in rng.sample(range(1, 8), rng.randint(0, 5))})
+                   for _ in range(rng.randint(1, 10))}
+        _, trace = normalize_to_complete(half, IndexSet(members))
+        closure_steps = sum(step.strict is None for step in trace.steps)
+        swaps = len(trace.steps) - closure_steps
+        # divisor_closure sums once per batch plus once up front; the swaps
+        # add one sum each, plus one initial sum when the closure made none
+        closure_sums = closure_steps + 1 if closure_steps else 0
+        assert swaps <= len(calls) - closure_sums <= swaps + 1
+        total_swaps += swaps
+        calls.clear()
+    assert total_swaps > 40
 
 
 def test_trace_records_weights_label():

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -14,6 +15,7 @@ from gcdsums import (
     ExplicitWeights,
     MultiIndex,
     PrimePowerWeights,
+    PrimeTable,
     count_above_half,
     doubled_weights,
     verify_decay,
@@ -32,6 +34,26 @@ def test_weights_decreasing():
     values = [half.weight_at(j) for j in range(1, 50)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(0 < v < 1 for v in values)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+def test_weights_for_matches_prime_by_prime(alpha):
+    # a table holding the 25 primes below 100 must grow to reach position 400
+    t = PrimePowerWeights(alpha, table=PrimeTable(initial_limit=100))
+    idx = [3, 1, 25, 26, 400, 1, 97, 26]
+    oracle = PrimeTable(initial_limit=100)
+    expected = np.array([oracle.prime(j) for j in idx], float) ** -alpha
+    got = t.weights_for(idx)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+    assert t.weights_for([]).shape == (0,)
+
+
+def test_weights_for_rejects_position_zero():
+    # position 0 (or below) would otherwise wrap to the end of the table
+    for idx in ([0], [5, 0, 2], [3, -1]):
+        with pytest.raises(DomainError):
+            half.weights_for(idx)
 
 
 def test_alpha_must_be_positive():
