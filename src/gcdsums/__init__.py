@@ -51,6 +51,7 @@ from .gcdsum import (
     min_eigenvalue,
     rayleigh_bounds,
     spectral_norm,
+    support_grouping_form,
     support_grouping_ratio,
     weighted_sf_form,
 )

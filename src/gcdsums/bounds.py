@@ -11,13 +11,16 @@ measured ratios and never asserted.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
 
 from .errors import DomainError
-from .gcdsum import IndexSet, closure_inner_sums, gcd_sum, lcm_closure
+from .gcdsum import ClosureMasks, IndexSet, gcd_sum
 from .multiindex import MultiIndex
 from .transforms import is_complete
 from .weights import (
@@ -32,7 +35,13 @@ from .weights import (
 
 _MIN_N = 21
 _TAIL_DIRECT_END = 1 << 17
+_TAIL_CHUNK = 1 << 12
 _VERDICT_TOL = 1e-9
+# a verdict whose float margin lies this close (relative) to its threshold,
+# or within four times the sums' error bound if that is wider, is decided
+# again at _CERTIFY_DPS digits
+_RECERTIFY_MARGIN = 1e-12
+_CERTIFY_DPS = 50
 
 
 def _require_n(n: float) -> float:
@@ -117,12 +126,23 @@ def tail_sum(n: float) -> TailEstimate:
     remainder from J on is at most the integral from J - 1/2: `value` is an
     upper bound of the full series.  The trapezoid rule bounds the same
     remainder from below by f(J)/2 plus the integral from J; `width` is the
-    distance between the two bounds.
+    distance between the two bounds.  Results are memoized per n.
     """
-    n = _require_n(n)
+    return _tail_sum(_require_n(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _tail_sum(n: float) -> TailEstimate:
     a = loglog(n)
     j0 = math.floor(math.log(n) / math.log(2.0)) + 1
-    direct = math.fsum(_tail_term(np.arange(j0, _TAIL_DIRECT_END, dtype=np.float64), a))
+    # one correctly rounded fsum over every term, fed a chunk at a time so
+    # no array of all 2^17 terms is ever built; the chunk length is a
+    # multiple of any SIMD width, so each term is computed as in one array
+    direct = math.fsum(itertools.chain.from_iterable(
+        _tail_term(np.arange(lo, min(lo + _TAIL_CHUNK, _TAIL_DIRECT_END), dtype=np.float64),
+                   a).tolist()
+        for lo in range(j0, _TAIL_DIRECT_END, _TAIL_CHUNK)
+    ))
     end = float(_TAIL_DIRECT_END)
     # the antiderivative vanishes at infinity
     value = direct - _tail_antiderivative(end - 0.5, a)
@@ -225,11 +245,47 @@ class BoundChainReport:
         }
 
 
+def _recertify_row(
+    t: WeightSequence, aux: AuxiliaryWeights, members, beta: MultiIndex, dps: int
+) -> tuple:
+    """inner, aux and ratio sums and the Euler product of one closure member,
+    summed term by term at `dps` digits, with the Cauchy-Schwarz and Euler
+    verdicts decided at that precision."""
+    with mp.workdps(dps):
+        tv = {j: t.weight_at_mp(j) for j, _ in beta.items}
+        wv = {j: aux.weight_at_mp(j) for j, _ in beta.items}
+        sums = [[], [], []]
+        for a in members:
+            if all(j in tv for j, _ in a.items):
+                rest = [j for j in tv if not a.exponent(j)]
+                sums[0].append(mp.fprod(tv[j] for j in rest))
+                sums[1].append(mp.fprod(wv[j] for j in rest))
+                sums[2].append(mp.fprod(tv[j] ** 2 / wv[j] for j in rest))
+        inner, aux_sum, ratio = (mp.fsum(v) for v in sums)
+        euler = mp.fprod(1 + w for w in wv.values())
+        one_tol = 1 + mp.mpf(_VERDICT_TOL)
+        cs_ok = inner * inner <= aux_sum * ratio * one_tol
+        euler_ok = aux_sum <= euler * one_tol
+        return float(inner), float(aux_sum), float(ratio), float(euler), cs_ok, euler_ok
+
+
 def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainReport:
     """Certify the estimate chain on a concrete complete square-free set.
 
     Preconditions: B complete and square-free, |B| >= 21, and c at least the
     measured decay constant of t over B's position range.
+
+    The closure quantities come from `ClosureMasks`: weighted zeta
+    transforms on the subset lattice where `lcm_closure` takes its lattice
+    path, blocks of (closure member, member) bitmask pairs otherwise.  Their
+    sums are not compensated.  The inner, aux and ratio sums are within
+    `ClosureMasks.sum_error_bound` of the exact sums over the double
+    weights: 2 (m + 1) 2^-53 relative on the lattice path (below 5.2e-15 at
+    m = 22), (m + N + 1) 2^-53 on the pair path.  Euler products are products
+    of table lookups, equal to the last bit to np.prod over the support
+    below 17 positions.  A row whose Cauchy-Schwarz or Euler margin lies
+    within max(1e-12, 4 x that bound) of its threshold is summed again at
+    50 digits, and its verdicts and fields come from that sum.
     """
     n = len(B)
     if n < _MIN_N:
@@ -252,10 +308,9 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     kfloor = math.floor(threshold)
     aux = AuxiliaryWeights(t, n, c)
 
-    closure = lcm_closure(B)
-    universe = closure.universe()
-    E = B.exponent_matrix(universe)
-    F = closure.exponent_matrix(universe)
+    masks = ClosureMasks(B)
+    closure = masks.closure
+    universe = B.universe()  # the closure's too: joins add no position
     t_vals = t.weights_for(universe)
     w_vals = aux.weights_for(universe)
     log_t = np.log(t_vals)
@@ -266,91 +321,83 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
 
     shape = math.sqrt(logn * lll / ll)  # the recurring sqrt(log n * log3 / log2)
     high_sum_cap = math.sqrt(6.0 * c) * shape
-
-    records: list[BetaRecord] = []
-    cs_ok = euler_ok = witness_ok = high_ok = low_exp_ok = True
-    witnesses: set[int] = set()
     sum_t_low = math.fsum(t.weight_at(i) for i in range(1, kfloor + 1))
-    max_log_aux_sum = -math.inf
 
     members = B.members
-    inner_sums = closure_inner_sums(E, F, log_t, log_w, log_tw)
-    for r in range(len(closure)):
-        row = F[r]
-        inner, aux_sum, ratio_sum = inner_sums[r].tolist()
+    inner_sums, inner_by_member = masks.subset_sums([t_vals, w_vals, np.exp(log_tw)])
+    witness = masks.witnesses()
 
-        supp_pos = np.flatnonzero(row)
-        low_pos = [p for p in supp_pos if universe[p] <= threshold]
-        high_pos = [p for p in supp_pos if universe[p] > threshold]
-        euler = float(np.prod(1.0 + w_vals[supp_pos])) if supp_pos.size else 1.0
-        high_weight_sum = float(math.fsum(w_vals[p] for p in high_pos))
+    low_cols = np.array([j <= threshold for j in universe], dtype=bool)
+    euler = masks.products(1.0 + w_vals)
+    low_product = masks.products(np.where(low_cols, 1.0 + w_vals, 1.0))
+    support_size = masks.counts(np.ones(len(universe), dtype=bool))
+    low_size = masks.counts(low_cols)
+    high_weight_sum = masks.rows[:, ~low_cols] @ w_vals[~low_cols]
 
-        # witness pair: first (k, l) in canonical order whose join is this row
-        wk = wl = -1
-        idx = np.flatnonzero(np.all(E <= row, axis=1))
-        for k in idx:
-            joined = np.maximum(E[k], E[idx])
-            hit = np.flatnonzero(np.all(joined == row[None, :], axis=1))
-            if hit.size:
-                wk, wl = int(k), int(idx[hit[0]])
-                break
-        if wk < 0:
-            raise RuntimeError("closure member without a generating pair")
-        witnesses.update((wk, wl))
-
-        if inner * inner > aux_sum * ratio_sum * (1.0 + _VERDICT_TOL):
-            cs_ok = False
-        if aux_sum > euler * (1.0 + _VERDICT_TOL):
-            euler_ok = False
-        low_product = float(np.prod(1.0 + w_vals[low_pos])) if low_pos else 1.0
-        if low_product > math.exp(sum_t_low) * (1.0 + _VERDICT_TOL):
-            low_exp_ok = False
-        if high_weight_sum > high_sum_cap + _VERDICT_TOL:
-            high_ok = False
-        if aux_sum > 0:
-            max_log_aux_sum = max(max_log_aux_sum, math.log(aux_sum))
-
-        records.append(
-            BetaRecord(
-                beta=str(closure.members[r]),
-                support_size=int(supp_pos.size),
-                low_size=len(low_pos),
-                high_size=len(high_pos),
-                inner_sum=inner,
-                aux_sum=aux_sum,
-                ratio_sum=ratio_sum,
-                euler_product=euler,
-                high_weight_sum=high_weight_sum,
-                witness_k=wk,
-                witness_l=wl,
-            )
+    inner, aux_sum, ratio_sum = inner_sums.T
+    cs_rhs = aux_sum * ratio_sum * (1.0 + _VERDICT_TOL)
+    euler_rhs = euler * (1.0 + _VERDICT_TOL)
+    cs_holds = inner * inner <= cs_rhs
+    euler_holds = aux_sum <= euler_rhs
+    window = max(_RECERTIFY_MARGIN, 4.0 * masks.sum_error_bound())
+    near = (np.abs(cs_rhs - inner * inner) <= window * cs_rhs) | (
+        np.abs(euler_rhs - aux_sum) <= window * euler_rhs
+    )
+    for r in np.flatnonzero(near).tolist():
+        (inner[r], aux_sum[r], ratio_sum[r], euler[r], cs_holds[r], euler_holds[r]) = (
+            _recertify_row(t, aux, members, closure.members[r], _CERTIFY_DPS)
         )
+    cs_ok = bool(cs_holds.all())
+    euler_ok = bool(euler_holds.all())
+    low_exp_ok = bool(np.all(low_product <= math.exp(sum_t_low) * (1.0 + _VERDICT_TOL)))
+    high_ok = bool(np.all(high_weight_sum <= high_sum_cap + _VERDICT_TOL))
+    positive = aux_sum[aux_sum > 0]
+    max_log_aux_sum = float(np.log(positive).max()) if positive.size else -math.inf
 
-    for k in witnesses:
-        holds, _ = support_tail_bound(B, members[k], n)
-        if not holds:
-            witness_ok = False
+    records = [
+        BetaRecord(
+            beta=str(beta),
+            support_size=size,
+            low_size=low,
+            high_size=size - low,
+            inner_sum=i,
+            aux_sum=a,
+            ratio_sum=q,
+            euler_product=e,
+            high_weight_sum=h,
+            witness_k=wk,
+            witness_l=wl,
+        )
+        for beta, size, low, i, a, q, e, h, (wk, wl) in zip(
+            closure.members,
+            support_size.tolist(),
+            low_size.tolist(),
+            inner.tolist(),
+            aux_sum.tolist(),
+            ratio_sum.tolist(),
+            euler.tolist(),
+            high_weight_sum.tolist(),
+            witness.tolist(),
+        )
+    ]
 
-    majorant = float(math.fsum(inner_sums[:, 0] * inner_sums[:, 0]))
+    witness_ok = all(
+        support_tail_bound(B, members[k], n)[0] for k in np.unique(witness).tolist()
+    )
+
+    majorant = float(math.fsum(inner * inner))
     majorant_ok = s_value <= majorant * (1.0 + _VERDICT_TOL)
 
     # summation-order exchange: the per-closure-member ratio sums against the
     # per-member sums over closure elements above them
-    inner_by_member = []
-    for k in range(len(members)):
-        above = np.all(F >= E[k][None, :], axis=1)
-        diff = (F[above] - E[k][None, :]).astype(np.float64)
-        inner_by_member.append(float(math.fsum(np.exp(diff @ log_tw))))
-    sum_by_beta = math.fsum(inner_sums[:, 2])
+    sum_by_beta = math.fsum(ratio_sum)
     sum_by_member = math.fsum(inner_by_member)
     exchange_ok = abs(sum_by_beta - sum_by_member) <= _VERDICT_TOL * max(
         sum_by_beta, 1.0
     )
 
     prod_all = float(np.prod(1.0 + np.exp(log_tw)))
-    member_euler_ok = all(
-        v <= prod_all * (1.0 + _VERDICT_TOL) for v in inner_by_member
-    )
+    member_euler_ok = bool(np.all(inner_by_member <= prod_all * (1.0 + _VERDICT_TOL)))
 
     low_ratio_sum = math.fsum(
         t.weight_at(i) ** 2 / aux.weight_at(i) for i in range(1, kfloor + 1)

@@ -31,7 +31,7 @@ from .gcdsum import (
     gcd_sum,
     min_eigenvalue,
     spectral_norm,
-    support_grouping_ratio,
+    support_grouping_form,
 )
 from .multiindex import MultiIndex, from_integer, parse_multiindex
 from .search import cube_construction, extremal_sf, local_search
@@ -212,7 +212,7 @@ def _cmd_sum(args) -> int:
     if not B.is_square_free():
         # diagnostic ratio against the square-free support grouping; no
         # finite constant is asserted for it
-        payload["support_grouping_ratio"] = support_grouping_ratio(t, B)
+        payload["support_grouping_ratio"] = value / support_grouping_form(t, B)
     if not config.deterministic:
         payload["elapsed_ms"] = elapsed
     if config.format == "csv":

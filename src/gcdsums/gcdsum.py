@@ -13,6 +13,12 @@ t^|a-b|.  The path is chosen from the input alone:
 Cross sums of two different sets and dense matrices always use the pair
 kernel.  Sums are combined with compensated summation in a fixed order, so
 results are deterministic.
+
+The lcm closure of a square-free set takes the subset lattice when
+`_lattice_cheaper` prefers it (zeta and Moebius transforms over the 2^m
+subsets of the universe) and pairwise joins keyed as packed integers
+otherwise; `ClosureMasks` holds a square-free closure as bitmasks for the
+chain certificate.
 """
 
 from __future__ import annotations
@@ -308,18 +314,59 @@ def gcd_sum_integers(ns: Sequence[int], alpha: float) -> float:
     return float(math.fsum(terms))
 
 
+def _subset_zeta(x: np.ndarray, weights, superset: bool = False) -> None:
+    """Weighted zeta transform over the subset lattice of m positions, in place
+    on an array of length 2^m indexed by bitmask.
+
+    Afterwards x(c) is the sum over a below c (above c when `superset`) of the
+    old x(a) times the product of weights[j] over the positions j of c xor a.
+    Unit weights give the zeta transform, weights of -1 its inverse, the
+    Moebius transform.  One pass per position (Yates's algorithm): O(m 2^m).
+    """
+    lo, hi = (1, 0) if superset else (0, 1)
+    for i, w in enumerate(weights):
+        pairs = x.reshape(-1, 2, 1 << i)
+        pairs[:, hi, :] += w * pairs[:, lo, :]
+
+
+def _lattice_cheaper(n: int, m: int) -> bool:
+    """Cost model of the subset-lattice path for n square-free members on m
+    positions: a transform over the 2^m subsets, m 2^m steps, against the
+    n^2 pairwise joins; its arrays hold 2^m values, so m is capped at
+    `_XOR_TABLE_MAX_BITS`."""
+    return m <= _XOR_TABLE_MAX_BITS and m * (1 << m) < n * n
+
+
 def lcm_closure(B: IndexSet) -> IndexSet:
     """All pairwise componentwise maxima of B; contains B, at most n(n+1)/2 members.
 
-    The joins of each block of rows of the exponent matrix with the rows from
-    the block's start onward are formed in numpy and deduplicated as keys, per
-    block and then across blocks; only the distinct joins become MultiIndex
-    members.  A key packs each column into the bit width of its largest
-    exponent (for a square-free set, one bit per position: the bitmask) into
-    one int64 when the widths sum to at most 63 bits; wider rows are keyed by
-    their bytes.  Exponents above 30 000, the exponent matrix's cap, raise
-    DomainError.
+    A square-free set whose subset lattice is cheaper than its joins (see
+    `_lattice_cheaper`) takes the lattice path: with Z the zeta transform of
+    B's indicator, the Moebius transform of Z^2 counts the ordered pairs whose
+    join (bitwise OR) is exactly c, so the closure is its support.  Every step
+    is int64 arithmetic on counts of at most N^2, so the support is exact.
+
+    Otherwise the joins of each block of rows of the exponent matrix with the
+    rows from the block's start onward are formed in numpy and deduplicated as
+    keys, per block and then across blocks.  A key packs each column into the
+    bit width of its largest exponent (for a square-free set, one bit per
+    position: the bitmask) into one int64 when the widths sum to at most 63
+    bits; wider rows are keyed by their bytes.  Either way only the distinct
+    joins become MultiIndex members.  Exponents above 30 000, the exponent
+    matrix's cap, raise DomainError.
     """
+    universe = B.universe()
+    m = len(universe)
+    if _lattice_cheaper(len(B), m) and B.is_square_free():
+        pairs = np.zeros(1 << m, dtype=np.int64)
+        pairs[_xor_masks(B, universe)] = 1
+        _subset_zeta(pairs, [1] * m)
+        pairs *= pairs
+        _subset_zeta(pairs, [-1] * m)
+        return IndexSet(
+            MultiIndex({universe[i]: 1 for i in range(m) if c >> i & 1})
+            for c in np.flatnonzero(pairs).tolist()
+        )
     E = B.exponent_matrix()
     n, m = E.shape
     widths = np.array([int(e).bit_length() for e in E.max(axis=0)], dtype=np.int64)
@@ -340,7 +387,6 @@ def lcm_closure(B: IndexSet) -> IndexSet:
         rows = (keys[:, None] >> shifts) & ((1 << widths) - 1)
     else:
         rows = keys.view(E.dtype).reshape(-1, m)
-    universe = B.universe()
     return IndexSet(
         MultiIndex({j: e for j, e in zip(universe, row) if e}) for row in rows.tolist()
     )
@@ -355,6 +401,161 @@ def closure_inner_sums(E: np.ndarray, F: np.ndarray, *logws: np.ndarray) -> np.n
         for k, logw in enumerate(logws):
             out[r, k] = math.fsum(np.exp(diff @ logw))
     return out
+
+
+def _mask_words(rows: np.ndarray) -> np.ndarray:
+    """Bitmasks of the 0/1 rows of an exponent matrix as uint64 words:
+    column i is bit i % 64 of word i // 64."""
+    n, m = rows.shape
+    bits = np.zeros((n, max(1, -(-m // 64)) * 64), dtype=bool)
+    bits[:, :m] = rows
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One comparable key per mask: its word, or the bytes of its words.  A
+    single word stays an integer, which np.isin sorts about four times faster
+    than bytes."""
+    if words.shape[-1] == 1:
+        return words[..., 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
+
+
+def _word_product(words: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Product of the weights over the set bits of each mask: one lookup per
+    slice of _TABLE_SLICE_BITS columns (a divisor of 64, so no slice
+    straddles two words).  A table holds sequential products in position
+    order, so below 17 positions this equals np.prod over the set bits."""
+    out = np.ones(words.shape[:-1], dtype=np.float64)
+    for s in range(0, len(weights), _TABLE_SLICE_BITS):
+        table = _power_table(weights[s : s + _TABLE_SLICE_BITS])
+        out *= table[(words[..., s // 64] >> np.uint64(s % 64)) & np.uint64(len(table) - 1)]
+    return out
+
+
+class ClosureMasks:
+    """The lcm closure of a square-free set, with the members and the closure
+    as bitmasks over the set's universe (uint64 words, so any number of
+    positions), and the per-closure-member quantities of the chain
+    certificate computed on them.
+
+    Where the closure takes the subset-lattice path (`_lattice_cheaper`),
+    sums are weighted zeta transforms over the 2^m subsets; otherwise they
+    run over blocks of (closure member, member) pairs.  Every term summed is
+    non-negative.
+    """
+
+    def __init__(self, B: IndexSet):
+        universe = B.universe()
+        E = B.exponent_matrix(universe)
+        if E.max(initial=0) > 1:
+            raise DomainError("closure masks need a square-free set")
+        self.members = B
+        self.closure = lcm_closure(B)
+        self.rows = self.closure.exponent_matrix(universe)  # closure exponents, 0/1
+        self._E = _mask_words(E)
+        self._F = _mask_words(self.rows)
+        self.lattice = _lattice_cheaper(len(B), len(universe))
+
+    def sum_error_bound(self) -> float:
+        """Relative error bound, to first order, of `subset_sums` against the
+        exact sums over the same double weights.
+
+        A sum of k non-negative terms that each carry a relative error of at
+        most d is within d + (k - 1) u in any order of summation (u = 2^-53).
+        On the lattice path a value takes one product and one sum per
+        position: 2 m u.  On the pair path a term is a product of at most m
+        table weights, (m - 1) u, and a row sums at most N terms.
+        """
+        m, n = self.rows.shape[1], len(self.members)
+        return (2 * m + 2 if self.lattice else m + n + 1) * 2.0 ** -53
+
+    def _pairs(self, F: np.ndarray):
+        """Yield (lo, hi, below, diff) per block of closure masks F, with
+        below[r, k] whether member k is a subset of F[lo + r] and diff[r, k]
+        the words of F[lo + r] xor member k: for a subset, the difference.
+        About four pair arrays are live at once, so a block holds a quarter
+        of _BLOCK_BUDGET pairs."""
+        E = self._E
+        n, words = E.shape
+        rows = max(1, _BLOCK_BUDGET // (4 * n * words))
+        for lo in range(0, len(F), rows):
+            hi = min(lo + rows, len(F))
+            diff = F[lo:hi, None, :] ^ E[None, :, :]
+            # a member lies below c iff it shares no bit with c xor itself
+            below = ~np.any(diff & E[None, :, :], axis=2)
+            yield lo, hi, below, diff
+
+    def subset_sums(self, weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(inner, above) for weight vectors over the universe.
+
+        inner[r, q] is the sum over members a below closure member c_r of the
+        product of weights[q] over c_r minus a; above[k] is the sum over
+        closure members c above member a_k of the product of weights[-1] over
+        c minus a_k.  On the lattice path they are the weighted subset zeta of
+        the members' indicator, read at the closure, and the weighted
+        superset zeta of the closure's indicator, read at the members;
+        otherwise the row and column sums of the pair blocks.
+        """
+        inner = np.empty((len(self._F), len(weights)), dtype=np.float64)
+        if self.lattice:
+            m = self.rows.shape[1]
+            members, closure = self._E[:, 0].astype(np.int64), self._F[:, 0].astype(np.int64)
+            for q, w in enumerate(weights):
+                g = np.zeros(1 << m, dtype=np.float64)
+                g[members] = 1.0
+                _subset_zeta(g, w)
+                inner[:, q] = g[closure]
+            h = np.zeros(1 << m, dtype=np.float64)
+            h[closure] = 1.0
+            _subset_zeta(h, weights[-1], superset=True)
+            return inner, h[members]
+        above = np.zeros(len(self._E), dtype=np.float64)
+        for lo, hi, below, diff in self._pairs(self._F):
+            for q, w in enumerate(weights):
+                terms = _word_product(diff, w)
+                terms *= below
+                inner[lo:hi, q] = terms.sum(axis=1)
+            above += terms.sum(axis=0)
+        return inner, above
+
+    def products(self, weights: np.ndarray) -> np.ndarray:
+        """Per closure member, the product of the weights over its positions."""
+        return _word_product(self._F, weights)
+
+    def counts(self, columns: np.ndarray) -> np.ndarray:
+        """Per closure member, how many of its positions the boolean
+        `columns` over the universe selects."""
+        return np.bitwise_count(self._F & _mask_words(columns[None, :])).sum(axis=1)
+
+    def witnesses(self) -> np.ndarray:
+        """Per closure member c, the first pair (k, l) of members in canonical
+        order whose join is c.
+
+        A complete set is divisor-closed, so a member a_k below c joins some
+        member to c iff c minus a_k is a member, and l is then the first
+        member with a_k | a_l = c.  The empty member, first in canonical
+        order, joins every member c with c itself; only closure members
+        outside the set are searched, in pair blocks.
+        """
+        if not self.members.members[0].is_zero():
+            raise DomainError("witness pairs need a divisor-closed set")
+        index = {a: k for k, a in enumerate(self.members.members)}
+        own = np.array([index.get(c, -1) for c in self.closure.members], dtype=np.int64)
+        out = np.zeros((len(own), 2), dtype=np.int64)
+        out[:, 1] = own
+        rest = np.flatnonzero(own < 0)
+        E, keys = self._E, _row_keys(self._E)
+        for lo, hi, below, diff in self._pairs(self._F[rest]):
+            hit = below & np.isin(_row_keys(diff), keys)
+            if not hit.any(axis=1).all():
+                raise DomainError("closure member without a generating pair: B is not divisor closed")
+            k = hit.argmax(axis=1)
+            target = self._F[rest[lo:hi]]
+            join = np.all((E[k][:, None, :] | E[None, :, :]) == target[:, None, :], axis=2)
+            out[rest[lo:hi], 0] = k
+            out[rest[lo:hi], 1] = join.argmax(axis=1)
+        return out
 
 
 def lcm_closure_bound(
@@ -497,16 +698,22 @@ def weighted_sf_form(
     return float(math.fsum(terms))
 
 
-def support_grouping_ratio(u: WeightSequence, B: IndexSet) -> float:
-    """Diagnostic ratio S(u, B) / weighted square-free form of its support blocks.
-
-    Reported, never asserted: no finite constant is claimed for it.
-    """
+def support_grouping_form(u: WeightSequence, B: IndexSet) -> float:
+    """Weighted square-free form of B's support blocks: each block's
+    square-free indicator weighted by the square root of its size."""
     groups = group_by_support(B)
     reps = IndexSet([rep for rep, _ in groups])
     order = {rep: len(block) for rep, block in groups}
     sizes = [order[rep] for rep in reps.members]
-    return gcd_sum(u, B) / weighted_sf_form(u, reps, sizes)
+    return weighted_sf_form(u, reps, sizes)
+
+
+def support_grouping_ratio(u: WeightSequence, B: IndexSet) -> float:
+    """Diagnostic ratio S(u, B) / support_grouping_form(u, B).
+
+    Reported, never asserted: no finite constant is claimed for it.
+    """
+    return gcd_sum(u, B) / support_grouping_form(u, B)
 
 
 def cube_sum_closed_form(t: WeightSequence, k: int) -> float:

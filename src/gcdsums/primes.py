@@ -16,24 +16,27 @@ _DEFAULT_CEILING = 10 ** 9
 
 
 def sieve_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as int64."""
+    """All primes <= limit, ascending, as int32: the table's ceiling, 10^9,
+    lies below 2^31, and half-width storage halves the table's memory."""
     if limit < 2:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int32)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, int(limit ** 0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int32)
 
 
 class PrimeTable:
     """Ascending primes p_1 = 2, p_2 = 3, ... grown on demand."""
 
     def __init__(self, initial_limit: int = _DEFAULT_INITIAL, ceiling: int = _DEFAULT_CEILING):
+        if not 0 < int(ceiling) < 1 << 31:
+            raise DomainError(f"ceiling must lie in [1, 2^31) for int32 storage, got {ceiling}")
         self._ceiling = int(ceiling)
         self._limit = 0
-        self._primes = np.zeros(0, dtype=np.int64)
+        self._primes = np.zeros(0, dtype=np.int32)
         self._grow(min(int(initial_limit), self._ceiling))
 
     def __len__(self) -> int:
@@ -64,6 +67,8 @@ class PrimeTable:
         self._limit = target
 
     def _append_segments(self, target: int) -> None:
+        """Sieve (limit, target] in segments of _SEGMENT flags and append the
+        primes found, as int32 like the rest of the table."""
         base = sieve_upto(int(target ** 0.5) + 1)
         chunks = [self._primes]
         lo = self._limit + 1
@@ -78,7 +83,7 @@ class PrimeTable:
                 flags[start - lo :: p] = False
             if lo <= 1:
                 flags[: 2 - lo] = False
-            chunks.append(np.flatnonzero(flags).astype(np.int64) + lo)
+            chunks.append(np.flatnonzero(flags).astype(np.int32) + lo)
             lo = hi + 1
         self._primes = np.concatenate(chunks)
 
@@ -99,7 +104,7 @@ class PrimeTable:
         return int(self._primes[j - 1])
 
     def first(self, count: int) -> np.ndarray:
-        """The first `count` primes as an int64 array (read-only view)."""
+        """The first `count` primes as an int32 array (read-only view)."""
         if count < 0:
             raise DomainError("count must be >= 0")
         self._ensure_count(count)
@@ -111,7 +116,9 @@ class PrimeTable:
             raise DomainError(f"{p} is not prime")
         if p > self._limit:
             self._grow(p)
-        i = int(np.searchsorted(self._primes, p))
+        # an int32 needle: a Python int would make searchsorted cast the
+        # whole table to int64 on every call (p <= limit < 2^31 here)
+        i = int(self._primes.searchsorted(np.int32(p)))
         if i >= len(self) or int(self._primes[i]) != p:
             raise DomainError(f"{p} is not prime")
         return i + 1

@@ -222,7 +222,96 @@ def tail_direct_sum(n, cap: int = 10 ** 7) -> float:
     return math.fsum(parts) - math.log((u - a) / u) / a
 
 
+def tail_unchunked(n, end: int = 1 << 17):
+    """tail_sum's estimate from one array of every direct term below `end`
+    and one fsum over it, as (value, estimate, scaled_gap, width)."""
+    from gcdsums.bounds import TailEstimate
+
+    a = math.log(math.log(n))
+    j0 = math.floor(math.log(n) / math.log(2.0)) + 1
+
+    def term(j):
+        u = np.log(j)
+        return 1.0 / (j * u * (u - a))
+
+    def antiderivative(x):
+        u = math.log(x)
+        return math.log((u - a) / u) / a
+
+    direct = math.fsum(term(np.arange(j0, end, dtype=np.float64)))
+    value = direct - antiderivative(end - 0.5)
+    lower = direct + float(term(float(end))) / 2.0 - antiderivative(float(end))
+    estimate = math.log(math.log(math.log(n))) / a
+    return TailEstimate(value=value, estimate=estimate,
+                        scaled_gap=abs(value - estimate) * a, width=value - lower)
+
+
 FIRST_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
 )
+
+
+def _format_items(items) -> str:
+    return "mi " + " ".join(f"{j}:{e}" for j, e in items) if items else "mi"
+
+
+def chain_rows_reference(t, aux, members, threshold, closure):
+    """The chain certificate's per-closure-member loop and per-member exchange
+    loop as they stood before the bitmask rewrite: exponent rows over the
+    universe, a witness scan per row, compensated sums of exp(diff . log w).
+
+    `closure` is sorted(brute_lcm_closure(members)).  Returns (records,
+    inner_by_member): one dict per closure member, in canonical order, with
+    the fields of a BetaRecord, and per member of `members` the sum over
+    closure rows above it of (t^2/w)^(c - a).
+    """
+    universe = sorted({j for m in members for j, _ in m.items})
+    pos = {j: i for i, j in enumerate(universe)}
+    E = np.zeros((len(members), len(universe)), dtype=np.int16)
+    for r, m in enumerate(members):
+        for j, e in m.items:
+            E[r, pos[j]] = e
+    F = np.zeros((len(closure), len(universe)), dtype=np.int16)
+    for r, items in enumerate(closure):
+        for j, e in items:
+            F[r, pos[j]] = e
+    t_vals = np.array([t.weight_at(j) for j in universe])
+    w_vals = np.array([aux.weight_at(j) for j in universe])
+    log_t, log_w = np.log(t_vals), np.log(w_vals)
+    log_tw = 2.0 * log_t - log_w
+    records = []
+    for r, row in enumerate(F):
+        below = E[np.all(E <= row, axis=1)]
+        diff = (row[None, :] - below).astype(np.float64)
+        sums = [math.fsum(np.exp(diff @ lw)) for lw in (log_t, log_w, log_tw)]
+        supp_pos = np.flatnonzero(row)
+        low_pos = [p for p in supp_pos if universe[p] <= threshold]
+        high_pos = [p for p in supp_pos if universe[p] > threshold]
+        wk = wl = -1
+        idx = np.flatnonzero(np.all(E <= row, axis=1))
+        for k in idx:
+            joined = np.maximum(E[k], E[idx])
+            hit = np.flatnonzero(np.all(joined == row[None, :], axis=1))
+            if hit.size:
+                wk, wl = int(k), int(idx[hit[0]])
+                break
+        records.append({
+            "beta": _format_items(closure[r]),
+            "support_size": int(supp_pos.size),
+            "low_size": len(low_pos),
+            "high_size": len(high_pos),
+            "inner_sum": sums[0],
+            "aux_sum": sums[1],
+            "ratio_sum": sums[2],
+            "euler_product": float(np.prod(1.0 + w_vals[supp_pos])) if supp_pos.size else 1.0,
+            "high_weight_sum": float(math.fsum(w_vals[p] for p in high_pos)),
+            "witness_k": wk,
+            "witness_l": wl,
+        })
+    inner_by_member = []
+    for k in range(len(members)):
+        above = np.all(F >= E[k][None, :], axis=1)
+        diff = (F[above] - E[k][None, :]).astype(np.float64)
+        inner_by_member.append(float(math.fsum(np.exp(diff @ log_tw))))
+    return records, inner_by_member

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from gcdsums import (
@@ -12,15 +13,30 @@ from gcdsums import (
     cube_construction,
     doubled_weight_reduction_check,
     general_upper_curve,
+    is_complete,
     lower_curve,
     normalize_to_complete,
     squarefree_upper_curve,
     support_tail_bound,
     tail_sum,
 )
+import functools
 import random
 
-from oracles import tail_direct_sum, tail_series_reference
+from oracles import (
+    brute_lcm_closure,
+    chain_rows_reference,
+    tail_direct_sum,
+    tail_series_reference,
+    tail_unchunked,
+)
+
+from gcdsums import AuxiliaryWeights, verify_decay
+from gcdsums import bounds as bounds_module
+from gcdsums import gcdsum as gcdsum_module
+from gcdsums import lcm_closure
+from gcdsums.gcdsum import ClosureMasks
+from gcdsums.verify import random_index_set
 
 half = PrimePowerWeights(0.5)
 zero = MultiIndex.zero()
@@ -160,6 +176,15 @@ def test_tail_sum_below_direct_sum(n):
     assert old * (1 - 4e-10) <= tail_sum(n).value <= old
 
 
+@pytest.mark.parametrize("n", [21, 25, 256, 1024, 10**6, 10**9])
+def test_tail_sum_bit_identical_to_unchunked_formula(n):
+    assert tail_sum(n) == tail_unchunked(n)
+
+
+def test_tail_sum_memoized_per_n():
+    assert tail_sum(25) is tail_sum(25.0)
+
+
 def test_tail_sum_values():
     est = tail_sum(10**6)
     assert est.estimate == pytest.approx(0.36765, abs=1e-4)
@@ -201,8 +226,6 @@ def test_chain_report_on_cube():
 
 
 def test_chain_report_high_branch():
-    from gcdsums import is_complete
-
     B = high_branch_set()
     assert is_complete(B) and len(B) == 21
     for alpha in (0.5, 1.0):
@@ -267,3 +290,168 @@ def test_doubled_weight_reduction_check():
     tiny = doubled_weight_reduction_check(half, cube, IndexSet([zero]))
     assert not tiny.holds
     assert tiny.rhs == pytest.approx(4.0)
+
+
+_EXACT_FIELDS = ("beta", "support_size", "low_size", "high_size", "euler_product",
+                 "witness_k", "witness_l")
+_FLOAT_FIELDS = ("inner_sum", "aux_sum", "ratio_sum", "high_weight_sum")
+
+
+def _decay(t, B):
+    return max(1.0, verify_decay(t, max(B.max_index(), 2)))
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_closure(B):
+    return sorted(brute_lcm_closure(B.members))
+
+
+def assert_matches_old_loop(t, B, rel=1e-13):
+    """Records, witnesses and verdict inputs against the per-row loop the
+    certificate replaced.  Float sums are compared at rel, above both the
+    certificate's stated bound (`ClosureMasks.sum_error_bound`) and the
+    rounding of the old loop's exp/log terms.  Euler products are exact below
+    17 positions, where one product table is a sequential product in
+    position order."""
+    c = _decay(t, B)
+    report = bound_chain_report(t, B, c)
+    assert report.all_exact_hold(), report.exact
+    ref, _ = chain_rows_reference(
+        t, AuxiliaryWeights(t, len(B), c), B.members, report.threshold, sorted_closure(B)
+    )
+    got = report.to_dict()["records"]
+    assert len(got) == len(ref) == report.closure_size
+    exact = [f for f in _EXACT_FIELDS if f != "euler_product" or len(B.universe()) <= 16]
+    for g, r in zip(got, ref):
+        assert all(g[f] == r[f] for f in exact), (g, r)
+        for f in _FLOAT_FIELDS + ("euler_product",):
+            assert g[f] == pytest.approx(r[f], rel=rel, abs=1e-300), (f, g, r)
+    assert report.majorant_value == pytest.approx(
+        math.fsum(r["inner_sum"] ** 2 for r in ref), rel=rel
+    )
+
+
+def random_complete_sets(seed, count, max_index=12):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        B, _ = normalize_to_complete(half, random_index_set(rng, max_n=48, max_index=max_index))
+        if len(B) >= 21:
+            out.append(B)
+    return out
+
+
+@pytest.mark.parametrize("k", range(5, 11))
+def test_chain_report_matches_old_loop_on_cubes(k):
+    for alpha in (0.5, 1.0):
+        assert_matches_old_loop(PrimePowerWeights(alpha), cube_construction(k))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_chain_report_matches_old_loop_on_random_complete_sets(alpha):
+    for B in random_complete_sets(2026, 20):
+        assert_matches_old_loop(PrimePowerWeights(alpha), B)
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_closure_sums_on_both_paths(monkeypatch, lattice):
+    """Inner sums and per-member exchange sums from the zeta transforms and
+    from the pair blocks, each forced onto sets the other path would take."""
+    monkeypatch.setattr(gcdsum_module, "_lattice_cheaper", lambda n, m: lattice)
+    t = PrimePowerWeights(0.5)
+    for B in [cube_construction(6), high_branch_set()] + random_complete_sets(7, 4):
+        aux = AuxiliaryWeights(t, len(B), _decay(t, B))
+        t_vals, w_vals = t.weights_for(B.universe()), aux.weights_for(B.universe())
+        masks = ClosureMasks(B)
+        assert masks.lattice is lattice
+        inner, by_member = masks.subset_sums([t_vals, w_vals, t_vals ** 2 / w_vals])
+        ref, ref_by_member = chain_rows_reference(
+            t, aux, B.members, aux.threshold, sorted_closure(B)
+        )
+        for q, f in enumerate(("inner_sum", "aux_sum", "ratio_sum")):
+            assert inner[:, q] == pytest.approx([r[f] for r in ref], rel=1e-13)
+        assert by_member == pytest.approx(ref_by_member, rel=1e-13)
+        assert masks.witnesses().tolist() == [[r["witness_k"], r["witness_l"]] for r in ref]
+
+
+def test_closure_masks_preconditions():
+    with pytest.raises(DomainError):
+        ClosureMasks(IndexSet([MultiIndex.unit(1), MultiIndex.unit(2)])).witnesses()
+    with pytest.raises(DomainError):
+        ClosureMasks(IndexSet([zero, MultiIndex({1: 2})]))
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_chain_report_inner_sums_within_stated_bound(monkeypatch, lattice):
+    # the certificate's sums against 50-digit sums over the same double
+    # weights, on each path, within the bound its docstring states
+    monkeypatch.setattr(gcdsum_module, "_lattice_cheaper", lambda n, m: lattice)
+    t = PrimePowerWeights(0.5)
+    for B in (random_complete_sets(11, 1)[0], cube_construction(7)):
+        report = bound_chain_report(t, B, 1.0)
+        universe = B.universe()
+        aux = AuxiliaryWeights(t, len(B), 1.0)
+        t_vals, w_vals = t.weights_for(universe), aux.weights_for(universe)
+        r_vals = np.exp(2.0 * np.log(t_vals) - np.log(w_vals))
+        bound = ClosureMasks(B).sum_error_bound()
+        col = {j: i for i, j in enumerate(universe)}
+        with mp.workdps(50):
+            for rec, beta in zip(report.records, lcm_closure(B).members):
+                below = [a for a in B.members if all(beta.exponent(j) for j, _ in a.items)]
+                for field, vals in (("inner_sum", t_vals), ("aux_sum", w_vals),
+                                    ("ratio_sum", r_vals)):
+                    exact = mp.fsum(
+                        mp.fprod(mp.mpf(float(vals[col[j]]))
+                                 for j, _ in beta.items if not a.exponent(j))
+                        for a in below
+                    )
+                    assert abs(getattr(rec, field) - exact) <= bound * exact, (field, beta)
+
+
+def test_chain_report_cube_13_closed_forms():
+    # out of reach of the old per-row loop: inner_sum(c) = prod_{j in c} (1 + t_j),
+    # aux_sum = euler_product (every position is low, so w = t), and the
+    # majorant is prod_j (1 + (1 + t_j)^2)
+    t = PrimePowerWeights(0.5)
+    report = bound_chain_report(t, cube_construction(13), 1.0)
+    assert report.all_exact_hold(), report.exact
+    assert report.closure_size == len(report.records) == 1 << 13
+    for rec in report.records:
+        positions = [int(item.split(":")[0]) for item in rec.beta.split()[1:]]
+        closed = math.prod(1.0 + t.weight_at(j) for j in positions)
+        assert rec.inner_sum == pytest.approx(closed, rel=1e-14)
+        assert rec.aux_sum == pytest.approx(rec.euler_product, rel=1e-14)
+        assert rec.euler_product == pytest.approx(closed, rel=1e-14)
+        assert rec.witness_k == 0  # the empty member joins every member with itself
+    assert report.majorant_value == pytest.approx(
+        math.prod(1.0 + (1.0 + t.weight_at(j)) ** 2 for j in range(1, 14)), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("m", [30, 70])
+def test_chain_report_wide_complete_set(m):
+    # the empty member, the singletons 1..m and {1, 2}, {1, 3}: complete, on
+    # m > _XOR_TABLE_MAX_BITS positions (m = 70 needs two mask words), so the
+    # closure takes the packed joins and the sums the pair blocks
+    members = [zero, MultiIndex({1: 1, 2: 1}), MultiIndex({1: 1, 3: 1})]
+    B = IndexSet(members + [MultiIndex.unit(j) for j in range(1, m + 1)])
+    assert is_complete(B)
+    assert not ClosureMasks(B).lattice
+    for alpha in (0.5, 1.0):
+        assert_matches_old_loop(PrimePowerWeights(alpha), B)
+
+
+@pytest.mark.parametrize("tol, holds", [(1e-13, True), (-1e-13, False)])
+def test_chain_report_recertifies_near_ties(monkeypatch, tol, holds):
+    """On a cube every position is low, so w = t and the Cauchy-Schwarz and
+    Euler steps are exact ties; a verdict tolerance inside the recertification
+    window puts every row there, and the 50-digit sums decide it."""
+    monkeypatch.setattr(bounds_module, "_VERDICT_TOL", tol)
+    calls = []
+    real = bounds_module._recertify_row
+    monkeypatch.setattr(bounds_module, "_recertify_row",
+                        lambda *args: calls.append(1) or real(*args))
+    report = bound_chain_report(half, cube_construction(5), 1.0)
+    assert len(calls) == report.closure_size == 32
+    assert report.exact["cauchy_schwarz"] is holds
+    assert report.exact["euler_product_aux"] is holds

@@ -138,6 +138,28 @@ def test_sum_grouping_diagnostic_for_non_square_free(tmp_path, capsys):
     assert "support_grouping_ratio" not in json.loads(out2)
 
 
+def test_sum_sums_once_for_non_square_free(tmp_path, capsys, monkeypatch):
+    # the grouping ratio divides the S the command already has
+    import gcdsums.cli as cli_module
+    import gcdsums.gcdsum as gcdsum_module
+    from gcdsums import support_grouping_ratio
+
+    calls = []
+    real = gcdsum_module.gcd_sum
+
+    def counted(t, B):
+        calls.append(len(B))
+        return real(t, B)
+
+    monkeypatch.setattr(gcdsum_module, "gcd_sum", counted)
+    monkeypatch.setattr(cli_module, "gcd_sum", counted)
+    path = write(tmp_path, "set.txt", "1\n2\n4\n3\n12\n")
+    code, out, _ = run(capsys, ["sum", path, "--deterministic"])
+    assert code == 0 and calls == [5]
+    B = parse_set_file(path)
+    assert json.loads(out)["support_grouping_ratio"] == support_grouping_ratio(half, B)
+
+
 def test_cube_command(capsys):
     code, out, _ = run(capsys, ["cube", "--k", "2", "--alpha", "0.5", "--deterministic"])
     assert code == 0

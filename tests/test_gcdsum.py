@@ -214,10 +214,14 @@ def test_lcm_closure_of_cube_is_cube(k):
 # Exponents of 10^4 on positions 1..5 make the packed key 5 * 14 = 70 bits
 # wide, so these sets always take the byte-row keys; the mixed sets (at most
 # 12 * 2 bits) always take packed keys, and the square-free sets on up to 70
-# positions take either.
+# positions take either.  Square-free sets of up to 40 members on at most 6
+# positions take the subset-lattice path whenever m 2^m < N^2.
 _SPIKES = tuple(MultiIndex({j: 10**4}) for j in range(1, 6))
 _CLOSURE_INPUTS = st.one_of(
     st.lists(st.integers(0, (1 << 70) - 1), min_size=1, max_size=12, unique=True).map(
+        lambda masks: IndexSet(map(from_mask, masks))
+    ),
+    st.lists(st.integers(0, 63), min_size=1, max_size=40, unique=True).map(
         lambda masks: IndexSet(map(from_mask, masks))
     ),
     index_sets(max_index=12, max_exponent=3, max_n=12),
@@ -233,6 +237,26 @@ _CLOSURE_INPUTS = st.one_of(
 def test_lcm_closure_matches_brute_force(B):
     closure = lcm_closure(B)
     assert [m.items for m in closure] == sorted(brute_lcm_closure(B.members))
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_lcm_closure_paths_agree(monkeypatch, lattice):
+    monkeypatch.setattr(gcdsum_module, "_lattice_cheaper", lambda n, m: lattice)
+    rng = random.Random(8)
+    for m in (1, 3, 7, 12):
+        for size in (1, 5, 40):
+            masks = rng.sample(range(1 << m), min(size, 1 << m))
+            B = IndexSet({from_mask(x << rng.randrange(3)) for x in masks})
+            closure = lcm_closure(B)
+            assert [a.items for a in closure] == sorted(brute_lcm_closure(B.members))
+
+
+def test_lcm_closure_lattice_cost_model():
+    # cubes from k = 1 take the lattice; N = 25 members on 16 positions do not
+    assert gcdsum_module._lattice_cheaper(2, 1)
+    assert gcdsum_module._lattice_cheaper(1 << 22, 22)
+    assert not gcdsum_module._lattice_cheaper(25, 16)
+    assert not gcdsum_module._lattice_cheaper(1 << 30, 23)
 
 
 @given(index_sets(max_index=6, max_exponent=2, max_n=8))

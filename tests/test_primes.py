@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hypothesis import given
@@ -7,7 +8,7 @@ import hypothesis.strategies as st
 
 from oracles import FIRST_PRIMES, primes_upto, trial_division
 
-from gcdsums import DomainError, PrimeRangeError, PrimeTable, from_integer
+from gcdsums import DomainError, PrimeRangeError, PrimeTable, from_integer, to_integer
 from gcdsums.primes import factorize, is_prime, sieve_upto
 
 
@@ -56,6 +57,34 @@ def test_segmented_growth_matches_dense():
     dense = sieve_upto(100_000)
     assert list(table.first(len(dense))) == list(dense)
     assert table.index_of(16_777_259) >= 1  # first prime past 2^24
+
+
+def test_table_stored_as_int32_matches_int64_sieve():
+    # past the dense cutoff, so the segments are appended too
+    limit = (1 << 24) + 300_000
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    reference = np.flatnonzero(flags).astype(np.int64)
+    table = PrimeTable(initial_limit=limit)
+    primes = table.first(len(reference))
+    assert sieve_upto(1000).dtype == primes.dtype == np.int32
+    assert np.array_equal(primes.astype(np.int64), reference)
+
+
+def test_int32_table_ranks_near_1e8():
+    table = PrimeTable()
+    assert table.index_of(99_999_989) == 5_761_455
+    assert table.prime(5_761_455) == 99_999_989
+    for n in (99_999_989, 2 * 99_999_989, 99_999_989 * 99_999_971, 3 ** 5 * 7 * 99_999_959):
+        assert to_integer(from_integer(n, table), table) == n
+
+
+def test_ceiling_must_fit_int32():
+    with pytest.raises(DomainError):
+        PrimeTable(ceiling=1 << 31)
 
 
 def test_ceiling_enforced():
