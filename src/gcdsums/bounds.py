@@ -281,9 +281,8 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     sums are not compensated.  The inner, aux and ratio sums are within
     `ClosureMasks.sum_error_bound` of the exact sums over the double
     weights: 2 (m + 1) 2^-53 relative on the lattice path (below 5.2e-15 at
-    m = 22), (m + N + 1) 2^-53 on the pair path.  Euler products are products
-    of table lookups, equal to the last bit to np.prod over the support
-    below 17 positions.  A row whose Cauchy-Schwarz or Euler margin lies
+    m = 22), (m + N + 1) 2^-53 on the pair path.  Euler products are
+    np.prod over the support.  A row whose Cauchy-Schwarz or Euler margin lies
     within max(1e-12, 4 x that bound) of its threshold is summed again at
     50 digits, and its verdicts and fields come from that sum.
     """
@@ -328,10 +327,10 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     witness = masks.witnesses()
 
     low_cols = np.array([j <= threshold for j in universe], dtype=bool)
-    euler = masks.products(1.0 + w_vals)
-    low_product = masks.products(np.where(low_cols, 1.0 + w_vals, 1.0))
-    support_size = masks.counts(np.ones(len(universe), dtype=bool))
-    low_size = masks.counts(low_cols)
+    euler = np.prod(np.where(masks.rows, 1.0 + w_vals, 1.0), axis=1)
+    low_product = np.prod(np.where(masks.rows & low_cols, 1.0 + w_vals, 1.0), axis=1)
+    support_size = masks.rows.sum(axis=1)
+    low_size = masks.rows[:, low_cols].sum(axis=1)
     high_weight_sum = masks.rows[:, ~low_cols] @ w_vals[~low_cols]
 
     inner, aux_sum, ratio_sum = inner_sums.T

@@ -284,7 +284,8 @@ def _cmd_transform(args) -> int:
         lines.append(json.dumps(line, sort_keys=True))
     lines.append(json.dumps(
         {"final": [str(m) for m in result], "n": len(result),
-         "s_value": gcd_sum(t, result), "complete": is_complete(result)},
+         "s_value": trace.steps[-1].s_after if trace.steps else gcd_sum(t, result),
+         "complete": is_complete(result)},
         sort_keys=True,
     ))
     _emit("\n".join(lines), config.output)

@@ -1,5 +1,11 @@
 """GCD sums over multi-index sets, their matrices, and spectral quantities.
 
+An `IndexSet` encodes itself once and caches the result: its universe (the
+sorted positions its members use), whether it is square-free, its int16
+exponent matrix over the universe and, when square-free, its bitmasks as
+uint64 words (universe column i is bit i % 64 of word i // 64).  Every kernel
+below reads these; `IndexSet.from_rows` turns arrays back into members.
+
 The central quantity is S(t, B) = sum over all ordered pairs (a, b) of B of
 t^|a-b|.  The path is chosen from the input alone:
 - a square-free set on at most `_XOR_TABLE_MAX_BITS` positions, when the cost
@@ -7,9 +13,10 @@ t^|a-b|.  The path is chosen from the input alone:
   its sum, row sums, weighted form and large-matrix matvec cost O(m 2^m)
   instead of O(N^2);
 - otherwise the one blocked pair kernel, `_pair_blocks`, evaluates t^|a-b|.
-  For square-free sets on at most `_MASK_MAX_BITS` positions the powers are
-  products of lookups in XOR-indexed tables, one per slice of at most
-  `_TABLE_SLICE_BITS` positions; all other sets take exponent-matrix blocks.
+  For square-free sets, on any number of positions, the powers are products
+  of lookups in XOR-indexed tables, one per slice of at most
+  `_TABLE_SLICE_BITS` positions of a mask word; only sets that are not
+  square-free take exponent-matrix blocks.
 Cross sums of two different sets and dense matrices always use the pair
 kernel.  Sums are combined with compensated summation in a fixed order, so
 results are deterministic.
@@ -37,7 +44,6 @@ from .weights import WeightSequence
 
 _XOR_TABLE_MAX_BITS = 22  # the transform path's largest universe: arrays of 2^m floats
 _TABLE_SLICE_BITS = 16  # positions per product table of the pair blocks
-_MASK_MAX_BITS = 62  # square-free sets on more positions take exponent blocks
 # Cost of one transform element against one gathered pair.  On a 2-vCPU x86
 # VM (numpy 2.4) the pair blocks gather at about 5.3 ns per pair and the
 # transform path costs about 6 ns per element for m >= 14, where its fixed
@@ -49,9 +55,15 @@ _BLOCK_BUDGET = 4_000_000  # floats per pair block
 
 
 class IndexSet:
-    """A finite set of distinct multi-indices in canonical (sorted) order."""
+    """A finite set of distinct multi-indices in canonical (sorted) order.
 
-    __slots__ = ("_members", "_set", "_universe")
+    Encoded once, on first use, and cached: `universe`, `is_square_free`, the
+    read-only int16 `exponent_matrix` over the universe (a row per member, in
+    canonical order) and, for a square-free set, the read-only uint64 `masks`
+    (universe column i is bit i % 64 of word i // 64).  `from_rows` decodes.
+    """
+
+    __slots__ = ("_members", "_set", "_universe", "_square_free", "_matrix", "_masks")
 
     def __init__(self, members: Iterable[MultiIndex]):
         members = list(members)
@@ -63,6 +75,32 @@ class IndexSet:
         self._members = tuple(sorted(members))
         self._set = frozenset(sset)
         self._universe: tuple[int, ...] | None = None
+        self._square_free: bool | None = None
+        self._matrix: np.ndarray | None = None
+        self._masks: np.ndarray | None = None
+
+    @classmethod
+    def from_rows(cls, universe: Sequence[int], rows: np.ndarray) -> "IndexSet":
+        """The set of the distinct rows of exponents over the universe, given
+        in any order; the rows, in canonical order and without all-zero
+        columns, become its exponent matrix."""
+        rows = np.asarray(rows)
+        top = int(rows.max(initial=0))
+        if top > 30_000:
+            raise DomainError(f"exponent {top} too large for the pair kernel")
+        keep = rows.any(axis=0)
+        universe = tuple(j for j, kept in zip(universe, keep.tolist()) if kept)
+        rows = rows[:, keep].astype(np.int16)
+        # rows become lists a block at a time, not all at once (8 bytes per entry)
+        members = [MultiIndex(zip(universe, row))
+                   for lo in range(0, len(rows), 4096) for row in rows[lo : lo + 4096].tolist()]
+        order = sorted(range(len(members)), key=members.__getitem__)
+        out = cls(members[i] for i in order)
+        out._universe = universe
+        out._square_free = top <= 1
+        out._matrix = rows[order]
+        out._matrix.flags.writeable = False
+        return out
 
     @property
     def members(self) -> tuple[MultiIndex, ...]:
@@ -92,10 +130,7 @@ class IndexSet:
     def universe(self) -> tuple[int, ...]:
         """Sorted union of member supports."""
         if self._universe is None:
-            u: set[int] = set()
-            for m in self._members:
-                u.update(m.support())
-            self._universe = tuple(sorted(u))
+            self._universe = tuple(sorted({j for m in self._members for j, _ in m.items}))
         return self._universe
 
     def max_index(self) -> int:
@@ -103,40 +138,109 @@ class IndexSet:
         return u[-1] if u else 0
 
     def is_square_free(self) -> bool:
-        return all(m.is_square_free() for m in self._members)
+        if self._square_free is None:
+            try:
+                self.exponent_matrix()  # every caller reads the matrix next
+            except DomainError:  # an exponent above the matrix's cap
+                self._square_free = False
+        return self._square_free
 
     def exponent_matrix(self, universe: Sequence[int] | None = None) -> np.ndarray:
-        """Members as rows of exponents over the given position universe."""
-        if universe is None:
-            universe = self.universe()
+        """Members as rows of exponents over the set's universe (cached) or
+        over one containing it; exponents above 30 000 raise DomainError."""
+        if self._matrix is None:
+            # flat cells and one numpy assignment: per-call numpy overhead,
+            # not the loop, is what a small set's encoding costs
+            pos = {j: i for i, j in enumerate(self.universe())}
+            width = len(pos)
+            cells, exponents = [], []
+            for r, m in enumerate(self._members):
+                for j, e in m.items:
+                    cells.append(r * width + pos[j])
+                    exponents.append(e)
+            top = max(exponents, default=0)
+            self._square_free = top <= 1
+            if top > 30_000:
+                raise DomainError(f"exponent {top} too large for the pair kernel")
+            flat = np.zeros(len(self) * width, dtype=np.int16)
+            flat[cells] = exponents
+            self._matrix = flat.reshape(len(self), width)
+            self._matrix.flags.writeable = False
+        if universe is None or tuple(universe) == self.universe():
+            return self._matrix
         pos = {j: i for i, j in enumerate(universe)}
         out = np.zeros((len(self), len(universe)), dtype=np.int16)
-        for r, m in enumerate(self._members):
-            for j, e in m.items:
-                if e > 30_000:
-                    raise DomainError(f"exponent {e} too large for the pair kernel")
-                out[r, pos[j]] = e
+        out[:, [pos[j] for j in self.universe()]] = self._matrix
         return out
 
+    def masks(self) -> np.ndarray:
+        """Members as bitmask words over the universe; square-free sets only."""
+        if self._masks is None:
+            if not self.is_square_free():
+                raise DomainError("mask words need a square-free set")
+            self._masks = _mask_words(self.exponent_matrix())
+        return self._masks
 
-def _xor_masks(B: IndexSet, universe: Sequence[int]) -> np.ndarray:
-    pos = {j: i for i, j in enumerate(universe)}
-    masks = np.zeros(len(B), dtype=np.int64)
-    for r, m in enumerate(B.members):
-        acc = 0
-        for j, _ in m.items:
-            acc |= 1 << pos[j]
-        masks[r] = acc
-    return masks
+
+def _mask_words(rows: np.ndarray) -> np.ndarray:
+    """Bitmasks of the 0/1 rows of an exponent matrix as read-only uint64
+    words: column i is bit i % 64 of word i // 64."""
+    n, m = rows.shape
+    bits = np.zeros((n, max(1, -(-m // 64)) * 64), dtype=bool)
+    bits[:, :m] = rows
+    out = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    out.flags.writeable = False
+    return out
 
 
 def _power_table(weights: np.ndarray) -> np.ndarray:
-    """table[x] = product of weights[i] over the set bits of x."""
-    m = len(weights)
-    table = np.ones(1 << m, dtype=np.float64)
-    for i in range(m):
-        table.reshape(-1, 2, 1 << i)[:, 1, :] *= weights[i]
+    """table[x] = product of weights[i] over the set bits of x, multiplied in
+    ascending bit order; each entry with top bit i is the entry without it
+    times weights[i], so the table fills in 2^m multiplies."""
+    table = np.ones(1 << len(weights), dtype=np.float64)
+    for i, w in enumerate(weights):
+        np.multiply(table[: 1 << i], w, out=table[1 << i : 2 << i])
     return table
+
+
+def _slices(m: int) -> list[tuple[int, int]]:
+    """(first column, width) of the product tables over m columns: each mask
+    word cut into the fewest slices of at most _TABLE_SLICE_BITS columns, of
+    one width but the last; one empty slice for m = 0."""
+    out = []
+    for word in range(0, m, 64):
+        bits = min(64, m - word)
+        width = -(-bits // -(-bits // _TABLE_SLICE_BITS))
+        out += [(s, min(width, word + bits - s)) for s in range(word, word + bits, width)]
+    return out or [(0, 0)]
+
+
+def _sliced(words: np.ndarray, slices: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Per slice (`_slices`), each mask's bits there as an index.  Bits past
+    the last column are zero, so a word's last slice needs no mask and its
+    first no shift."""
+    out, m = [], sum(slices[-1])
+    for s, w in slices:
+        x = words[:, s // 64]
+        if s % 64:
+            x = x >> np.uint64(s % 64)
+        if (s + w) % 64 and s + w < m:
+            x = x & np.uint64((1 << w) - 1)
+        out.append(x.astype(np.intp))
+    return out
+
+
+def _xor_products(tables: list, left: list, right: list, rows: slice) -> np.ndarray:
+    """block[r, c] = product of the weights over the set bits of left[rows][r]
+    xor right[c], from one product table per slice (`_slices`) and `_sliced`
+    masks: one XOR, one gather and one multiply per slice.  A table holds
+    sequential products in column order, so one slice gives np.prod."""
+    x = left[0][rows, None] ^ right[0][None, :]
+    block = tables[0][x]
+    for table, lefts, rights in zip(tables[1:], left[1:], right[1:]):
+        np.bitwise_xor(lefts[rows, None], rights[None, :], out=x)
+        block *= table[x]
+    return block
 
 
 def _fwht(x: np.ndarray) -> None:
@@ -167,9 +271,8 @@ class _Transform:
     """
 
     def __init__(self, t: WeightSequence, B: IndexSet):
-        universe = B.universe()
-        w = t.weights_for(universe)
-        self.masks = _xor_masks(B, universe)
+        w = t.weights_for(B.universe())
+        self.masks = B.masks()[:, 0]
         # prod_j (1 +- t_j) = prod_j (1 + t_j) * prod over set bits of (1 - t_j) / (1 + t_j)
         self.spectrum = _power_table((1.0 - w) / (1.0 + w)) * np.prod(1.0 + w)
 
@@ -212,33 +315,23 @@ def _pair_blocks(
     n = len(B)
     m = len(universe)
     w = t.weights_for(universe)
-    if m <= _MASK_MAX_BITS and A.is_square_free() and (B is A or B.is_square_free()):
-        left = _xor_masks(A, universe)
-        right = left if B is A else _xor_masks(B, universe)
+    if A.is_square_free() and B.is_square_free():
         # t^(a xor b) is the product of lookups in one table per slice of at
         # most _TABLE_SLICE_BITS positions; past about 2^16 entries a table
         # falls out of cache and two lookups in small tables are cheaper
-        count = max(1, -(-m // _TABLE_SLICE_BITS))
-        width = -(-m // count)
-        low = (1 << width) - 1
-        slices = [(_power_table(w), left, right)] if count == 1 else [
-            (_power_table(w[s : s + width]), left >> s & low, right >> s & low)
-            for s in range(0, m, width)
-        ]
+        words = [S.masks() if S.universe() == universe else _mask_words(S.exponent_matrix(universe))
+                 for S in (A, B)]
+        slices = _slices(m)
+        tables = [_power_table(w[s : s + k]) for s, k in slices]
+        left = _sliced(words[0], slices)
+        right = left if B is A else _sliced(words[1], slices)
         # live per pair: the index array and the block, plus one gathered
         # factor when there are several tables; dividing the rows by the table
         # count keeps them within two arrays of _BLOCK_BUDGET
-        rows = max(1, _BLOCK_BUDGET // max(n * len(slices), 1))
+        rows = max(1, _BLOCK_BUDGET // max(n * len(tables), 1))
         for lo in range(0, len(A), rows):
             hi = min(lo + rows, len(A))
-            table, lefts, rights = slices[0]
-            # x stays alive across the yield, so the next block reuses its memory
-            x = lefts[lo:hi, None] ^ rights[None, :]
-            block = table[x]
-            for table, lefts, rights in slices[1:]:
-                np.bitwise_xor(lefts[lo:hi, None], rights[None, :], out=x)
-                block *= table[x]
-            yield lo, hi, block
+            yield lo, hi, _xor_products(tables, left, right, slice(lo, hi))
     else:
         left = A.exponent_matrix(universe)
         right = left if B is A else B.exponent_matrix(universe)
@@ -352,21 +445,20 @@ def lcm_closure(B: IndexSet) -> IndexSet:
     bit width of its largest exponent (for a square-free set, one bit per
     position: the bitmask) into one int64 when the widths sum to at most 63
     bits; wider rows are keyed by their bytes.  Either way only the distinct
-    joins become MultiIndex members.  Exponents above 30 000, the exponent
+    joins become members, through `IndexSet.from_rows`, which keeps their rows
+    as the closure's exponent matrix.  Exponents above 30 000, the exponent
     matrix's cap, raise DomainError.
     """
     universe = B.universe()
     m = len(universe)
     if _lattice_cheaper(len(B), m) and B.is_square_free():
         pairs = np.zeros(1 << m, dtype=np.int64)
-        pairs[_xor_masks(B, universe)] = 1
+        pairs[B.masks()[:, 0]] = 1
         _subset_zeta(pairs, [1] * m)
         pairs *= pairs
         _subset_zeta(pairs, [-1] * m)
-        return IndexSet(
-            MultiIndex({universe[i]: 1 for i in range(m) if c >> i & 1})
-            for c in np.flatnonzero(pairs).tolist()
-        )
+        closure = np.flatnonzero(pairs).astype(np.int32)  # m <= 22 bits
+        return IndexSet.from_rows(universe, closure[:, None] >> np.arange(m, dtype=np.int32) & 1)
     E = B.exponent_matrix()
     n, m = E.shape
     widths = np.array([int(e).bit_length() for e in E.max(axis=0)], dtype=np.int64)
@@ -387,29 +479,7 @@ def lcm_closure(B: IndexSet) -> IndexSet:
         rows = (keys[:, None] >> shifts) & ((1 << widths) - 1)
     else:
         rows = keys.view(E.dtype).reshape(-1, m)
-    return IndexSet(
-        MultiIndex({j: e for j, e in zip(universe, row) if e}) for row in rows.tolist()
-    )
-
-
-def closure_inner_sums(E: np.ndarray, F: np.ndarray, *logws: np.ndarray) -> np.ndarray:
-    """out[r, k] = fsum over members a <= F[r] of exp((F[r] - E[a]) . logws[k]),
-    for member and closure exponent matrices E, F over one universe."""
-    out = np.empty((len(F), len(logws)), dtype=np.float64)
-    for r, row in enumerate(F):
-        diff = (row[None, :] - E[np.all(E <= row, axis=1)]).astype(np.float64)
-        for k, logw in enumerate(logws):
-            out[r, k] = math.fsum(np.exp(diff @ logw))
-    return out
-
-
-def _mask_words(rows: np.ndarray) -> np.ndarray:
-    """Bitmasks of the 0/1 rows of an exponent matrix as uint64 words:
-    column i is bit i % 64 of word i // 64."""
-    n, m = rows.shape
-    bits = np.zeros((n, max(1, -(-m // 64)) * 64), dtype=bool)
-    bits[:, :m] = rows
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return IndexSet.from_rows(universe, rows)
 
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
@@ -421,22 +491,10 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
 
 
-def _word_product(words: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Product of the weights over the set bits of each mask: one lookup per
-    slice of _TABLE_SLICE_BITS columns (a divisor of 64, so no slice
-    straddles two words).  A table holds sequential products in position
-    order, so below 17 positions this equals np.prod over the set bits."""
-    out = np.ones(words.shape[:-1], dtype=np.float64)
-    for s in range(0, len(weights), _TABLE_SLICE_BITS):
-        table = _power_table(weights[s : s + _TABLE_SLICE_BITS])
-        out *= table[(words[..., s // 64] >> np.uint64(s % 64)) & np.uint64(len(table) - 1)]
-    return out
-
-
 class ClosureMasks:
     """The lcm closure of a square-free set, with the members and the closure
-    as bitmasks over the set's universe (uint64 words, so any number of
-    positions), and the per-closure-member quantities of the chain
+    as bitmasks over the set's universe (their cached `IndexSet.masks`, so any
+    number of positions), and the per-closure-member quantities of the chain
     certificate computed on them.
 
     Where the closure takes the subset-lattice path (`_lattice_cheaper`),
@@ -446,16 +504,11 @@ class ClosureMasks:
     """
 
     def __init__(self, B: IndexSet):
-        universe = B.universe()
-        E = B.exponent_matrix(universe)
-        if E.max(initial=0) > 1:
-            raise DomainError("closure masks need a square-free set")
-        self.members = B
-        self.closure = lcm_closure(B)
-        self.rows = self.closure.exponent_matrix(universe)  # closure exponents, 0/1
-        self._E = _mask_words(E)
-        self._F = _mask_words(self.rows)
-        self.lattice = _lattice_cheaper(len(B), len(universe))
+        self._E = B.masks()
+        self.closure = lcm_closure(B)  # on B's universe: joins add no position
+        self.rows = self.closure.exponent_matrix()  # closure exponents, 0/1
+        self._F = self.closure.masks()
+        self.lattice = _lattice_cheaper(len(B), self.rows.shape[1])
 
     def sum_error_bound(self) -> float:
         """Relative error bound, to first order, of `subset_sums` against the
@@ -467,7 +520,7 @@ class ClosureMasks:
         position: 2 m u.  On the pair path a term is a product of at most m
         table weights, (m - 1) u, and a row sums at most N terms.
         """
-        m, n = self.rows.shape[1], len(self.members)
+        m, n = self.rows.shape[1], len(self._E)
         return (2 * m + 2 if self.lattice else m + n + 1) * 2.0 ** -53
 
     def _pairs(self, F: np.ndarray):
@@ -498,9 +551,9 @@ class ClosureMasks:
         otherwise the row and column sums of the pair blocks.
         """
         inner = np.empty((len(self._F), len(weights)), dtype=np.float64)
+        m = self.rows.shape[1]
         if self.lattice:
-            m = self.rows.shape[1]
-            members, closure = self._E[:, 0].astype(np.int64), self._F[:, 0].astype(np.int64)
+            members, closure = self._E[:, 0], self._F[:, 0]
             for q, w in enumerate(weights):
                 g = np.zeros(1 << m, dtype=np.float64)
                 g[members] = 1.0
@@ -510,23 +563,17 @@ class ClosureMasks:
             h[closure] = 1.0
             _subset_zeta(h, weights[-1], superset=True)
             return inner, h[members]
+        slices = _slices(m)
+        tables = [[_power_table(w[s : s + k]) for s, k in slices] for w in weights]
+        closure, members = _sliced(self._F, slices), _sliced(self._E, slices)
         above = np.zeros(len(self._E), dtype=np.float64)
-        for lo, hi, below, diff in self._pairs(self._F):
-            for q, w in enumerate(weights):
-                terms = _word_product(diff, w)
+        for lo, hi, below, _ in self._pairs(self._F):
+            for q, table in enumerate(tables):
+                terms = _xor_products(table, closure, members, slice(lo, hi))
                 terms *= below
                 inner[lo:hi, q] = terms.sum(axis=1)
             above += terms.sum(axis=0)
         return inner, above
-
-    def products(self, weights: np.ndarray) -> np.ndarray:
-        """Per closure member, the product of the weights over its positions."""
-        return _word_product(self._F, weights)
-
-    def counts(self, columns: np.ndarray) -> np.ndarray:
-        """Per closure member, how many of its positions the boolean
-        `columns` over the universe selects."""
-        return np.bitwise_count(self._F & _mask_words(columns[None, :])).sum(axis=1)
 
     def witnesses(self) -> np.ndarray:
         """Per closure member c, the first pair (k, l) of members in canonical
@@ -538,14 +585,14 @@ class ClosureMasks:
         order, joins every member c with c itself; only closure members
         outside the set are searched, in pair blocks.
         """
-        if not self.members.members[0].is_zero():
+        E, keys = self._E, _row_keys(self._E)
+        if E[0].any():
             raise DomainError("witness pairs need a divisor-closed set")
-        index = {a: k for k, a in enumerate(self.members.members)}
-        own = np.array([index.get(c, -1) for c in self.closure.members], dtype=np.int64)
+        index = dict(zip(keys.tolist(), range(len(keys))))
+        own = np.array([index.get(c, -1) for c in _row_keys(self._F).tolist()], dtype=np.int64)
         out = np.zeros((len(own), 2), dtype=np.int64)
         out[:, 1] = own
         rest = np.flatnonzero(own < 0)
-        E, keys = self._E, _row_keys(self._E)
         for lo, hi, below, diff in self._pairs(self._F[rest]):
             hit = below & np.isin(_row_keys(diff), keys)
             if not hit.any(axis=1).all():
@@ -566,10 +613,12 @@ def lcm_closure_bound(
     rhs = sum over c in closure(B) of (sum over members a <= c of t^(c-a))^2;
     returns (rhs, S <= rhs * (1 + tol)).
     """
-    closure = lcm_closure(B)
-    universe = closure.universe()
-    E, F = B.exponent_matrix(universe), closure.exponent_matrix(universe)
-    inner = closure_inner_sums(E, F, np.log(t.weights_for(universe)))[:, 0]
+    E, logw = B.exponent_matrix(), np.log(t.weights_for(B.universe()))
+    # the closure lies on B's universe: joins add no position
+    inner = np.array([
+        math.fsum(np.exp((row - E[np.all(E <= row, axis=1)]).astype(np.float64) @ logw))
+        for row in lcm_closure(B).exponent_matrix()
+    ])
     rhs = float(math.fsum(inner * inner))
     s = gcd_sum(t, B)
     return rhs, s <= rhs * (1.0 + tol) + tol

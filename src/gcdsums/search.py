@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import DomainError
 from .gcdsum import IndexSet, gcd_sum
 from .multiindex import from_mask, to_mask
@@ -36,7 +38,8 @@ def cube_construction(k: int) -> IndexSet:
         raise DomainError(f"k must be >= 1, got {k}")
     if k > CUBE_MAX_DIMENSION:
         raise DomainError(f"cube dimension capped at {CUBE_MAX_DIMENSION} (2^k members)")
-    return IndexSet(map(from_mask, range(1 << k)))
+    masks = np.arange(1 << k, dtype=np.int32)
+    return IndexSet.from_rows(range(1, k + 1), masks[:, None] >> np.arange(k, dtype=np.int32) & 1)
 
 
 def enumerate_downsets(m: int, n: int) -> Iterator[IndexSet]:

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .bounds import bound_chain_report, support_tail_bound, tail_sum
+from .errors import ConvergenceError, DomainError
 from .gcdsum import (IndexSet, cube_sum_closed_form, gcd_matrix, gcd_sum, gcd_sum_integers,
                      index_set_from_integers, lcm_closure_bound, min_eigenvalue, rayleigh_bounds)
 from .multiindex import MultiIndex
@@ -40,7 +41,8 @@ def _require(ok, detail: str) -> str:
 
 
 def _check(name: str):
-    """check(seed, quick) -> CheckResult from a body returning detail[, support members]."""
+    """check(seed, quick) -> CheckResult from a body returning detail[, support members];
+    a solver or domain error raised inside the body fails this check alone."""
     def wrap(body):
         @functools.wraps(body)
         def check(seed: int, quick: bool) -> CheckResult:
@@ -48,6 +50,8 @@ def _check(name: str):
                 out = body(seed, quick)
             except _Failed as exc:
                 return CheckResult(name, False, str(exc))
+            except (ConvergenceError, DomainError) as exc:
+                return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
             return CheckResult(name, True, *(out if isinstance(out, tuple) else (out,)))
         return check
     return wrap

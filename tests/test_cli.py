@@ -6,6 +6,7 @@ import pytest
 
 from gcdsums import IndexSet, MultiIndex, PrimePowerWeights, gcd_sum
 from gcdsums.cli import main, parse_set_file
+from gcdsums.multiindex import parse_multiindex
 from gcdsums.errors import ConvergenceError, ParseError
 from gcdsums.verify import ALL_CHECKS
 
@@ -246,6 +247,35 @@ def test_transform_reports_swap_verdicts(tmp_path, capsys, monkeypatch):
     assert all("strict" not in l for l in drops)
 
 
+@pytest.mark.parametrize("content, moves", [("mi 2:1 3:1\nmi 3:1\nmi 4:1 5:1\nmi 5:1\n", True),
+                                            ("1\n2\n", False)])
+def test_transform_sums_final_set_only_without_steps(tmp_path, capsys, monkeypatch, content, moves):
+    # the final S is the last step's s_after; the command sums the set itself
+    # only when no move changed it
+    import gcdsums.cli as cli_module
+
+    calls = []
+    real = cli_module.gcd_sum
+
+    def counted(t, B):
+        calls.append(len(B))
+        return real(t, B)
+
+    monkeypatch.setattr(cli_module, "gcd_sum", counted)
+    path = write(tmp_path, "set.txt", content)
+    for mode in ("closure", "complete"):
+        calls.clear()
+        code, out, _ = run(capsys, ["transform", path, "--mode", mode, "--deterministic"])
+        lines = [json.loads(l) for l in out.splitlines()]
+        steps, final = lines[1:-1], lines[-1]
+        assert code == 0 and bool(steps) is moves
+        assert len(calls) == (0 if moves else 1)
+        B = IndexSet(map(parse_multiindex, final["final"]))
+        assert final["s_value"] == real(half, B)
+        if moves:
+            assert final["s_value"] == steps[-1]["s_after"]
+
+
 def test_transform_closure_mode(tmp_path, capsys):
     path = write(tmp_path, "set.txt", "mi 2:1 3:1\nmi 1:1\n")
     code, out, _ = run(capsys, ["transform", path, "--mode", "closure", "--deterministic"])
@@ -337,6 +367,31 @@ def test_verify_quick(capsys):
     lines = [l for l in out.splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert len(lines) == len(ALL_CHECKS)
+
+
+def test_verify_reports_solver_errors_per_check(capsys, monkeypatch):
+    # a solver or domain error fails its own check; the others still run
+    import gcdsums.verify as verify_module
+    from gcdsums.errors import DomainError
+
+    def diverging(*args, **kwargs):
+        raise ConvergenceError("power iteration did not converge in 3 iterations",
+                               estimate=1.0, residual=1e-7, iterations=3)
+
+    def out_of_scope(n):
+        raise DomainError(f"no tail for n={n}")
+
+    monkeypatch.setattr(verify_module, "rayleigh_bounds", diverging)
+    monkeypatch.setattr(verify_module, "tail_sum", out_of_scope)
+    code, out, err = run(capsys, ["verify", "--suite", "quick"])
+    lines = out.splitlines()
+    assert code == 2
+    assert len(lines) == len(ALL_CHECKS)
+    assert [l for l in lines if l.startswith("FAIL")] == [
+        "FAIL rayleigh_sandwich: ConvergenceError: power iteration did not converge in 3 iterations",
+        "FAIL tail_scaled_gap: DomainError: no tail for n=10000",
+    ]
+    assert "2 of 11 checks failed" in err
 
 
 def test_precision_env(tmp_path, capsys, monkeypatch):

@@ -39,23 +39,23 @@ from gcdsums import (
     rayleigh_bounds,
     spectral_norm,
     support_grouping_ratio,
+    to_mask,
     weighted_sf_form,
 )
 from gcdsums.search import cube_construction
 
-# Settings of the module that force each path.  The two pair-block paths
-# of old keep their ids, the largest universe of the XOR-table path: 22 takes
-# one product table for these small sets, 0 sends every set with a nonempty
-# universe to exponent blocks.  "split" takes product tables on slices of three
+# Settings of the module that force each square-free path.  Id 22, the
+# largest universe of the transform path, keeps its old name: one product
+# table for these small sets.  "split" takes product tables on slices of three
 # positions, and "transform" the Walsh-Hadamard path wherever it is allowed.
+# Exponent blocks serve only sets that are not square-free (`index_sets`).
 NO_TRANSFORM = {"_transform_cheaper": lambda n, m: False}
 KERNEL_PATHS = {
     22: NO_TRANSFORM,
-    0: {**NO_TRANSFORM, "_MASK_MAX_BITS": 0},
     "split": {**NO_TRANSFORM, "_TABLE_SLICE_BITS": 3},
     "transform": {"_transform_cheaper": lambda n, m: True},
 }
-PAIR_BLOCK_PATHS = [22, 0, "split"]
+PAIR_BLOCK_PATHS = [22, "split"]
 
 
 @contextmanager
@@ -81,6 +81,70 @@ def test_index_set_canonical_and_distinct():
         IndexSet([e1, e1])
     with pytest.raises(DomainError):
         IndexSet([])
+
+
+@st.composite
+def exponent_rows(draw):
+    """A universe of up to 70 positions below 140 and distinct rows over it,
+    square-free or with exponents up to 3, in no particular order; some
+    columns may be all zero."""
+    universe = sorted(draw(st.sets(st.integers(1, 140), max_size=70)))
+    top = draw(st.sampled_from([1, 3]))
+    width = len(universe)
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=width, max_size=width)
+                         .map(tuple), min_size=1, max_size=12, unique=True))
+    return universe, np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@given(exponent_rows())
+def test_from_rows_equals_the_decoded_members(case):
+    universe, rows = case
+    decoded = IndexSet(
+        MultiIndex({j: e for j, e in zip(universe, row) if e}) for row in rows.tolist()
+    )
+    B = IndexSet.from_rows(universe, rows)
+    assert B.members == decoded.members and B == decoded and hash(B) == hash(decoded)
+    assert B.universe() == decoded.universe()
+    assert B.exponent_matrix().dtype == decoded.exponent_matrix().dtype
+    assert np.array_equal(B.exponent_matrix(), decoded.exponent_matrix())
+    assert B.is_square_free() == decoded.is_square_free() == (rows.max(initial=0) <= 1)
+    if B.is_square_free():
+        assert np.array_equal(B.masks(), decoded.masks())
+    else:
+        for S in (B, decoded):
+            with pytest.raises(DomainError):
+                S.masks()
+
+
+@given(st.lists(st.integers(0, (1 << 130) - 1), min_size=1, max_size=10, unique=True))
+def test_masks_agree_with_to_mask(values):
+    # column i of the universe is bit i % 64 of word i // 64
+    B = IndexSet(map(from_mask, values))
+    words = B.masks()
+    assert words.dtype == np.uint64 and words.shape == (len(B), max(1, -(-len(B.universe()) // 64)))
+    for a, row in zip(B.members, words):
+        x = to_mask(a)
+        assert int.from_bytes(row.tobytes(), "little") == sum(
+            1 << i for i, j in enumerate(B.universe()) if x >> (j - 1) & 1
+        )
+
+
+def test_cached_arrays_are_read_only():
+    B = IndexSet([zero, e1, e1 + e3])
+    closure = lcm_closure(IndexSet([MultiIndex({1: 2}), e2]))
+    for array in (B.exponent_matrix(), B.masks(), cube_construction(3).masks(),
+                  closure.exponent_matrix()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    assert B.exponent_matrix() is B.exponent_matrix() and B.masks() is B.masks()
+    # a foreign universe is a new array scattered from the cached one
+    assert B.exponent_matrix((1, 2, 3)).tolist() == [[0, 0, 0], [1, 0, 0], [1, 0, 1]]
+
+
+def test_masks_need_a_square_free_set():
+    with pytest.raises(DomainError):
+        IndexSet([zero, MultiIndex({1: 2})]).masks()
 
 
 def test_gcd_sum_examples():
@@ -124,6 +188,28 @@ def test_split_tables_on_wide_sets():
     assert gcd_sum(half, B) == pytest.approx(brute_pair_sum(half, B.members), rel=1e-12)
     expected = [math.fsum(row) for row in brute_pair_matrix(half, B.members)]
     assert np.allclose(gcd_row_sums(half, B), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m", [63, 64, 70, 130])
+def test_mask_words_on_wide_sets(m):
+    # one to three mask words: the last member covers the positions the
+    # others miss, so the universe is 1..m and slices meet every word boundary
+    rng = random.Random(m)
+    members = {zero}
+    while len(members) < 29:
+        members.add(MultiIndex({j: 1 for j in rng.sample(range(1, m + 1), rng.randint(1, 9))}))
+    covered = set().union(*(a.support() for a in members))
+    members.add(MultiIndex({j: 1 for j in range(1, m + 1) if j not in covered}))
+    A = IndexSet(members)
+    B = IndexSet(A.members[:12] + (MultiIndex({1: 1, m: 1}), MultiIndex.unit(m - 1)))
+    assert A.universe() == tuple(range(1, m + 1))
+    assert A.masks().shape == (len(A), -(-m // 64))
+    assert gcd_sum(half, A) == pytest.approx(brute_pair_sum(half, A.members), rel=1e-12)
+    expected = [math.fsum(row) for row in brute_pair_matrix(half, A.members)]
+    assert np.allclose(gcd_row_sums(half, A), expected, rtol=1e-12, atol=0)
+    assert cross_sum(half, A, B) == pytest.approx(
+        brute_cross_sum(half, A.members, B.members), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("k", [15, 16, 17, 18])
