@@ -12,12 +12,16 @@ t^|a-b|.  The path is chosen from the input alone:
   model `_transform_cheaper` prefers it, takes the Walsh-Hadamard transform:
   its sum, row sums, weighted form and large-matrix matvec cost O(m 2^m)
   instead of O(N^2);
+- a set that is not square-free, when the cost model `_divisors_cheaper`
+  prefers it, takes the divisor factorization M = T diag(c) T^T (`_Divisors`):
+  its sum, row sums, large-matrix matvec and cross sums cost
+  O(sum_a prod_j (a_j + 1)) instead of O(N^2 m);
 - otherwise the one blocked pair kernel, `_pair_blocks`, evaluates t^|a-b|.
   For square-free sets, on any number of positions, the powers are products
   of lookups in XOR-indexed tables, one per slice of at most
   `_TABLE_SLICE_BITS` positions of a mask word; only sets that are not
   square-free take exponent-matrix blocks.
-Cross sums of two different sets and dense matrices always use the pair
+Cross sums of two square-free sets and dense matrices always use the pair
 kernel.  Sums are combined with compensated summation in a fixed order, so
 results are deterministic.
 
@@ -50,6 +54,13 @@ _TABLE_SLICE_BITS = 16  # positions per product table of the pair blocks
 # per-level numpy overhead no longer counts; for m = 9..12 the measured
 # crossover lies between n^2 = 2 m 2^m and 4 m 2^m.
 _TRANSFORM_COST = 4
+# Cost of one (member, divisor) entry of the divisor factorization against one
+# exponent-block pair per position.  On a 2-vCPU x86 VM (numpy 2.4) the two
+# paths break even between 80 and 400 (median about 150) on sets where either
+# takes over 10 ms: 100-1000 random integers below 10^6 or 10^8, and 100-2000
+# smooth integers on 6-16 primes.  A fixed cost of about 0.4 ms also favours
+# the pairs on fewer than about 40 random integers.
+_DIVISOR_COST = 150
 _DENSE_CAP = 4096  # dense storage, dense matvec and dense eigvalsh up to this n
 _BLOCK_BUDGET = 4_000_000  # floats per pair block
 
@@ -297,11 +308,118 @@ class _Transform:
         return x[self.masks] / len(x)
 
 
-def _transform_path(t: WeightSequence, B: IndexSet) -> _Transform | None:
-    """The transform path for B, when B is square-free and the cost model prefers it."""
-    m = len(B.universe())
-    if m <= _XOR_TABLE_MAX_BITS and _transform_cheaper(len(B), m) and B.is_square_free():
-        return _Transform(t, B)
+class _Divisors:
+    """The divisor factorization of the pair matrix of a set that is not
+    square-free (Smith 1876, over the divisor lattice).
+
+    For members a, b and every divisor e <= a of a member, let
+    T[a, e] = t^(a-e) and c(e) = prod over the support of e of (1 - t_j^2).
+    Then M = T diag(c) T^T: per position, t^|a-b| = t^(a+b) t^(-2 min(a,b)), and
+    t^(-2f) = sum over e <= f of prod_j (t_j^(-2 e_j) - t_j^(-2 (e_j - 1))) for
+    e_j > 0, which is t^(-2e) c(e).  So v . M v = sum_e c(e) (T^T v)(e)^2, a sum
+    of non-negative terms when v is, and M v = T (c . T^T v), at a cost of
+    O(sum_a prod_j (a_j + 1)) instead of O(N^2 m).  Every entry of T and c lies
+    in [0, 1], so exponents up to the matrix's cap of 30 000 cannot overflow.
+
+    With w the largest support of a member, form(1) lies within
+    (10 w + 2 N + 1) 2^-53 relative of the exact sum over the double weights:
+    an entry of T takes w powers and multiplies, c(e) w factors
+    (1 - t_j)(1 + t_j), each column sum at most N terms, and the final sum is
+    `math.fsum`.
+    """
+
+    def __init__(self, t: WeightSequence, B: IndexSet):
+        E = B.exponent_matrix()
+        w = t.weights_for(B.universe())
+        self.n = n = len(E)
+        # member r's s-th position (ascending) and its exponent there; slots
+        # past a member's support hold exponent 0, and so one divisor
+        members, cols = np.nonzero(E)
+        support = np.bincount(members, minlength=n)
+        slot = np.arange(len(members)) - (np.cumsum(support) - support)[members]
+        col = np.zeros((n, int(support.max())), dtype=np.intp)
+        top = np.zeros(col.shape, dtype=np.int64)
+        col[members, slot] = cols
+        top[members, slot] = E[members, cols]
+        # the divisors of member r are the mixed-radix numbers in the radices
+        # top[r] + 1: decode each entry's digits slot by slot, last slot first
+        counts = np.prod(top + 1, axis=1)
+        self.owner = np.repeat(np.arange(n), counts)
+        digits = np.arange(len(self.owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.value = np.ones(len(self.owner))  # T[owner, divisor]
+        scale = np.ones(len(self.owner))  # c(divisor)
+        keys = np.zeros((len(self.owner), col.shape[1]), dtype=np.int64)
+        sq = (1.0 - w) * (1.0 + w)  # 1 - t_j^2 without cancellation near t_j = 1
+        for s in reversed(range(col.shape[1])):
+            radix = top[self.owner, s] + 1
+            e = digits % radix
+            digits //= radix
+            j = col[self.owner, s]
+            self.value *= w[j] ** (radix - 1 - e)
+            on = e > 0
+            scale[on] *= sq[j[on]]
+            # exponents stay below 2^15, the matrix's cap of 30 000
+            keys[on, s] = (j[on] + 1) << 15 | e[on]
+        # a divisor's key is its sorted (position, exponent) pairs, whichever
+        # slots of whichever members they came from
+        keys.sort(axis=1)
+        order = np.lexsort(keys.T)
+        ranked = keys[order]
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        self.label = np.empty(len(order), dtype=np.intp)
+        self.label[order] = np.cumsum(fresh) - 1
+        self.scale = np.empty(int(fresh.sum()))
+        self.scale[self.label] = scale
+
+    def _columns(self, v) -> np.ndarray:
+        """T^T v"""
+        weights = self.value * np.asarray(v, dtype=np.float64)[self.owner]
+        return np.bincount(self.label, weights=weights, minlength=len(self.scale))
+
+    def form(self, v) -> float:
+        """v . M v"""
+        y = self._columns(v)
+        return math.fsum(self.scale * y * y)
+
+    def apply(self, v) -> np.ndarray:
+        """M v"""
+        y = self._columns(v)
+        y *= self.scale
+        return np.bincount(self.owner, weights=self.value * y[self.label], minlength=self.n)
+
+
+def _divisors_cheaper(entries: float, width: int, pairs: int, m: int) -> bool:
+    """Cost model of the divisor factorization with `entries` (member, divisor)
+    entries and members on at most `width` positions, against `pairs`
+    exponent-block pairs over m positions.  Its arrays hold about 2 width + 8
+    words per entry while it dedupes the divisors, so they must also fit in
+    two pair blocks."""
+    return _DIVISOR_COST * entries < pairs * m and entries * (2 * width + 8) <= 2 * _BLOCK_BUDGET
+
+
+def _divisor_size(*sets: IndexSet) -> tuple[float, int]:
+    """(entries, width) of the divisor factorization over the members of the
+    sets: sum_a prod_j (a_j + 1), in float64, and the largest support."""
+    entries, width = 0.0, 0
+    for S in sets:
+        E = S.exponent_matrix()
+        entries += float(np.prod(E + 1.0, axis=1).sum())
+        width = max(width, int(np.count_nonzero(E, axis=1).max()))
+    return entries, width
+
+
+def _transform_path(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | None:
+    """The transform path for B when the cost model prefers it: the
+    Walsh-Hadamard transform for a square-free set, the divisor factorization
+    for any other."""
+    n, m = len(B), len(B.universe())
+    if B.is_square_free():
+        if m <= _XOR_TABLE_MAX_BITS and _transform_cheaper(n, m):
+            return _Transform(t, B)
+        return None
+    if _divisors_cheaper(*_divisor_size(B), n * n, m):
+        return _Divisors(t, B)
     return None
 
 
@@ -370,6 +488,13 @@ def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
     """sum over a in A and b in B of t^|a-b|; cross_sum(t, B, B) == gcd_sum(t, B)."""
     if A == B:
         return gcd_sum(t, A)
+    if not (A.is_square_free() and B.is_square_free()):
+        m = len({*A.universe(), *B.universe()})
+        if _divisors_cheaper(*_divisor_size(A, B), len(A) * len(B), m):
+            # 1_A . M 1_B over the divisors of A and B together
+            union = IndexSet(A.as_set() | B.as_set())
+            rows = _Divisors(t, union).apply([b in B for b in union])
+            return float(math.fsum(rows[[a in A for a in union]]))
     return float(math.fsum(r for _, _, block in _pair_blocks(t, A, B) for r in block.sum(axis=1)))
 
 
@@ -652,7 +777,7 @@ class GcdMatrix:
         return self._dense
 
     @cached_property
-    def _transform(self) -> _Transform | None:
+    def _transform(self) -> _Transform | _Divisors | None:
         return _transform_path(self.t, self.B)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

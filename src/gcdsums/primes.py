@@ -1,5 +1,5 @@
-"""Lazily extended prime table backed by a segmented sieve, and integer
-factorization by Miller-Rabin and Pollard-Brent."""
+"""Lazily extended prime table backed by a cache-blocked wheel sieve, and
+integer factorization by Miller-Rabin and Pollard-Brent."""
 
 from __future__ import annotations
 
@@ -9,23 +9,101 @@ import numpy as np
 
 from .errors import DomainError, PrimeRangeError
 
-_SEGMENT = 1 << 22
-_DENSE_LIMIT = 1 << 24
 _DEFAULT_INITIAL = 1 << 16
 _DEFAULT_CEILING = 10 ** 9
+_WHEEL = (3, 5, 7, 11, 13)
+# Odd numbers per sieve block: 2^20 one-byte flags stay in a 2 MB L2 cache.
+# On a 2-vCPU x86 VM (numpy 2.4) sieving to 10^8 took 0.35 s with blocks
+# of 2^17 and 0.16 s with 2^20, where the per-prime slicing stops dominating.
+_BLOCK = 1 << 20
+
+
+def _wheel_pattern() -> np.ndarray:
+    """flags[i] for the odd number 2i + 1 over one period of 3*5*7*11*13
+    odd numbers: True iff it has no factor in _WHEEL."""
+    period = math.prod(_WHEEL)
+    flags = np.ones(period, dtype=bool)
+    for p in _WHEEL:
+        flags[p // 2 :: p] = False  # 2i + 1 = p (2k + 1) at i = p // 2 + p k
+    return flags
+
+
+_PATTERN = _wheel_pattern()
+
+
+def _count_bound(lo: int, hi: int) -> int:
+    """An upper bound on the number of primes in [lo, hi], lo >= 2: at most
+    one per odd number and 2, and pi(hi) - pi(lo - 1) with
+    pi(x) < 1.25506 x / ln x for x > 1 and pi(x) > x / ln x for x >= 17
+    (Rosser and Schoenfeld 1962)."""
+    odd = (hi - lo) // 2 + 2
+    upper = 1.25506 * hi / math.log(hi)
+    lower = (lo - 1) / math.log(lo - 1) if lo - 1 >= 17 else 0.0
+    return min(odd, int(upper - lower) + 2)
+
+
+def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """head followed by the primes p with lo <= p <= hi (lo > head[-1]), in
+    one preallocated int32 array.
+
+    Flags cover odd numbers only; each block of _BLOCK of them starts as the
+    tiled wheel pattern (no multiple of 3, 5, 7, 11 or 13), and every base
+    prime from 17 to isqrt(hi) strikes its odd multiples from its square on,
+    its next multiple carried from block to block."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return head
+    if hi >= 1 << 31:
+        raise DomainError(f"primes above 2^31 do not fit int32 storage (hi = {hi})")
+    out = np.empty(len(head) + _count_bound(lo, hi), dtype=np.int32)
+    out[: len(head)] = head
+    end = len(head)
+    if lo == 2:
+        out[end] = 2
+        end += 1
+    first, last = lo // 2, (hi - 1) // 2  # odd numbers 2i + 1 with lo <= 2i + 1 <= hi
+    if first > last:
+        return out[:end]
+    base = _sieve_into(np.zeros(0, dtype=np.int32), 17, math.isqrt(hi)).astype(np.int64)
+    # index of each base prime's first odd multiple in range, from its square on
+    start = np.maximum(base * base, (2 * first + 1 + base - 1) // base * base)
+    start += base * (start % 2 == 0)
+    nxt = start // 2
+    period = len(_PATTERN)
+    size = min(_BLOCK, last - first + 1)
+    tiled = np.tile(_PATTERN, size // period + 2)
+    flags = np.empty(size, dtype=bool)
+    for lo_i in range(first, last + 1, size):
+        n = min(size, last + 1 - lo_i)
+        block = flags[:n]
+        offset = lo_i % period
+        block[:] = tiled[offset : offset + n]
+        hi_i = lo_i + n
+        if lo_i < 7:  # the pattern strikes 3, ..., 13 and keeps 1
+            for i in range(lo_i, min(7, hi_i)):
+                block[i - lo_i] = 2 * i + 1 in _WHEEL
+        # base primes whose square lies in or below this block
+        live = int(np.searchsorted(base, math.isqrt(2 * hi_i - 1), side="right"))
+        for p, j in zip(base[:live].tolist(), nxt[:live].tolist()):
+            block[j - lo_i :: p] = False
+        steps = np.maximum(hi_i - nxt[:live] + base[:live] - 1, 0) // base[:live]
+        nxt[:live] += steps * base[:live]
+        found = np.flatnonzero(block)
+        out[end : end + len(found)] = 2 * (found + lo_i) + 1
+        end += len(found)
+    return out[:end]
+
+
+def sieve_range(lo: int, hi: int) -> np.ndarray:
+    """All primes p with lo <= p <= hi, ascending, as int32: the table's
+    ceiling, 10^9, lies below 2^31, and half-width storage halves the table's
+    memory.  Empty when hi < lo."""
+    return _sieve_into(np.zeros(0, dtype=np.int32), int(lo), int(hi))
 
 
 def sieve_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as int32: the table's ceiling, 10^9,
-    lies below 2^31, and half-width storage halves the table's memory."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int32)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int32)
+    """All primes <= limit, ascending, as int32."""
+    return sieve_range(2, limit)
 
 
 class PrimeTable:
@@ -60,32 +138,9 @@ class PrimeTable:
             )
         # Geometric growth amortizes repeated small extensions.
         target = min(max(limit, 2 * self._limit, _DEFAULT_INITIAL), self._ceiling)
-        if target <= _DENSE_LIMIT:
-            self._primes = sieve_upto(target)
-        else:
-            self._append_segments(target)
+        self._primes = _sieve_into(self._primes, self._limit + 1, target)
+        self._primes.flags.writeable = False
         self._limit = target
-
-    def _append_segments(self, target: int) -> None:
-        """Sieve (limit, target] in segments of _SEGMENT flags and append the
-        primes found, as int32 like the rest of the table."""
-        base = sieve_upto(int(target ** 0.5) + 1)
-        chunks = [self._primes]
-        lo = self._limit + 1
-        while lo <= target:
-            hi = min(lo + _SEGMENT - 1, target)
-            flags = np.ones(hi - lo + 1, dtype=bool)
-            for p in base:
-                p = int(p)
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                if start > hi:
-                    continue
-                flags[start - lo :: p] = False
-            if lo <= 1:
-                flags[: 2 - lo] = False
-            chunks.append(np.flatnonzero(flags).astype(np.int32) + lo)
-            lo = hi + 1
-        self._primes = np.concatenate(chunks)
 
     def _ensure_count(self, count: int) -> None:
         while len(self) < count:
@@ -104,7 +159,7 @@ class PrimeTable:
         return int(self._primes[j - 1])
 
     def first(self, count: int) -> np.ndarray:
-        """The first `count` primes as an int32 array (read-only view)."""
+        """The first `count` primes as a read-only int32 view of the table."""
         if count < 0:
             raise DomainError("count must be >= 0")
         self._ensure_count(count)
@@ -126,7 +181,7 @@ class PrimeTable:
 
 DEFAULT_TABLE = PrimeTable()
 
-_TRIAL_PRIMES = tuple(int(p) for p in sieve_upto(1000))
+_TRIAL_PRIMES = tuple(sieve_upto(1000).tolist())
 # The first thirteen primes as Miller-Rabin bases decide primality exactly
 # below 3 317 044 064 679 887 385 961 981, the least strong pseudoprime to
 # all of them (Sorenson and Webster 2017); the first twelve alone first fail

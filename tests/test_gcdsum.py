@@ -20,6 +20,7 @@ import gcdsums.gcdsum as gcdsum_module
 from gcdsums import (
     ConvergenceError,
     DomainError,
+    ExplicitWeights,
     IndexSet,
     MultiIndex,
     PrimePowerWeights,
@@ -44,16 +45,19 @@ from gcdsums import (
 )
 from gcdsums.search import cube_construction
 
-# Settings of the module that force each square-free path.  Id 22, the
-# largest universe of the transform path, keeps its old name: one product
-# table for these small sets.  "split" takes product tables on slices of three
+# Settings of the module that force each kernel path.  Id 22, the largest
+# universe of the transform path, keeps its old name: one product table for
+# these small sets.  "split" takes product tables on slices of three
 # positions, and "transform" the Walsh-Hadamard path wherever it is allowed.
-# Exponent blocks serve only sets that are not square-free (`index_sets`).
-NO_TRANSFORM = {"_transform_cheaper": lambda n, m: False}
+# "divisor" takes the divisor factorization for every set that is not
+# square-free and leaves square-free sets on the pair blocks; the pair paths
+# send such sets to exponent blocks.
+NO_TRANSFORM = {"_transform_cheaper": lambda n, m: False, "_divisors_cheaper": lambda *size: False}
 KERNEL_PATHS = {
     22: NO_TRANSFORM,
     "split": {**NO_TRANSFORM, "_TABLE_SLICE_BITS": 3},
     "transform": {"_transform_cheaper": lambda n, m: True},
+    "divisor": {**NO_TRANSFORM, "_divisors_cheaper": lambda *size: True},
 }
 PAIR_BLOCK_PATHS = [22, "split"]
 
@@ -210,6 +214,100 @@ def test_mask_words_on_wide_sets(m):
     assert cross_sum(half, A, B) == pytest.approx(
         brute_cross_sum(half, A.members, B.members), rel=1e-12
     )
+
+
+@settings(max_examples=60)
+@given(index_sets(max_index=7, max_exponent=4, max_n=10))
+def test_divisor_path_matches_brute_force(B):
+    with kernel_path("divisor"):
+        path = gcdsum_module._transform_path(half, B)
+        value = gcd_sum(half, B)
+        rows = gcd_row_sums(half, B)
+    # square-free sets keep their own paths, whatever the divisor cost model says
+    assert isinstance(path, gcdsum_module._Divisors) != B.is_square_free()
+    assert value == pytest.approx(brute_pair_sum(half, B.members), rel=1e-12)
+    expected = [math.fsum(row) for row in brute_pair_matrix(half, B.members)]
+    assert np.allclose(rows, expected, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60)
+@given(index_sets(max_index=6, max_exponent=3, max_n=8), index_sets(max_index=8, max_exponent=2, max_n=8))
+def test_divisor_path_cross_sum_matches_brute_force(A, B):
+    with kernel_path("divisor"):
+        forward = cross_sum(half, A, B)
+        backward = cross_sum(half, B, A)
+    expected = brute_cross_sum(half, A.members, B.members)
+    assert forward == pytest.approx(expected, rel=1e-12)
+    assert backward == pytest.approx(expected, rel=1e-12)
+
+
+def test_divisor_path_on_integers_below_1e8():
+    rng = random.Random(12)
+    ns = rng.sample(range(1, 10**8), 200)
+    B = index_set_from_integers(ns)
+    for alpha in (0.5, 1.0):
+        t = PrimePowerWeights(alpha)
+        assert isinstance(gcdsum_module._transform_path(t, B), gcdsum_module._Divisors)
+        assert gcd_sum(t, B) == pytest.approx(gcd_sum_integers(ns, alpha), rel=1e-12)
+
+
+def divisor_bound(B) -> float:
+    """The stated relative bound of the divisor path's sum against the exact
+    sum over the double weights, (10 w + 2 N + 1) 2^-53, plus the double
+    weights' own error (at most 2^-53 each) carried through exponents of at
+    most 2 max_a sum_j a_j."""
+    E = B.exponent_matrix()
+    w, top = int(np.count_nonzero(E, axis=1).max()), int(E.sum(axis=1).max())
+    return (10 * w + 2 * len(B) + 1 + 4 * top) * 2.0**-53
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_divisor_path_at_the_exponent_cap(alpha):
+    t = PrimePowerWeights(alpha)
+    B = IndexSet([MultiIndex({1: 30_000}), MultiIndex({2: 29_999}), MultiIndex({1: 2, 2: 1})])
+    with kernel_path("divisor"):
+        value = gcd_sum(t, B)
+        rows = gcd_row_sums(t, B)
+        assert np.isfinite(gcd_matrix(t, B).matvec(np.ones(3))).all()
+    assert math.isfinite(value) and np.isfinite(rows).all()
+    exact = gcd_sum_mp(t, B, dps=50)
+    assert abs(value - float(exact)) <= divisor_bound(B) * float(exact)
+    assert math.fsum(rows) == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("values", [
+    (1e-3, 1e-5, 1e-9), (1 - 1e-9, 1 - 2e-9, 1 - 3e-9), (1 - 1e-15, 0.5, 1e-12),
+])
+def test_divisor_path_with_weights_near_0_and_1(values):
+    t = ExplicitWeights(sorted(values, reverse=True))
+    B = IndexSet([zero, MultiIndex({1: 3}), MultiIndex({1: 1, 2: 2}), MultiIndex({2: 4, 3: 1}),
+                  MultiIndex({1: 2, 3: 5}), e3, MultiIndex({1: 1, 2: 1, 3: 1})])
+    with kernel_path("divisor"):
+        value = gcd_sum(t, B)
+        rows = gcd_row_sums(t, B)
+    assert value == pytest.approx(brute_pair_sum(t, B.members), rel=divisor_bound(B))
+    expected = [math.fsum(row) for row in brute_pair_matrix(t, B.members)]
+    assert np.allclose(rows, expected, rtol=divisor_bound(B), atol=0)
+    assert abs(value - float(gcd_sum_mp(t, B))) <= divisor_bound(B) * value
+
+
+def test_divisor_cost_model():
+    # 250 random integers below 1e8 (4522 entries, members on at most six of
+    # 324 positions) take the divisor factorization; 300 smooth integers on
+    # six primes (232 140 entries) and two members on the exponent cap do not
+    cheaper = gcdsum_module._divisors_cheaper
+    assert cheaper(4522, 6, 250**2, 324)
+    assert not cheaper(232_140, 6, 300**2, 6)
+    assert not cheaper(60_001, 1, 2**2, 2)
+    # cheaper than the pairs, but its arrays would outgrow two pair blocks
+    assert not cheaper(10**6, 9, 10**8, 10**4)
+    rng = random.Random(4)
+    B = index_set_from_integers(rng.sample(range(1, 10**8), 250))
+    assert isinstance(gcdsum_module._transform_path(half, B), gcdsum_module._Divisors)
+    smooth = index_set_from_integers(
+        {2**rng.randint(0, 4) * 3**rng.randint(0, 4) * 5**rng.randint(0, 4) * 7**rng.randint(0, 4)
+         for _ in range(300)})
+    assert gcdsum_module._transform_path(half, smooth) is None
 
 
 @pytest.mark.parametrize("k", [15, 16, 17, 18])
@@ -435,6 +533,24 @@ def test_matrix_free_matvec_agrees():
                 M.dense()
             lam_free = spectral_norm(M)
         assert lam_free == pytest.approx(float(np.linalg.eigvalsh(reference)[-1]), rel=1e-11)
+
+
+def test_divisor_matvec_above_dense_cap():
+    rng = random.Random(17)
+    members = set()
+    while len(members) < 60:
+        members.add(MultiIndex({j: rng.randint(1, 3) for j in rng.sample(range(1, 9), rng.randint(0, 4))}))
+    B = IndexSet(members)
+    reference = np.array(brute_pair_matrix(half, B.members))
+    v = np.linspace(-1.0, 1.0, len(B))
+    with kernel_path("divisor", _DENSE_CAP=10):
+        M = gcd_matrix(half, B)
+        assert isinstance(M._transform, gcdsum_module._Divisors)
+        assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-14)
+        with pytest.raises(DomainError):
+            M.dense()
+        lam = spectral_norm(M)
+    assert lam == pytest.approx(float(np.linalg.eigvalsh(reference)[-1]), rel=1e-11)
 
 
 def test_spectral_norm_13_cube_by_transform():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import hypothesis.strategies as st
 
 from oracles import FIRST_PRIMES, primes_upto, trial_division
 
+import gcdsums.primes as primes_module
 from gcdsums import DomainError, PrimeRangeError, PrimeTable, from_integer, to_integer
-from gcdsums.primes import factorize, is_prime, sieve_upto
+from gcdsums.primes import DEFAULT_TABLE, factorize, is_prime, sieve_range, sieve_upto
 
 
 def is_prime_slow(n):
@@ -52,7 +54,7 @@ def test_lazy_growth():
 
 
 def test_segmented_growth_matches_dense():
-    # a ceiling past the dense cutoff forces the segment path
+    # a table past 2^24 spans sixteen sieve blocks of 2^20 odd numbers
     table = PrimeTable(initial_limit=(1 << 24) + 5000)
     dense = sieve_upto(100_000)
     assert list(table.first(len(dense))) == list(dense)
@@ -60,7 +62,7 @@ def test_segmented_growth_matches_dense():
 
 
 def test_table_stored_as_int32_matches_int64_sieve():
-    # past the dense cutoff, so the segments are appended too
+    # past 2^24: sixteen sieve blocks and part of a seventeenth
     limit = (1 << 24) + 300_000
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
@@ -80,6 +82,64 @@ def test_int32_table_ranks_near_1e8():
     assert table.prime(5_761_455) == 99_999_989
     for n in (99_999_989, 2 * 99_999_989, 99_999_989 * 99_999_971, 3 ** 5 * 7 * 99_999_959):
         assert to_integer(from_integer(n, table), table) == n
+
+
+_REFERENCE_LIMIT = (1 << 22) + 5000
+_REFERENCE = np.array(primes_upto(_REFERENCE_LIMIT), dtype=np.int64)
+
+
+def reference_range(lo, hi):
+    assert hi <= _REFERENCE_LIMIT
+    return _REFERENCE[(_REFERENCE >= lo) & (_REFERENCE <= hi)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-5, 40), (0, 1), (1, 2), (2, 2), (3, 3), (4, 4), (9, 9), (13, 13), (13, 17), (1, 13),
+    (5, 12), (10, 10_000), (288, 290), (289, 289), (15_015 * 2 - 10, 15_015 * 2 + 40),
+    (2, 1 << 21), (1, (1 << 21) + 1), ((1 << 21) - 5000, _REFERENCE_LIMIT),
+])
+def test_sieve_range_edges(lo, hi):
+    # 2^21 + 1 is the first odd number of the second block from 1, and the
+    # last window crosses one block edge; 13 and below are the wheel's primes
+    primes = sieve_range(lo, hi)
+    assert primes.dtype == np.int32
+    assert np.array_equal(primes, reference_range(lo, hi))
+
+
+def test_sieve_range_random_windows():
+    rng = random.Random(10)
+    for _ in range(200):
+        lo = rng.randrange(_REFERENCE_LIMIT)
+        hi = min(lo + rng.choice((10, 1000, 100_000, 3_000_000)), _REFERENCE_LIMIT)
+        assert np.array_equal(sieve_range(lo, hi), reference_range(lo, hi))
+
+
+@pytest.mark.parametrize("block", [144, 145, 180, 181, 64, 1])
+def test_sieve_range_prime_square_on_block_edge(monkeypatch, block):
+    # from 1, 17^2 = 289 is odd number 144 and 19^2 = 361 number 180: blocks
+    # of 144 and 180 put them first in a block, 145 and 181 last
+    monkeypatch.setattr(primes_module, "_BLOCK", block)
+    for lo, hi in ((1, 5000), (2, 4001), (288, 362), (289, 361), (7, 50)):
+        assert np.array_equal(sieve_range(lo, hi), reference_range(lo, hi)), (lo, hi)
+
+
+def test_sieve_range_empty_when_hi_below_lo():
+    for lo, hi in ((10, 9), (3, 2), (100, -100), (1 << 20, 5)):
+        primes = sieve_range(lo, hi)
+        assert primes.dtype == np.int32 and primes.size == 0
+
+
+def test_stored_table_is_read_only():
+    table = PrimeTable(initial_limit=100)
+    for view in (table.first(5), DEFAULT_TABLE.first(5)):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 4
+    table.prime(50_000)  # growth keeps the table read-only
+    with pytest.raises(ValueError):
+        table.first(5)[0] = 4
+    for t in (table, DEFAULT_TABLE):
+        assert t.prime(1) == 2 and t.index_of(3) == 2
 
 
 def test_ceiling_must_fit_int32():
