@@ -13,8 +13,9 @@ _DEFAULT_INITIAL = 1 << 16
 _DEFAULT_CEILING = 10 ** 9
 _WHEEL = (3, 5, 7, 11, 13)
 # Odd numbers per sieve block: 2^20 one-byte flags stay in a 2 MB L2 cache.
-# On a 2-vCPU x86 VM (numpy 2.4) sieving to 10^8 took 0.35 s with blocks
-# of 2^17 and 0.16 s with 2^20, where the per-prime slicing stops dominating.
+# On a 2-vCPU x86 VM (numpy 2.4) sieving to 10^8 took 0.43 s with blocks of
+# 2^17, where per-prime slicing dominates, 0.22 s with 2^20 and 0.29 s with
+# 2^22, which spill out of L2.
 _BLOCK = 1 << 20
 
 
@@ -47,7 +48,7 @@ def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
     one preallocated int32 array.
 
     Flags cover odd numbers only; each block of _BLOCK of them starts as the
-    tiled wheel pattern (no multiple of 3, 5, 7, 11 or 13), and every base
+    wheel pattern repeated (no multiple of 3, 5, 7, 11 or 13), and every base
     prime from 17 to isqrt(hi) strikes its odd multiples from its square on,
     its next multiple carried from block to block."""
     lo = max(lo, 2)
@@ -64,30 +65,32 @@ def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
     first, last = lo // 2, (hi - 1) // 2  # odd numbers 2i + 1 with lo <= 2i + 1 <= hi
     if first > last:
         return out[:end]
-    base = _sieve_into(np.zeros(0, dtype=np.int32), 17, math.isqrt(hi)).astype(np.int64)
-    # index of each base prime's first odd multiple in range, from its square on
-    start = np.maximum(base * base, (2 * first + 1 + base - 1) // base * base)
-    start += base * (start % 2 == 0)
-    nxt = start // 2
-    period = len(_PATTERN)
+    base = sieve_range(17, math.isqrt(hi)).astype(np.int64)
+    # each base prime's next odd multiple to strike, as an index: from its
+    # square or the first in range on
+    start = np.maximum(base * base, -(-(2 * first + 1) // base) * base)
+    nxt = (start + base * (start % 2 == 0)) // 2
     size = min(_BLOCK, last - first + 1)
-    tiled = np.tile(_PATTERN, size // period + 2)
     flags = np.empty(size, dtype=bool)
     for lo_i in range(first, last + 1, size):
         n = min(size, last + 1 - lo_i)
-        block = flags[:n]
-        offset = lo_i % period
-        block[:] = tiled[offset : offset + n]
         hi_i = lo_i + n
+        block = flags[:n]
+        # the wheel pattern, period by period, from odd number lo_i on
+        at, offset = 0, lo_i % len(_PATTERN)
+        while at < n:
+            piece = _PATTERN[offset : offset + n - at]
+            block[at : at + len(piece)] = piece
+            at, offset = at + len(piece), 0
         if lo_i < 7:  # the pattern strikes 3, ..., 13 and keeps 1
             for i in range(lo_i, min(7, hi_i)):
                 block[i - lo_i] = 2 * i + 1 in _WHEEL
-        # base primes whose square lies in or below this block
+        # the base primes whose square lies in or below this block
         live = int(np.searchsorted(base, math.isqrt(2 * hi_i - 1), side="right"))
         for p, j in zip(base[:live].tolist(), nxt[:live].tolist()):
             block[j - lo_i :: p] = False
-        steps = np.maximum(hi_i - nxt[:live] + base[:live] - 1, 0) // base[:live]
-        nxt[:live] += steps * base[:live]
+        # each next multiple moves to the first at or past hi_i
+        nxt[:live] += (hi_i - nxt[:live] + base[:live] - 1) // base[:live] * base[:live]
         found = np.flatnonzero(block)
         out[end : end + len(found)] = 2 * (found + lo_i) + 1
         end += len(found)

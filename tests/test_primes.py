@@ -129,6 +129,11 @@ def test_sieve_range_empty_when_hi_below_lo():
         assert primes.dtype == np.int32 and primes.size == 0
 
 
+def test_sieve_range_refuses_primes_past_int32():
+    with pytest.raises(DomainError):
+        sieve_range((1 << 31) - 10, 1 << 31)
+
+
 def test_stored_table_is_read_only():
     table = PrimeTable(initial_limit=100)
     for view in (table.first(5), DEFAULT_TABLE.first(5)):
