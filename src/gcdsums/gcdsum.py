@@ -398,15 +398,20 @@ def _divisors_cheaper(entries: float, width: int, pairs: int, m: int) -> bool:
     return _DIVISOR_COST * entries < pairs * m and entries * (2 * width + 8) <= 2 * _BLOCK_BUDGET
 
 
-def _divisor_size(*sets: IndexSet) -> tuple[float, int]:
-    """(entries, width) of the divisor factorization over the members of the
-    sets: sum_a prod_j (a_j + 1), in float64, and the largest support."""
+def _divisors_preferred(pairs: int, m: int, *sets: IndexSet) -> bool:
+    """Whether `_divisors_cheaper` prefers the divisor factorization over the
+    members of the sets, with sum_a prod_j (a_j + 1) entries (in float64)
+    and the largest support as width.  Every member has at least one entry,
+    and a set that is not square-free a width of at least 1, so when even
+    those bounds lose, the sizes are not computed."""
+    if not _divisors_cheaper(sum(map(len, sets)), 1, pairs, m):
+        return False
     entries, width = 0.0, 0
     for S in sets:
         E = S.exponent_matrix()
         entries += float(np.prod(E + 1.0, axis=1).sum())
         width = max(width, int(np.count_nonzero(E, axis=1).max()))
-    return entries, width
+    return _divisors_cheaper(entries, width, pairs, m)
 
 
 def _transform_path(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | None:
@@ -418,7 +423,7 @@ def _transform_path(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | 
         if m <= _XOR_TABLE_MAX_BITS and _transform_cheaper(n, m):
             return _Transform(t, B)
         return None
-    if _divisors_cheaper(*_divisor_size(B), n * n, m):
+    if _divisors_preferred(n * n, m, B):
         return _Divisors(t, B)
     return None
 
@@ -490,7 +495,7 @@ def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
         return gcd_sum(t, A)
     if not (A.is_square_free() and B.is_square_free()):
         m = len({*A.universe(), *B.universe()})
-        if _divisors_cheaper(*_divisor_size(A, B), len(A) * len(B), m):
+        if _divisors_preferred(len(A) * len(B), m, A, B):
             # 1_A . M 1_B over the divisors of A and B together
             union = IndexSet(A.as_set() | B.as_set())
             rows = _Divisors(t, union).apply([b in B for b in union])
