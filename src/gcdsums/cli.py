@@ -9,6 +9,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -432,8 +433,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process, built on first use (not at import):
+    building it costs about 30 times a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -4,32 +4,48 @@ Divisor-closed square-free families over positions {1..m} are exactly the
 downsets (order ideals) of the m-dimensional boolean lattice, and a set can
 always be replaced by a downset without lowering its pair sum, so exhaustive
 search ranges over downsets only.  The search runs on the members' bitmasks
-(`multiindex.to_mask`): positions {1..m} are the masks below 2^m.  IndexSets
-are built only for the pair sums and the reports.
+(`multiindex.to_mask`): positions {1..m} are the masks below 2^m.  Each
+search builds one product table T over them, T[x] = prod of t_j over the
+positions of x, so a pair's term t^|a-b| is T[a ^ b].
+
+IndexSets are built only where a full pair sum (`gcd_sum`) or a report needs
+one: `extremal_sf` re-sums the candidates that may tie the best, and
+`local_search` builds the current set for a completeness step and both sets
+of a near tie.  Both build the sets they report, and report their full sums.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DomainError
-from .gcdsum import IndexSet, gcd_sum
+from .gcdsum import IndexSet, _power_table, gcd_sum
 from .multiindex import from_mask, to_mask
-from .transforms import completeness_step, first_active_swap
+from .transforms import _first_swap, completeness_step
 from .weights import WeightSequence
 
 EXHAUSTIVE_MAX_INDEX = 6
+HEURISTIC_MAX_INDEX = 20  # the product table holds 2^m floats: 8 MB at m = 20
 CUBE_MAX_DIMENSION = 20
 TIE_TOL = 1e-12
+# the walk's running sums carry about n 2^-53 relative rounding; candidates
+# within this much beyond the tie tolerance of the best get a full sum
+_SUM_SLACK = 1e-9
 
 
-def _preds(x: int, m: int) -> list[int]:
-    return [x ^ (1 << b) for b in range(m) if x >> b & 1]
+def _table(t: WeightSequence, m: int) -> np.ndarray:
+    """T[x] for every mask x below 2^m."""
+    return _power_table(t.weights_for(range(1, m + 1)))
+
+
+def _index_set(masks: Iterable[int]) -> IndexSet:
+    return IndexSet(map(from_mask, masks))
 
 
 def cube_construction(k: int) -> IndexSet:
@@ -42,13 +58,7 @@ def cube_construction(k: int) -> IndexSet:
     return IndexSet.from_rows(range(1, k + 1), masks[:, None] >> np.arange(k, dtype=np.int32) & 1)
 
 
-def enumerate_downsets(m: int, n: int) -> Iterator[IndexSet]:
-    """Every downset of cardinality n in the m-cube, each exactly once.
-
-    Masks are decided in (popcount, value) order, including before excluding,
-    so the stream order is deterministic.  m is capped: the downset count
-    explodes past the 6-cube.
-    """
+def _check_exhaustive(m: int, n: int) -> None:
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if m > EXHAUSTIVE_MAX_INDEX:
@@ -59,28 +69,57 @@ def enumerate_downsets(m: int, n: int) -> Iterator[IndexSet]:
     if not 1 <= n <= (1 << m):
         raise DomainError(f"need 1 <= n <= 2^m, got n={n}")
 
-    masks = sorted(range(1 << m), key=lambda x: (bin(x).count("1"), x))
-    preds = [_preds(x, m) for x in masks]
-    total = len(masks)
-    chosen: set[int] = set()
+
+def _downsets(m: int, n: int, table: list[float]) -> Iterator[tuple[float, tuple[int, ...]]]:
+    """(S, masks) for every n-member downset of the m-cube, each exactly once,
+    with S summed over `table` as the walk adds members: adding x adds
+    1 + 2 sum over the members z already picked of table[x ^ z].
+
+    Masks are decided in (popcount, value) order, including before excluding,
+    so the stream order is deterministic.  A mask is includable when none of
+    its lower covers is missing (`missing`, kept as members come and go).
+    `stack` holds, per picked mask, the order position after it: its
+    excluding branch, still to walk.
+    """
+    order = sorted(range(1 << m), key=lambda x: (bin(x).count("1"), x))
+    upper = [[x | 1 << b for b in range(m) if not x >> b & 1] for x in range(1 << m)]
+    missing = [bin(x).count("1") for x in range(1 << m)]
+    total = len(order)
     picked: list[int] = []
-
-    def walk(pos: int) -> Iterator[IndexSet]:
+    sums = [0.0]
+    stack: list[int] = []
+    pos = 0
+    while True:
         if len(picked) == n:
-            yield IndexSet(map(from_mask, picked))
+            yield sums[-1], tuple(picked)
+        elif pos <= total - n + len(picked):
+            x = order[pos]
+            pos += 1
+            if not missing[x]:
+                for w in upper[x]:
+                    missing[w] -= 1
+                sums.append(sums[-1] + 1.0 + 2.0 * sum([table[x ^ z] for z in picked]))
+                picked.append(x)
+                stack.append(pos)
+            continue
+        if not stack:
             return
-        if pos >= total or len(picked) + (total - pos) < n:
-            return
-        x = masks[pos]
-        if all(p in chosen for p in preds[pos]):
-            chosen.add(x)
-            picked.append(x)
-            yield from walk(pos + 1)
-            picked.pop()
-            chosen.remove(x)
-        yield from walk(pos + 1)
+        pos = stack.pop()
+        for w in upper[picked.pop()]:
+            missing[w] += 1
+        sums.pop()
 
-    yield from walk(0)
+
+def enumerate_downsets(m: int, n: int) -> Iterator[IndexSet]:
+    """Every downset of cardinality n in the m-cube, each exactly once.
+
+    Masks are decided in (popcount, value) order, including before excluding,
+    so the stream order is deterministic.  m is capped: the downset count
+    explodes past the 6-cube.
+    """
+    _check_exhaustive(m, n)
+    for _, masks in _downsets(m, n, [0.0] * (1 << m)):
+        yield _index_set(masks)
 
 
 @dataclass
@@ -123,23 +162,26 @@ def extremal_sf(
     """Maximize S(t, .) over all n-member downsets of the m-cube.
 
     All maximizers within `tie_tol` relative of the best value are reported,
-    in canonical order.
+    in canonical order.  The walk's running sums only select the candidates
+    that may tie; the best value and the ties come from their full sums.
     """
+    _check_exhaustive(m, n)
     start = time.perf_counter()
+    keep = 1.0 - tie_tol - _SUM_SLACK
     best = -1.0
-    ties: list[tuple[float, IndexSet]] = []
+    near: list[tuple[float, tuple[int, ...]]] = []
     count = 0
-    for cand in enumerate_downsets(m, n):
+    for s, masks in _downsets(m, n, _table(t, m).tolist()):
         count += 1
-        s = gcd_sum(t, cand)
         if s > best:
             best = s
-            ties = [(v, c) for v, c in ties if v >= best * (1.0 - tie_tol)]
-        if s >= best * (1.0 - tie_tol):
-            ties.append((s, cand))
+            near = [c for c in near if c[0] >= best * keep]
+        if s >= best * keep:
+            near.append((s, masks))
+    sums = [(gcd_sum(t, B), B) for B in (_index_set(masks) for _, masks in near)]
+    best = max(v for v, _ in sums)
     maximizers = tuple(
-        sorted((c for v, c in ties if v >= best * (1.0 - tie_tol)),
-               key=lambda s: s.members)
+        sorted((B for v, B in sums if v >= best * (1.0 - tie_tol)), key=lambda s: s.members)
     )
     elapsed = (time.perf_counter() - start) * 1000.0
     return SearchReport(
@@ -154,28 +196,94 @@ def extremal_sf(
     )
 
 
-def _addable(chosen: set[int], m: int) -> list[int]:
-    # ascending masks outside the set whose predecessors all lie in it
-    return [x for x in range(1 << m)
-            if x not in chosen and all(p in chosen for p in _preds(x, m))]
+def _discard(items: list[int], x: int) -> None:
+    """Remove x from the ascending list if it is there."""
+    i = bisect_left(items, x)
+    if i < len(items) and items[i] == x:
+        del items[i]
 
 
-def _random_downset(rng: random.Random, n: int, m: int) -> set[int]:
-    chosen = {0}
-    while len(chosen) < n:
-        chosen.add(rng.choice(_addable(chosen, m)))
-    return chosen
+class _Frontier:
+    """A downset of the m-cube with its removable masks (maximal members
+    other than the bottom) and addable masks (outside it, every lower cover
+    in it), both ascending.  Adding or removing a mask changes only the
+    status of its own covers, so a move costs O(m^2)."""
+
+    def __init__(self, chosen: Iterable[int], m: int):
+        self.m = m
+        self.chosen = set(chosen)
+        self.removable = []
+        below: dict[int, int] = {}  # per mask outside: how many of its lower covers are in
+        for x in self.chosen:
+            covered = False
+            for y in self._upper(x):
+                if y in self.chosen:
+                    covered = True
+                else:
+                    below[y] = below.get(y, 0) + 1
+            if x and not covered:
+                self.removable.append(x)
+        self.removable.sort()
+        self.addable = sorted(y for y, count in below.items() if count == y.bit_count())
+
+    def _upper(self, x: int) -> list[int]:
+        return [x | 1 << b for b in range(self.m) if not x >> b & 1]
+
+    def _lower(self, x: int) -> list[int]:
+        return [x ^ 1 << b for b in range(self.m) if x >> b & 1]
+
+    def covers(self, x: int) -> list[int]:
+        """Ascending indices in `addable` of the upper covers of x."""
+        out = []
+        for w in self._upper(x):
+            i = bisect_left(self.addable, w)
+            if i < len(self.addable) and self.addable[i] == w:
+                out.append(i)
+        return out
+
+    def add(self, y: int) -> None:
+        """Add an addable mask."""
+        self.chosen.add(y)
+        _discard(self.addable, y)
+        for z in self._lower(y):
+            _discard(self.removable, z)
+        insort(self.removable, y)
+        for w in self._upper(y):
+            if all(z in self.chosen for z in self._lower(w)):
+                insort(self.addable, w)
+
+    def remove(self, x: int) -> None:
+        """Remove a removable mask."""
+        self.chosen.remove(x)
+        _discard(self.removable, x)
+        for w in self._upper(x):
+            _discard(self.addable, w)
+        insort(self.addable, x)
+        for z in self._lower(x):
+            if z and not any(w in self.chosen for w in self._upper(z)):
+                insort(self.removable, z)
 
 
-def _removable(chosen: set[int], m: int) -> list[int]:
-    # maximal members other than the bottom: nothing in the set covers them
-    out = []
-    for x in chosen:
-        if x == 0:
-            continue
-        if all((x | (1 << b)) not in chosen for b in range(m) if not x >> b & 1):
-            out.append(x)
-    return sorted(out)
+def _swap_delta(table: np.ndarray, members: np.ndarray, x: int, y: int) -> float:
+    """S after replacing member x by the non-member y, minus S before: twice
+    the terms of y against the other members less those of x, one gather
+    over the members' masks each."""
+    gain = table[members ^ y].sum() - table[members ^ x].sum()
+    return 2.0 * float(gain - table[x ^ y] + table[0])
+
+
+def _draw_skipping(rng: random.Random, items: list[int], skip: list[int]) -> int | None:
+    """rng.choice over `items` without the ascending indices `skip`, drawing
+    exactly as rng.choice over that filtered list; None when it is empty."""
+    count = len(items) - len(skip)
+    if not count:
+        return None
+    k = rng.choice(range(count))
+    for i in skip:
+        if i > k:
+            break
+        k += 1
+    return items[k]
 
 
 def local_search(
@@ -188,46 +296,80 @@ def local_search(
     """Hill-climbing over downsets: single-member swaps plus position swaps.
 
     Heuristic only; the report never claims optimality.  iterations == 0
-    returns the seeded initial downset unchanged.
+    returns the seeded initial downset unchanged.  A swap is scored by its
+    delta over the product table; a decision whose margin is within TIE_TOL
+    relative is taken on the full sums of both sets.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    if m > HEURISTIC_MAX_INDEX:
+        raise DomainError(
+            f"heuristic search capped at m={HEURISTIC_MAX_INDEX}; "
+            f"its product table holds 2^m entries"
+        )
     if not 1 <= n <= (1 << m):
         raise DomainError(f"need 1 <= n <= 2^m, got n={n}")
+    if iterations < 0:
+        raise DomainError(f"iterations must be >= 0, got {iterations}")
     start = time.perf_counter()
+    table = _table(t, m)
     rng = random.Random(seed)
-    chosen = _random_downset(rng, n, m)
-    current = IndexSet(map(from_mask, chosen))
-    s_current = gcd_sum(t, current)
-    best_set, best_value = current, s_current
+    front = _Frontier({0}, m)
+    while len(front.chosen) < n:
+        front.add(rng.choice(front.addable))
+
+    def full_sum(masks) -> float:
+        return gcd_sum(t, _index_set(masks))
+
+    members = np.fromiter(front.chosen, dtype=np.int64, count=n)
+    s_current = full_sum(front.chosen)
+    best_masks, best_value = frozenset(front.chosen), s_current
     evaluations = 1
 
     for it in range(iterations):
         if it % 8 == 7:
-            pair = first_active_swap(current)
-            if pair is not None:
-                current, _, s_current = completeness_step(t, current, *pair, s_before=s_current)
-                chosen = {to_mask(mi) for mi in current}
-                evaluations += 1
-        else:
-            removable = _removable(chosen, m)
-            if not removable:
+            pair = _first_swap(front.chosen)
+            if pair is None:
                 continue
-            x = rng.choice(removable)
-            without = chosen - {x}
-            addable = [y for y in _addable(without, m) if y != x]
-            if not addable:
-                continue
-            y = rng.choice(addable)
-            candidate_masks = without | {y}
-            candidate = IndexSet(map(from_mask, candidate_masks))
-            s_candidate = gcd_sum(t, candidate)
+            ui, uj = pair
+            current, _, s_current = completeness_step(
+                t, _index_set(front.chosen), ui.bit_length(), uj.bit_length(),
+                s_before=s_current)
+            front = _Frontier(map(to_mask, current), m)
+            members = np.fromiter(front.chosen, dtype=np.int64, count=n)
             evaluations += 1
-            if s_candidate > s_current:
-                chosen, current, s_current = candidate_masks, candidate, s_candidate
-        if s_current > best_value:
-            best_set, best_value = current, s_current
+        else:
+            if not front.removable:
+                continue
+            x = rng.choice(front.removable)
+            # the masks addable without x, but x: those that do not cover x
+            y = _draw_skipping(rng, front.addable, front.covers(x))
+            if y is None:
+                continue
+            evaluations += 1
+            delta = _swap_delta(table, members, x, y)
+            if abs(delta) <= TIE_TOL * s_current:
+                s_candidate = full_sum(front.chosen - {x} | {y})
+                s_before = full_sum(front.chosen)
+                if not s_candidate > s_before:
+                    s_current = s_before
+                    continue
+                s_current = s_candidate
+            elif delta > 0:
+                s_current += delta
+            else:
+                continue
+            front.remove(x)
+            front.add(y)
+            members[members == x] = y
+        margin = s_current - best_value
+        if margin > TIE_TOL * best_value or (
+                abs(margin) <= TIE_TOL * best_value
+                and full_sum(front.chosen) > full_sum(best_masks)):
+            best_masks, best_value = frozenset(front.chosen), s_current
 
+    best_set = _index_set(best_masks)
+    best_value = gcd_sum(t, best_set)
     elapsed = (time.perf_counter() - start) * 1000.0
     return SearchReport(
         n=n,

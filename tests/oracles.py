@@ -315,3 +315,156 @@ def chain_rows_reference(t, aux, members, threshold, closure):
         diff = (F[above] - E[k][None, :]).astype(np.float64)
         inner_by_member.append(float(math.fsum(np.exp(diff @ log_tw))))
     return records, inner_by_member
+
+
+# The extremal searches as they stood before they moved onto masks and one
+# product table: every candidate an IndexSet with a full gcd_sum, and the
+# heuristic's frontier rescanned over all 2^m masks.  Kept verbatim (library
+# calls and all) so the reports can be compared field by field.
+
+def _preds_reference(x: int, m: int) -> list[int]:
+    return [x ^ (1 << b) for b in range(m) if x >> b & 1]
+
+
+def enumerate_downsets_reference(m: int, n: int):
+    from gcdsums import DomainError, IndexSet
+    from gcdsums.multiindex import from_mask
+
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    if m > 6:
+        raise DomainError("exhaustive enumeration capped at m=6")
+    if not 1 <= n <= (1 << m):
+        raise DomainError(f"need 1 <= n <= 2^m, got n={n}")
+
+    masks = sorted(range(1 << m), key=lambda x: (bin(x).count("1"), x))
+    preds = [_preds_reference(x, m) for x in masks]
+    total = len(masks)
+    chosen: set[int] = set()
+    picked: list[int] = []
+
+    def walk(pos: int):
+        if len(picked) == n:
+            yield IndexSet(map(from_mask, picked))
+            return
+        if pos >= total or len(picked) + (total - pos) < n:
+            return
+        x = masks[pos]
+        if all(p in chosen for p in preds[pos]):
+            chosen.add(x)
+            picked.append(x)
+            yield from walk(pos + 1)
+            picked.pop()
+            chosen.remove(x)
+        yield from walk(pos + 1)
+
+    yield from walk(0)
+
+
+def extremal_sf_reference(t, n: int, m: int, tie_tol: float = 1e-12):
+    from gcdsums import gcd_sum
+    from gcdsums.search import SearchReport
+
+    best = -1.0
+    ties = []
+    count = 0
+    for cand in enumerate_downsets_reference(m, n):
+        count += 1
+        s = gcd_sum(t, cand)
+        if s > best:
+            best = s
+            ties = [(v, c) for v, c in ties if v >= best * (1.0 - tie_tol)]
+        if s >= best * (1.0 - tie_tol):
+            ties.append((s, cand))
+    maximizers = tuple(
+        sorted((c for v, c in ties if v >= best * (1.0 - tie_tol)),
+               key=lambda s: s.members)
+    )
+    return SearchReport(
+        n=n,
+        max_index=m,
+        best_value=best,
+        gamma=best / n,
+        maximizers=maximizers,
+        candidates=count,
+        elapsed_ms=0.0,
+        mode="exhaustive",
+    )
+
+
+def addable_reference(chosen: set, m: int) -> list:
+    # ascending masks outside the set whose predecessors all lie in it
+    return [x for x in range(1 << m)
+            if x not in chosen and all(p in chosen for p in _preds_reference(x, m))]
+
+
+def _random_downset_reference(rng, n: int, m: int) -> set:
+    chosen = {0}
+    while len(chosen) < n:
+        chosen.add(rng.choice(addable_reference(chosen, m)))
+    return chosen
+
+
+def removable_reference(chosen: set, m: int) -> list:
+    # maximal members other than the bottom: nothing in the set covers them
+    out = []
+    for x in chosen:
+        if x == 0:
+            continue
+        if all((x | (1 << b)) not in chosen for b in range(m) if not x >> b & 1):
+            out.append(x)
+    return sorted(out)
+
+
+def local_search_reference(t, n: int, m: int, seed: int = 0, iterations: int = 1000):
+    import random
+
+    from gcdsums import IndexSet, completeness_step, first_active_swap, gcd_sum
+    from gcdsums.multiindex import from_mask, to_mask
+    from gcdsums.search import SearchReport
+
+    rng = random.Random(seed)
+    chosen = _random_downset_reference(rng, n, m)
+    current = IndexSet(map(from_mask, chosen))
+    s_current = gcd_sum(t, current)
+    best_set, best_value = current, s_current
+    evaluations = 1
+
+    for it in range(iterations):
+        if it % 8 == 7:
+            pair = first_active_swap(current)
+            if pair is not None:
+                current, _, s_current = completeness_step(t, current, *pair, s_before=s_current)
+                chosen = {to_mask(mi) for mi in current}
+                evaluations += 1
+        else:
+            removable = removable_reference(chosen, m)
+            if not removable:
+                continue
+            x = rng.choice(removable)
+            without = chosen - {x}
+            addable = [y for y in addable_reference(without, m) if y != x]
+            if not addable:
+                continue
+            y = rng.choice(addable)
+            candidate_masks = without | {y}
+            candidate = IndexSet(map(from_mask, candidate_masks))
+            s_candidate = gcd_sum(t, candidate)
+            evaluations += 1
+            if s_candidate > s_current:
+                chosen, current, s_current = candidate_masks, candidate, s_candidate
+        if s_current > best_value:
+            best_set, best_value = current, s_current
+
+    return SearchReport(
+        n=n,
+        max_index=m,
+        best_value=best_value,
+        gamma=best_value / n,
+        maximizers=(best_set,),
+        candidates=evaluations,
+        elapsed_ms=0.0,
+        mode="heuristic",
+        seed=seed,
+        iterations=iterations,
+    )

@@ -411,6 +411,51 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+def test_cached_parser_matches_fresh(tmp_path, capsys, monkeypatch):
+    from gcdsums import cli
+
+    path = write(tmp_path, "set.txt", "1\n2\n3\n6\n")
+    runs = [
+        ["sum", path, "--deterministic"],
+        ["search", "--n", "3"],  # usage error: missing --max-index
+        ["search", "--n", "5", "--max-index", "4", "--mode", "heuristic",
+         "--iterations", "40", "--deterministic"],
+    ]
+    cached = [run(capsys, argv) for argv in runs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, argv) for argv in runs]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0]
+
+
+def test_parser_not_built_at_import():
+    import subprocess
+    import sys
+
+    probe = "import gcdsums.cli as c; print(c._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--n", "5", "--max-index", "40"],
+    ["--n", "5", "--max-index", "30"],
+    ["--n", "5", "--max-index", "6", "--iterations", "-5"],
+])
+def test_heuristic_out_of_scope_fails_fast(capsys, extra):
+    main(["search", "--n", "2", "--max-index", "2", "--mode", "heuristic"])  # parser built
+    capsys.readouterr()
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["search", "--mode", "heuristic"] + extra)
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert elapsed < 0.1
+
+
 def test_missing_file_error(capsys):
     code, _, err = run(capsys, ["sum", "/nonexistent/path.txt"])
     assert code == 1

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import brute_downsets, brute_pair_sum
+import numpy as np
+
+from oracles import (
+    addable_reference,
+    brute_downsets,
+    brute_pair_sum,
+    extremal_sf_reference,
+    local_search_reference,
+    removable_reference,
+)
 
 from gcdsums import (
     DomainError,
@@ -21,6 +30,8 @@ from gcdsums import (
     is_divisor_closed,
     local_search,
 )
+from gcdsums import search
+from gcdsums.multiindex import from_mask
 
 half = PrimePowerWeights(0.5)
 zero = MultiIndex.zero()
@@ -168,3 +179,89 @@ def test_cube_construction_validation():
         cube_construction(0)
     with pytest.raises(DomainError):
         cube_construction(21)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("m", range(3, 10))
+def test_local_search_matches_reference(alpha, m):
+    t = PrimePowerWeights(alpha)
+    for n in (m + 1, min(1 << m, 3 * m)):
+        for seed in range(5):
+            got = local_search(t, n, m, seed=seed, iterations=200)
+            ref = local_search_reference(t, n, m, seed=seed, iterations=200)
+            assert got.to_dict(include_elapsed=False) == ref.to_dict(include_elapsed=False)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("m", range(3, 7))
+def test_extremal_sf_matches_reference(alpha, m):
+    t = PrimePowerWeights(alpha)
+    for n in sorted({1, 2, m, m + 3, min(1 << m, 2 * m - 1)}):
+        got = extremal_sf(t, n, m)
+        ref = extremal_sf_reference(t, n, m)
+        assert got.to_dict(include_elapsed=False) == ref.to_dict(include_elapsed=False)
+
+
+def test_extremal_sf_wide_tie_tolerance_matches_reference():
+    for tie_tol in (1e-3, 0.05, 0.5):
+        got = extremal_sf(half, 6, 4, tie_tol=tie_tol)
+        ref = extremal_sf_reference(half, 6, 4, tie_tol=tie_tol)
+        assert got.to_dict(include_elapsed=False) == ref.to_dict(include_elapsed=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_swap_delta_matches_full_sums(data):
+    m = data.draw(st.integers(1, 7))
+    alpha = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1,
+                               max_size=min(1 << m, 40) - 1, unique=True))
+    x = data.draw(st.sampled_from(masks))
+    y = data.draw(st.sampled_from([z for z in range(1 << m) if z not in masks]))
+    t = PrimePowerWeights(alpha)
+    before = IndexSet(map(from_mask, masks))
+    after = IndexSet(map(from_mask, [z for z in masks if z != x] + [y]))
+    delta = search._swap_delta(search._table(t, m), np.array(masks, dtype=np.int64), x, y)
+    s_before, s_after = gcd_sum(t, before), gcd_sum(t, after)
+    assert abs(delta - (s_after - s_before)) <= 1e-12 * max(s_before, s_after)
+
+
+def test_frontier_matches_brute_force_after_every_move(monkeypatch):
+    checked = []
+
+    class Checked(search._Frontier):
+        def check(self, kind):
+            assert self.removable == removable_reference(self.chosen, self.m)
+            assert self.addable == addable_reference(self.chosen, self.m)
+            checked.append(kind)
+
+        def __init__(self, chosen, m):
+            super().__init__(chosen, m)
+            self.check("scan")
+
+        def add(self, y):
+            super().add(y)
+            self.check("add")
+
+        def remove(self, x):
+            super().remove(x)
+            self.check("remove")
+
+    monkeypatch.setattr(search, "_Frontier", Checked)
+    rep = local_search(half, 24, 7, seed=3, iterations=300)
+    monkeypatch.undo()
+    assert rep.to_dict(include_elapsed=False) == local_search(
+        half, 24, 7, seed=3, iterations=300).to_dict(include_elapsed=False)
+    # the initial scan and the rescans after completeness steps, the initial
+    # growth, and the accepted swaps
+    assert checked.count("scan") >= 2
+    assert checked.count("add") > 24 and checked.count("remove") > 5
+
+
+def test_local_search_validation():
+    with pytest.raises(DomainError):
+        local_search(half, 5, search.HEURISTIC_MAX_INDEX + 1)
+    with pytest.raises(DomainError):
+        local_search(half, 5, 6, iterations=-1)
+    with pytest.raises(DomainError):
+        local_search(half, 0, 6)
