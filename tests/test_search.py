@@ -1,10 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-
-import numpy as np
 
 from oracles import (
     addable_reference,
@@ -17,6 +16,7 @@ from oracles import (
 
 from gcdsums import (
     DomainError,
+    ExplicitWeights,
     IndexSet,
     MultiIndex,
     PrimePowerWeights,
@@ -190,6 +190,23 @@ def test_local_search_matches_reference(alpha, m):
             got = local_search(t, n, m, seed=seed, iterations=200)
             ref = local_search_reference(t, n, m, seed=seed, iterations=200)
             assert got.to_dict(include_elapsed=False) == ref.to_dict(include_elapsed=False)
+
+
+def test_local_search_matches_reference_on_tied_weights(monkeypatch):
+    # equal weights past the first make many swaps exact ties, which are
+    # decided on full sums
+    t = ExplicitWeights([0.6, 0.5])
+    calls = []
+    full = search.gcd_sum
+    monkeypatch.setattr(search, "gcd_sum", lambda *a: calls.append(1) or full(*a))
+    for m, n in ((4, 6), (5, 9), (6, 14)):
+        for seed in range(5):
+            got = local_search(t, n, m, seed=seed, iterations=200)
+            ref = local_search_reference(t, n, m, seed=seed, iterations=200)
+            assert got.to_dict(include_elapsed=False) == ref.to_dict(include_elapsed=False)
+    # outside near ties a run sums in full twice (start and report), 30 in
+    # all; completeness steps sum inside transforms
+    assert len(calls) > 300
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
