@@ -16,6 +16,9 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
+
+import numpy as np
 
 from .bounds import (
     bound_chain_report,
@@ -34,7 +37,7 @@ from .gcdsum import (
     spectral_norm,
     support_grouping_form,
 )
-from .multiindex import MultiIndex, from_integer, parse_multiindex
+from .multiindex import format_items, from_integer, parse_items
 from .search import cube_construction, extremal_sf, local_search
 from .transforms import divisor_closure, is_complete, normalize_to_complete
 from .verify import run_suite
@@ -84,10 +87,11 @@ def parse_set_file(path: str) -> IndexSet:
     """Read one member per line: a decimal integer or an `mi j:e ...` form.
 
     Blank lines and `#` comments are skipped; duplicates and malformed lines
-    are rejected with their line number.
+    are rejected with their line number.  A line becomes its (position,
+    exponent) pairs, which are both its key among the lines seen and its
+    row of the set; no `MultiIndex` is built for an `mi` line.
     """
-    members: list[MultiIndex] = []
-    seen: dict[MultiIndex, int] = {}
+    seen: dict[tuple[tuple[int, int], ...], int] = {}
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -99,25 +103,31 @@ def parse_set_file(path: str) -> IndexSet:
                 continue
             try:
                 if line.startswith("mi"):
-                    mi = parse_multiindex(line)
+                    items = tuple(parse_items(line))
                 else:
                     value = int(line)
                     if value >= 1 << 63:
                         raise DomainError(f"{value} is beyond the 64-bit range")
-                    mi = from_integer(value)
+                    items = from_integer(value).items
             except DomainError as exc:
                 raise ParseError(str(exc), line=lineno) from None
             except ValueError:
                 raise ParseError(f"malformed line {line!r}", line=lineno) from None
-            if mi in seen:
+            if items in seen:
                 raise ParseError(
-                    f"duplicate member {mi} (first seen at line {seen[mi]})", line=lineno
+                    f"duplicate member {format_items(items)} (first seen at line {seen[items]})",
+                    line=lineno,
                 )
-            seen[mi] = lineno
-            members.append(mi)
-    if not members:
+            seen[items] = lineno
+    if not seen:
         raise ParseError("set file has no members")
-    return IndexSet(members)
+    counts = np.fromiter(map(len, seen), dtype=np.intp, count=len(seen))
+    entries = np.fromiter(chain.from_iterable(chain.from_iterable(seen)), dtype=np.int64)
+    entries = entries.reshape(-1, 2)
+    universe, column = np.unique(entries[:, 0], return_inverse=True)
+    rows = np.zeros((len(seen), len(universe)), dtype=np.int16)
+    rows[np.repeat(np.arange(len(seen)), counts), column] = entries[:, 1]
+    return IndexSet.from_rows(universe.tolist(), rows)
 
 
 def load_weights(config: RunConfig) -> WeightSequence:

@@ -1,10 +1,11 @@
 """GCD sums over multi-index sets, their matrices, and spectral quantities.
 
-An `IndexSet` encodes itself once and caches the result: its universe (the
-sorted positions its members use), whether it is square-free, its int16
-exponent matrix over the universe and, when square-free, its bitmasks as
-uint64 words (universe column i is bit i % 64 of word i // 64).  Every kernel
-below reads these; `IndexSet.from_rows` turns arrays back into members.
+An `IndexSet` is stored as rows: its universe (the sorted positions its
+members use) and its int16 exponent matrix over the universe, a row per
+member in canonical order.  Whether it is square-free is read off the rows,
+and a square-free set caches its bitmasks as uint64 words (universe column i
+is bit i % 64 of word i // 64).  Every kernel below reads these; `MultiIndex`
+members are decoded from the rows only when a caller asks for them.
 
 The central quantity is S(t, B) = sum over all ordered pairs (a, b) of B of
 t^|a-b|.  The path is chosen from the input alone:
@@ -36,7 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath as mp
@@ -63,134 +66,258 @@ _TRANSFORM_COST = 4
 _DIVISOR_COST = 150
 _DENSE_CAP = 4096  # dense storage, dense matvec and dense eigvalsh up to this n
 _BLOCK_BUDGET = 4_000_000  # floats per pair block
+_EXPONENT_CAP = 30_000  # exponents fit the int16 rows, and differences of two an int32
+# Largest mask list `IndexSet.from_masks` sorts in Python: below about 30-40
+# masks a sort keyed on each mask's positions beats the fixed cost of the
+# numpy calls of `IndexSet._sort` (2-vCPU x86 VM, numpy 2.4)
+_PYTHON_SORT_MAX = 32
 
 
 class IndexSet:
     """A finite set of distinct multi-indices in canonical (sorted) order.
 
-    Encoded once, on first use, and cached: `universe`, `is_square_free`, the
-    read-only int16 `exponent_matrix` over the universe (a row per member, in
-    canonical order) and, for a square-free set, the read-only uint64 `masks`
-    (universe column i is bit i % 64 of word i // 64).  `from_rows` decodes.
+    Its state is its universe (the sorted positions its members use) and its
+    read-only int16 exponent matrix over the universe, a row per member in
+    canonical order, exponents at most 30 000; whether it is square-free is
+    read off the matrix.  `from_rows` and `from_masks` sort rows with one
+    `np.lexsort` (`_sort`), except that `from_masks` sorts short mask lists
+    in Python; `IndexSet(members)` sorts the members it is given (their
+    order is the canonical order) and encodes them to rows.
+
+    Cached on first use: for a square-free set, the uint64 mask words over
+    the universe (`masks`) and the Python-int position masks
+    (`position_masks`); for any set, the members as `MultiIndex` objects,
+    decoded from the rows only when `members`, iteration, `in`, `as_set` or
+    `hash` asks for them.
     """
 
-    __slots__ = ("_members", "_set", "_universe", "_square_free", "_matrix", "_masks")
+    __slots__ = ("_universe", "_rows", "_square_free", "_words", "_position_masks",
+                 "_members", "_set")
 
     def __init__(self, members: Iterable[MultiIndex]):
-        members = list(members)
-        sset = set(members)
-        if len(sset) != len(members):
+        # the members' own order is the canonical order, so they are sorted
+        # as they are and their rows written in that order
+        members = sorted(members)
+        if len(set(members)) != len(members):
             raise DomainError("members must be pairwise distinct")
         if not members:
             raise DomainError("an index set must be nonempty")
-        self._members = tuple(sorted(members))
-        self._set = frozenset(sset)
-        self._universe: tuple[int, ...] | None = None
-        self._square_free: bool | None = None
-        self._matrix: np.ndarray | None = None
-        self._masks: np.ndarray | None = None
+        universe = sorted({j for m in members for j, _ in m.items})
+        pos = {j: i for i, j in enumerate(universe)}
+        width = len(universe)
+        # flat cells and one numpy assignment: per-call numpy overhead, not
+        # the loop, is what a small set's encoding costs
+        cells, exponents = [], []
+        for r, m in enumerate(members):
+            for j, e in m.items:
+                cells.append(r * width + pos[j])
+                exponents.append(e)
+        top = max(exponents, default=0)
+        _check_exponent(top)
+        rows = np.zeros(len(members) * width, dtype=np.int16)
+        rows[cells] = exponents
+        self._store(tuple(universe), rows.reshape(len(members), width), top <= 1)
+        self._members = tuple(members)
+
+    def _store(self, universe: tuple[int, ...], rows: np.ndarray, square_free: bool) -> None:
+        """Take canonical int16 rows over the universe as this set's state."""
+        self._universe = universe
+        self._rows = rows
+        rows.flags.writeable = False
+        self._square_free = square_free
+        self._words = self._position_masks = self._members = self._set = None
+
+    def _encode(self, universe: Sequence[int], rows: np.ndarray) -> np.ndarray:
+        """Check distinct rows of exponents over the universe, given in any
+        order, drop their all-zero columns and take them as this set's state
+        (`_sort`); returns the order that sorts them."""
+        if not len(rows):
+            raise DomainError("an index set must be nonempty")
+        universe = tuple(map(int, universe))
+        if rows.ndim != 2 or rows.shape[1] != len(universe):
+            raise DomainError(f"rows of shape {rows.shape} do not lie over {len(universe)} positions")
+        low, top = int(rows.min(initial=0)), int(rows.max(initial=0))
+        if low < 0:
+            raise DomainError(f"exponent must be >= 0, got {low}")
+        _check_exponent(top)
+        keep = rows.any(axis=0)
+        if not keep.all():
+            rows = rows[:, keep]
+            universe = tuple(compress(universe, keep.tolist()))
+        if universe and (universe[0] < 1 or not all(map(int.__lt__, universe, universe[1:]))):
+            raise DomainError("universe positions must be >= 1 and strictly increasing")
+        return self._sort(universe, rows, top)
+
+    def _sort(self, universe: tuple[int, ...], rows: np.ndarray, top: int) -> np.ndarray:
+        """Take rows of exponents at most `top` over the universe, every
+        column used, as this set's state in canonical order; returns the
+        order that sorts them.
+
+        The canonical order is that of the members' (position, exponent)
+        tuples, a prefix first.  Compared column by column, two rows first
+        differ where one has the smaller exponent, or where one has a gap:
+        a zero before its last nonzero entry, which sorts after every
+        exponent (the other member's next position comes first).  So each
+        row is keyed by its exponents with such gaps raised to top + 1, the
+        columns packed into as few int64 words as hold them, most
+        significant first, and one `np.lexsort` over the words sorts the
+        rows; two equal adjacent keys are a duplicate.
+        """
+        n, m = rows.shape
+        present = rows > 0
+        column = np.arange(1, m + 1)
+        last = np.maximum.reduce(present * column, axis=1, initial=0)  # 1-based; 0 for the zero row
+        key = rows + (~present & (column < last[:, None])) * np.int16(top + 1)
+        bits = (top + 1).bit_length()
+        per = 63 // bits
+        words = [key[:, s : s + per] @ (1 << bits * np.arange(min(per, m - s) - 1, -1, -1))
+                 for s in range(0, m, per)] or [np.zeros(n, dtype=np.int64)]
+        order = np.lexsort(words[::-1])
+        ranked = np.column_stack(words)[order]
+        if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+            raise DomainError("members must be pairwise distinct")
+        self._store(universe, rows[order].astype(np.int16, copy=False), top <= 1)
+        return order
 
     @classmethod
     def from_rows(cls, universe: Sequence[int], rows: np.ndarray) -> "IndexSet":
         """The set of the distinct rows of exponents over the universe, given
         in any order; the rows, in canonical order and without all-zero
         columns, become its exponent matrix."""
-        rows = np.asarray(rows)
-        top = int(rows.max(initial=0))
-        if top > 30_000:
-            raise DomainError(f"exponent {top} too large for the pair kernel")
-        keep = rows.any(axis=0)
-        universe = tuple(j for j, kept in zip(universe, keep.tolist()) if kept)
-        rows = rows[:, keep].astype(np.int16)
-        # rows become lists a block at a time, not all at once (8 bytes per entry)
-        members = [MultiIndex(zip(universe, row))
-                   for lo in range(0, len(rows), 4096) for row in rows[lo : lo + 4096].tolist()]
-        order = sorted(range(len(members)), key=members.__getitem__)
-        out = cls(members[i] for i in order)
-        out._universe = universe
-        out._square_free = top <= 1
-        out._matrix = rows[order]
-        out._matrix.flags.writeable = False
+        out = cls.__new__(cls)
+        out._encode(universe, np.asarray(rows))
+        return out
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> "IndexSet":
+        """The square-free set of distinct Python-int position masks (bit
+        j - 1 set iff position j is supported), any number of positions."""
+        masks = list(masks)
+        if not masks:
+            raise DomainError("an index set must be nonempty")
+        low = min(masks)
+        if low < 0:
+            raise DomainError(f"mask must be >= 0, got {low}")
+        small = len(masks) <= _PYTHON_SORT_MAX
+        if small:
+            # a square-free member's ascending positions order it, a prefix
+            # first; sorting on them skips the numpy calls of `_sort`
+            masks.sort(key=_set_bits)
+            if len(set(masks)) != len(masks):
+                raise DomainError("members must be pairwise distinct")
+        bits = _set_bits(reduce(or_, masks, 0))
+        if not bits or bits[-1] < 64:
+            words = np.array(masks, dtype="<u8").view(np.uint8).reshape(len(masks), 8)
+            rows = np.unpackbits(words, axis=1, bitorder="little")[:, bits]
+        else:
+            column = {b: i for i, b in enumerate(bits)}
+            rows = np.zeros((len(masks), len(bits)), dtype=np.uint8)
+            for r, x in enumerate(masks):
+                rows[r, [column[b] for b in _set_bits(x)]] = 1
+        out = cls.__new__(cls)
+        universe = tuple([b + 1 for b in bits])
+        if small:
+            out._store(universe, rows.astype(np.int16), True)
+        else:
+            masks = [masks[i] for i in out._sort(universe, rows, 1).tolist()]
+        out._position_masks = tuple(masks)
         return out
 
     @property
     def members(self) -> tuple[MultiIndex, ...]:
+        if self._members is None:
+            u = np.array(self._universe, dtype=np.int64)
+            members = []
+            # entries become lists a block of rows at a time, not all at once
+            for first in range(0, len(self), 4096):
+                block = self._rows[first : first + 4096]
+                r, c = np.nonzero(block)
+                pairs = list(zip(u[c].tolist(), block[r, c].tolist()))
+                ends = np.cumsum(np.count_nonzero(block, axis=1)).tolist()
+                members += [MultiIndex(pairs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+            self._members = tuple(members)
         return self._members
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[MultiIndex]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __contains__(self, mi: MultiIndex) -> bool:
-        return mi in self._set
+        return mi in self.as_set()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IndexSet) and self._set == other._set
+        return (isinstance(other, IndexSet) and self._universe == other._universe
+                and np.array_equal(self._rows, other._rows))
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self.members)
 
     def __repr__(self) -> str:
         return f"IndexSet({len(self)} members, max_index={self.max_index()})"
 
     def as_set(self) -> frozenset[MultiIndex]:
+        if self._set is None:
+            self._set = frozenset(self.members)
         return self._set
 
     def universe(self) -> tuple[int, ...]:
         """Sorted union of member supports."""
-        if self._universe is None:
-            self._universe = tuple(sorted({j for m in self._members for j, _ in m.items}))
         return self._universe
 
     def max_index(self) -> int:
-        u = self.universe()
+        u = self._universe
         return u[-1] if u else 0
 
     def is_square_free(self) -> bool:
-        if self._square_free is None:
-            try:
-                self.exponent_matrix()  # every caller reads the matrix next
-            except DomainError:  # an exponent above the matrix's cap
-                self._square_free = False
         return self._square_free
 
     def exponent_matrix(self, universe: Sequence[int] | None = None) -> np.ndarray:
-        """Members as rows of exponents over the set's universe (cached) or
-        over one containing it; exponents above 30 000 raise DomainError."""
-        if self._matrix is None:
-            # flat cells and one numpy assignment: per-call numpy overhead,
-            # not the loop, is what a small set's encoding costs
-            pos = {j: i for i, j in enumerate(self.universe())}
-            width = len(pos)
-            cells, exponents = [], []
-            for r, m in enumerate(self._members):
-                for j, e in m.items:
-                    cells.append(r * width + pos[j])
-                    exponents.append(e)
-            top = max(exponents, default=0)
-            self._square_free = top <= 1
-            if top > 30_000:
-                raise DomainError(f"exponent {top} too large for the pair kernel")
-            flat = np.zeros(len(self) * width, dtype=np.int16)
-            flat[cells] = exponents
-            self._matrix = flat.reshape(len(self), width)
-            self._matrix.flags.writeable = False
-        if universe is None or tuple(universe) == self.universe():
-            return self._matrix
+        """Members as rows of exponents over the set's universe (the cached
+        matrix) or over one containing it."""
+        if universe is None or tuple(universe) == self._universe:
+            return self._rows
         pos = {j: i for i, j in enumerate(universe)}
         out = np.zeros((len(self), len(universe)), dtype=np.int16)
-        out[:, [pos[j] for j in self.universe()]] = self._matrix
+        out[:, [pos[j] for j in self._universe]] = self._rows
         return out
 
     def masks(self) -> np.ndarray:
         """Members as bitmask words over the universe; square-free sets only."""
-        if self._masks is None:
-            if not self.is_square_free():
+        if self._words is None:
+            if not self._square_free:
                 raise DomainError("mask words need a square-free set")
-            self._masks = _mask_words(self.exponent_matrix())
-        return self._masks
+            self._words = _mask_words(self._rows)
+        return self._words
+
+    def position_masks(self) -> tuple[int, ...]:
+        """Members as Python-int masks over positions, bit j - 1 for position
+        j, in canonical order; square-free sets only."""
+        if self._position_masks is None:
+            if not self._square_free:
+                raise DomainError("position masks need a square-free set")
+            bits = [1 << (j - 1) for j in self._universe]
+            out = [0] * len(self)
+            for r, c in zip(*map(np.ndarray.tolist, np.nonzero(self._rows))):
+                out[r] |= bits[c]
+            self._position_masks = tuple(out)
+        return self._position_masks
+
+
+def _check_exponent(top: int) -> None:
+    if top > _EXPONENT_CAP:
+        raise DomainError(f"exponent {top} too large for the pair kernel")
+
+
+def _set_bits(x: int) -> list[int]:
+    """Indices of the set bits of x >= 0, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def _mask_words(rows: np.ndarray) -> np.ndarray:
@@ -576,8 +703,7 @@ def lcm_closure(B: IndexSet) -> IndexSet:
     position: the bitmask) into one int64 when the widths sum to at most 63
     bits; wider rows are keyed by their bytes.  Either way only the distinct
     joins become members, through `IndexSet.from_rows`, which keeps their rows
-    as the closure's exponent matrix.  Exponents above 30 000, the exponent
-    matrix's cap, raise DomainError.
+    as the closure's exponent matrix.
     """
     universe = B.universe()
     m = len(universe)
@@ -845,17 +971,23 @@ def min_eigenvalue(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_0
     return shift - mu
 
 
+def _support_patterns(B: IndexSet) -> tuple[IndexSet, np.ndarray, np.ndarray]:
+    """(reps, index, block): B's distinct support patterns as a square-free
+    set over B's universe, the index in np.unique's order of each
+    representative in canonical order, and the index of each member's
+    pattern.  One np.unique over the support rows, not a dict of members."""
+    patterns, block = np.unique(B.exponent_matrix() > 0, axis=0, return_inverse=True)
+    reps = IndexSet.__new__(IndexSet)
+    index = reps._encode(B.universe(), patterns.view(np.uint8))
+    return reps, index, block.reshape(-1)
+
+
 def group_by_support(B: IndexSet) -> list[tuple[MultiIndex, IndexSet]]:
     """Partition B into blocks of equal support, keyed by the square-free indicator."""
-    groups: dict[frozenset[int], list[MultiIndex]] = {}
-    for m in B:
-        groups.setdefault(m.support(), []).append(m)
-    out = []
-    for supp, block in groups.items():
-        rep = MultiIndex({j: 1 for j in supp})
-        out.append((rep, IndexSet(block)))
-    out.sort(key=lambda pair: pair[0])
-    return out
+    reps, index, block = _support_patterns(B)
+    E = B.exponent_matrix()
+    return [(rep, IndexSet.from_rows(B.universe(), E[block == k]))
+            for rep, k in zip(reps.members, index.tolist())]
 
 
 def weighted_sf_form(
@@ -880,11 +1012,8 @@ def weighted_sf_form(
 def support_grouping_form(u: WeightSequence, B: IndexSet) -> float:
     """Weighted square-free form of B's support blocks: each block's
     square-free indicator weighted by the square root of its size."""
-    groups = group_by_support(B)
-    reps = IndexSet([rep for rep, _ in groups])
-    order = {rep: len(block) for rep, block in groups}
-    sizes = [order[rep] for rep in reps.members]
-    return weighted_sf_form(u, reps, sizes)
+    reps, index, block = _support_patterns(B)
+    return weighted_sf_form(u, reps, np.bincount(block)[index])
 
 
 def support_grouping_ratio(u: WeightSequence, B: IndexSet) -> float:

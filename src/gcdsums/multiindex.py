@@ -68,10 +68,6 @@ class MultiIndex:
     def degree(self) -> int:
         return sum(e for _, e in self._items)
 
-    def weighted_rank(self) -> int:
-        """Sum of position * exponent; strictly drops under the transforms."""
-        return sum(j * e for j, e in self._items)
-
     def with_unit_added(self, j: int) -> "MultiIndex":
         m = dict(self._map)
         m[j] = m.get(j, 0) + 1
@@ -201,19 +197,24 @@ def to_integer(a: MultiIndex, table: PrimeTable = DEFAULT_TABLE) -> int:
     return n
 
 
+def format_items(items: Iterable[tuple[int, int]]) -> str:
+    """Text form of (position, exponent) pairs: `mi 1:2 3:1` (bare `mi` for none)."""
+    return "".join(["mi", *(f" {j}:{e}" for j, e in items)])
+
+
 def format_multiindex(a: MultiIndex) -> str:
     """Text form: `mi 1:2 3:1` (bare `mi` for zero)."""
-    if a.is_zero():
-        return "mi"
-    return "mi " + " ".join(f"{j}:{e}" for j, e in a.items)
+    return format_items(a.items)
 
 
 _MAX_PARSE_INDEX = 10 ** 6
 _MAX_PARSE_EXPONENT = 10 ** 4
 
 
-def parse_multiindex(text: str) -> MultiIndex:
-    """Parse the `mi j:e ...` text form; positions must be strictly increasing."""
+def parse_items(text: str) -> list[tuple[int, int]]:
+    """The (position, exponent) pairs of the `mi j:e ...` text form;
+    positions must be strictly increasing, below a cap of 10^6, and
+    exponents within [1, 10^4]."""
     tokens = text.split()
     if not tokens or tokens[0] != "mi":
         raise DomainError(f"expected 'mi' prefix, got {text!r}")
@@ -235,4 +236,9 @@ def parse_multiindex(text: str) -> MultiIndex:
             raise DomainError(f"exponent {e} outside [1, {_MAX_PARSE_EXPONENT}]")
         pairs.append((j, e))
         last = j
-    return MultiIndex(pairs)
+    return pairs
+
+
+def parse_multiindex(text: str) -> MultiIndex:
+    """Parse the `mi j:e ...` text form (see `parse_items`)."""
+    return MultiIndex(parse_items(text))

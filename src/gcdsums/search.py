@@ -3,10 +3,11 @@
 Divisor-closed square-free families over positions {1..m} are exactly the
 downsets (order ideals) of the m-dimensional boolean lattice, and a set can
 always be replaced by a downset without lowering its pair sum, so exhaustive
-search ranges over downsets only.  The search runs on the members' bitmasks
-(`multiindex.to_mask`): positions {1..m} are the masks below 2^m.  Each
-search builds one product table T over them, T[x] = prod of t_j over the
-positions of x, so a pair's term t^|a-b| is T[a ^ b].
+search ranges over downsets only.  The search runs on the members' position
+masks (bit j - 1 for position j): positions {1..m} are the masks below 2^m.
+Each search builds one product table T over them, T[x] = prod of t_j over
+the positions of x, so a pair's term t^|a-b| is T[a ^ b].  Sets are built
+from masks (`IndexSet.from_masks`), with no `MultiIndex` on the way.
 
 IndexSets are built only where a full pair sum (`gcd_sum`) or a report needs
 one: `extremal_sf` re-sums the candidates that may tie the best, and
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError
 from .gcdsum import IndexSet, _power_table, gcd_sum
-from .multiindex import from_mask, to_mask
 from .transforms import _first_swap, completeness_step
 from .weights import WeightSequence
 
@@ -44,18 +44,13 @@ def _table(t: WeightSequence, m: int) -> np.ndarray:
     return _power_table(t.weights_for(range(1, m + 1)))
 
 
-def _index_set(masks: Iterable[int]) -> IndexSet:
-    return IndexSet(map(from_mask, masks))
-
-
 def cube_construction(k: int) -> IndexSet:
     """All 2^k square-free multi-indices on positions {1..k}."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if k > CUBE_MAX_DIMENSION:
         raise DomainError(f"cube dimension capped at {CUBE_MAX_DIMENSION} (2^k members)")
-    masks = np.arange(1 << k, dtype=np.int32)
-    return IndexSet.from_rows(range(1, k + 1), masks[:, None] >> np.arange(k, dtype=np.int32) & 1)
+    return IndexSet.from_masks(range(1 << k))
 
 
 def _check_exhaustive(m: int, n: int) -> None:
@@ -119,7 +114,7 @@ def enumerate_downsets(m: int, n: int) -> Iterator[IndexSet]:
     """
     _check_exhaustive(m, n)
     for _, masks in _downsets(m, n, [0.0] * (1 << m)):
-        yield _index_set(masks)
+        yield IndexSet.from_masks(masks)
 
 
 @dataclass
@@ -178,7 +173,7 @@ def extremal_sf(
             near = [c for c in near if c[0] >= best * keep]
         if s >= best * keep:
             near.append((s, masks))
-    sums = [(gcd_sum(t, B), B) for B in (_index_set(masks) for _, masks in near)]
+    sums = [(gcd_sum(t, B), B) for B in (IndexSet.from_masks(masks) for _, masks in near)]
     best = max(v for v, _ in sums)
     maximizers = tuple(
         sorted((B for v, B in sums if v >= best * (1.0 - tie_tol)), key=lambda s: s.members)
@@ -319,7 +314,7 @@ def local_search(
         front.add(rng.choice(front.addable))
 
     def full_sum(masks) -> float:
-        return gcd_sum(t, _index_set(masks))
+        return gcd_sum(t, IndexSet.from_masks(masks))
 
     members = np.fromiter(front.chosen, dtype=np.int64, count=n)
     s_current = full_sum(front.chosen)
@@ -333,9 +328,9 @@ def local_search(
                 continue
             ui, uj = pair
             current, _, s_current = completeness_step(
-                t, _index_set(front.chosen), ui.bit_length(), uj.bit_length(),
+                t, IndexSet.from_masks(front.chosen), ui.bit_length(), uj.bit_length(),
                 s_before=s_current)
-            front = _Frontier(map(to_mask, current), m)
+            front = _Frontier(current.position_masks(), m)
             members = np.fromiter(front.chosen, dtype=np.int64, count=n)
             evaluations += 1
         else:
@@ -368,7 +363,7 @@ def local_search(
                 and full_sum(front.chosen) > full_sum(best_masks)):
             best_masks, best_value = frozenset(front.chosen), s_current
 
-    best_set = _index_set(best_masks)
+    best_set = IndexSet.from_masks(best_masks)
     best_value = gcd_sum(t, best_set)
     elapsed = (time.perf_counter() - start) * 1000.0
     return SearchReport(

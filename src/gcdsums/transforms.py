@@ -8,9 +8,10 @@ point yields a complete set: divisor closed, and closed under replacing any
 supported position by any smaller one.
 
 The functions take and return IndexSets of square-free members and raise
-DomainError on any other set.  Inside, members are bitmasks
-(`multiindex.to_mask`), so with u_j the one-bit mask of position j, dropping
-j from member x is x ^ u_j and swapping j for i is x ^ u_j | u_i.
+DomainError on any other set.  Inside, members are the sets' cached position
+masks (`IndexSet.position_masks`, bit j - 1 for position j), so with u_j the
+one-bit mask of position j, dropping j from member x is x ^ u_j and swapping
+j for i is x ^ u_j | u_i; results are built with `IndexSet.from_masks`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from functools import reduce
 from operator import or_
 from typing import Collection
 
+import numpy as np
+
 from .errors import DomainError, TransformLimitError
 from .gcdsum import IndexSet, cross_sum, gcd_sum, gcd_sum_mp
-from .multiindex import MultiIndex, from_mask, to_mask
 from .weights import WeightSequence
 
 STRICT_MARGIN_FLOOR = 1e-9
@@ -67,22 +69,23 @@ class TransformTrace:
         }
 
 
-def _by_mask(B: IndexSet, op: str) -> dict[int, MultiIndex]:
-    """B's members keyed by bitmask, so a move rebuilds only what it changes."""
-    try:
-        return {to_mask(m): m for m in B}
-    except DomainError:
-        raise DomainError(f"{op} requires a square-free set") from None
+def _mask_set(B: IndexSet, op: str) -> set[int]:
+    """B's members as a set of position masks."""
+    if not B.is_square_free():
+        raise DomainError(f"{op} requires a square-free set")
+    return set(B.position_masks())
 
 
 def _unit(j: int) -> int:
     """One-bit mask of position j."""
-    return to_mask(MultiIndex.unit(j))
+    if j < 1:
+        raise DomainError(f"position must be >= 1, got {j}")
+    return 1 << (j - 1)
 
 
 def _position(u: int) -> int:
     """Position of a one-bit mask."""
-    return from_mask(u).max_index()
+    return u.bit_length()
 
 
 def _units(x: int) -> list[int]:
@@ -113,13 +116,13 @@ def _first_swap(masks: Collection[int]) -> tuple[int, int] | None:
 def is_divisor_closed(B: IndexSet) -> bool:
     """True iff every member keeps membership after removing any supported
     position.  Square-free sets only."""
-    return _is_divisor_closed(_by_mask(B, "is_divisor_closed"))
+    return _is_divisor_closed(_mask_set(B, "is_divisor_closed"))
 
 
 def is_complete(B: IndexSet) -> bool:
     """Divisor closed, and for each member, supported position j, and free
     position i < j, the j-to-i swap stays in the set.  Square-free sets only."""
-    masks = _by_mask(B, "is_complete")
+    masks = _mask_set(B, "is_complete")
     return _is_divisor_closed(masks) and _first_swap(masks) is None
 
 
@@ -133,7 +136,7 @@ def divisor_closure(
     preserved and S never decreases.  Output depends on the sweep order; this
     implementation fixes ascending positions.
     """
-    current = _by_mask(B, "divisor_closure")
+    current = _mask_set(B, "divisor_closure")
     trace = TransformTrace(weights=t.label(), initial=B)
     result = B
     s_current = None
@@ -146,10 +149,9 @@ def divisor_closure(
                 continue
             if s_current is None:
                 s_current = gcd_sum(t, result)
-            for x in batch:
-                del current[x]
-                current[x ^ u] = from_mask(x ^ u)
-            result = IndexSet(current.values())
+            current.difference_update(batch)
+            current.update(x ^ u for x in batch)
+            result = IndexSet.from_masks(current)
             s_after = gcd_sum(t, result)
             trace.steps.append(
                 TraceStep(f"drop position {_position(u)} from {len(batch)} member(s)",
@@ -181,12 +183,12 @@ class SwapPartition:
         return (self.movable, self.saturated, self.both_lifted, self.i_lifted, self.rest)
 
 
-def _swap_members(B: IndexSet, i: int, j: int, op: str) -> tuple[dict, int, int]:
-    """Check the swap's preconditions; B's members by mask, and u_i and u_j."""
+def _swap_members(B: IndexSet, i: int, j: int, op: str) -> tuple[set[int], int, int]:
+    """Check the swap's preconditions; B's members as masks, and u_i and u_j."""
     if i >= j:
         raise DomainError(f"need i < j, got i={i}, j={j}")
     ui, uj = _unit(i), _unit(j)
-    members = _by_mask(B, op)
+    members = _mask_set(B, op)
     if not _is_divisor_closed(members):
         raise DomainError(f"{op} requires a divisor-closed set")
     return members, ui, uj
@@ -213,7 +215,7 @@ def swap_partition(B: IndexSet, i: int, j: int) -> SwapPartition:
         else:
             rest.append(x)
     return SwapPartition(*(
-        IndexSet(members[x] for x in part) if part else None
+        IndexSet.from_masks(part) if part else None
         for part in (movable, saturated, both_lifted, i_lifted, rest)
     ))
 
@@ -239,10 +241,9 @@ def completeness_step(
     if not movable:
         raise DomainError(f"no movable members for swap ({i}, {j})")
     # targets lack j and are absent by movability, so no two members collide
-    for x in movable:
-        del members[x]
-        members[x ^ uj | ui] = from_mask(x ^ uj | ui)
-    result = IndexSet(members.values())
+    members.difference_update(movable)
+    members.update(x ^ uj | ui for x in movable)
+    result = IndexSet.from_masks(members)
     if s_before is None:
         s_before = gcd_sum(t, B)
     s_after = gcd_sum(t, result)
@@ -268,7 +269,9 @@ def normalize_to_complete(
         raise DomainError("normalize_to_complete requires a square-free set")
     current, trace = divisor_closure(t, B)
     if max_steps is None:
-        max_steps = 10 + 2 * sum(m.weighted_rank() for m in current)
+        # twice the total weighted rank: column sums of the rows times positions
+        ranks = current.exponent_matrix().sum(axis=0, dtype=np.int64)
+        max_steps = 10 + 2 * int(ranks @ np.array(current.universe(), dtype=np.int64))
     # S(t, current), carried over from the previous step so each swap sums once
     s_current = trace.steps[-1].s_after if trace.steps else None
     steps = 0
@@ -299,7 +302,7 @@ def normalize_to_complete(
 def first_active_swap(B: IndexSet) -> tuple[int, int] | None:
     """The first swap (i, j) with a movable member, scanning ascending j, then
     ascending i < j; None when the set admits no swap.  Square-free sets only."""
-    pair = _first_swap(_by_mask(B, "first_active_swap"))
+    pair = _first_swap(_mask_set(B, "first_active_swap"))
     if pair is None:
         return None
     return _position(pair[0]), _position(pair[1])
@@ -329,7 +332,7 @@ def completeness_exchange_identity(
     if part.movable is None:
         raise DomainError(f"no movable members for swap ({i}, {j})")
     ui, uj = _unit(i), _unit(j)
-    moved = IndexSet(from_mask(to_mask(m) ^ uj | ui) for m in part.movable)
+    moved = IndexSet.from_masks(x ^ uj | ui for x in part.movable.position_masks())
 
     ti = t.weight_at(i)
     tj = t.weight_at(j)

@@ -468,3 +468,26 @@ def local_search_reference(t, n: int, m: int, seed: int = 0, iterations: int = 1
         seed=seed,
         iterations=iterations,
     )
+
+
+def eager_index_set(members):
+    """The eager set construction that rows replaced: the distinct members
+    sorted as MultiIndex values, the universe from their supports, the
+    exponent matrix filled member by member, and (square-free only) the mask
+    words with universe column i at bit i % 64 of word i // 64.  Returns
+    (members, universe, matrix, words or None)."""
+    members = tuple(sorted(members))
+    if len(set(members)) != len(members):
+        raise ValueError("members must be pairwise distinct")
+    universe = tuple(sorted({j for m in members for j, _ in m.items}))
+    column = {j: i for i, j in enumerate(universe)}
+    matrix = np.zeros((len(members), len(universe)), dtype=np.int16)
+    for r, m in enumerate(members):
+        for j, e in m.items:
+            matrix[r, column[j]] = e
+    if matrix.max(initial=0) > 1:
+        return members, universe, matrix, None
+    words = np.zeros((len(members), max(1, -(-len(universe) // 64))), dtype=np.uint64)
+    for r, c in zip(*np.nonzero(matrix)):
+        words[r, c // 64] |= np.uint64(1 << (c % 64))
+    return members, universe, matrix, words

@@ -55,6 +55,67 @@ def test_parse_set_file_overflow(tmp_path):
         parse_set_file(path)
 
 
+@pytest.mark.parametrize("content, message", [
+    # an integer line and an mi line share the duplicate key
+    ("6\nmi 1:1 2:1\n", "line 2: duplicate member mi 1:1 2:1 (first seen at line 1)"),
+    ("mi 1:1 2:1\n6\n", "line 2: duplicate member mi 1:1 2:1 (first seen at line 1)"),
+    ("mi 3:1 2:1\n", "line 1: positions must be strictly increasing (saw 2 after 3)"),
+    ("mi 2:1 2:1\n", "line 1: positions must be strictly increasing (saw 2 after 2)"),
+    ("mi 0:1\n", "line 1: positions must be strictly increasing (saw 0 after 0)"),
+    ("mi 1:0\n", "line 1: exponent 0 outside [1, 10000]"),
+    ("mi 1:10001\n", "line 1: exponent 10001 outside [1, 10000]"),
+    ("mi 1000001:1\n", "line 1: position 1000001 exceeds the cap 1000000"),
+    # a bare mi is the zero member, as is the integer 1
+    ("mi\n1\n", "line 2: duplicate member mi (first seen at line 1)"),
+    # comments and blank lines keep their line numbers
+    ("# c\n\nmi 1:1\n  # x\nmi 1:1  # again\n",
+     "line 5: duplicate member mi 1:1 (first seen at line 3)"),
+    ("mi :1 :1\n", "line 1: malformed entry ':1' (want position:exponent)"),
+    ("mi 1:1:1\n", "line 1: malformed entry '1:1:1' (want position:exponent)"),
+    ("mi1:1\n", "line 1: expected 'mi' prefix, got 'mi1:1'"),
+    ("# only a comment\n\n", "set file has no members"),
+])
+def test_parse_set_file_messages(tmp_path, content, message):
+    with pytest.raises(ParseError) as err:
+        parse_set_file(write(tmp_path, "set.txt", content))
+    assert str(err.value) == message
+
+
+def test_parse_set_file_edge_members(tmp_path):
+    path = write(tmp_path, "set.txt",
+                 "# header\n\n  mi  # the zero member\n\t\nmi 1000000:1\nmi\t2:1  3:10000\n")
+    B = parse_set_file(path)
+    assert B == IndexSet([MultiIndex.zero(), MultiIndex({1_000_000: 1}),
+                          MultiIndex({2: 1, 3: 10_000})])
+
+
+@pytest.fixture
+def multiindex_count(monkeypatch):
+    """How many MultiIndex objects have been built since the fixture started."""
+    made = [0]
+    init = MultiIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiIndex, "__init__", counting)
+    return lambda: made[0]
+
+
+def test_square_free_jobs_build_no_multiindex(tmp_path, capsys, multiindex_count):
+    # sum, matrix and cube read rows and masks only; members are decoded on demand
+    lines = [" ".join(["mi"] + [f"{j + 1}:1" for j in range(10) if x >> j & 1]) for x in range(300)]
+    path = write(tmp_path, "set.txt", "\n".join(lines) + "\n")
+    for argv in (["sum", path], ["matrix", path, "--stat", "both"], ["cube", "--k", "12"]):
+        code, _, err = run(capsys, argv + ["--alpha", "0.5", "--deterministic"])
+        assert code == 0, err
+    assert multiindex_count() == 0
+    # the count sees members that are asked for: transform prints them
+    assert run(capsys, ["transform", path, "--deterministic"])[0] == 0
+    assert multiindex_count() >= 300
+
+
 def test_out_of_range_member_fails_fast(tmp_path, capsys):
     # both prime factors lie above the 10^9 table ceiling; no sieve growth
     from gcdsums.primes import DEFAULT_TABLE

@@ -1,6 +1,8 @@
 import math
 import random
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from oracles import (
     brute_pair_matrix,
     brute_pair_sum,
     brute_weighted_form,
+    eager_index_set,
 )
 
 import gcdsums.gcdsum as gcdsum_module
@@ -43,6 +46,8 @@ from gcdsums import (
     to_mask,
     weighted_sf_form,
 )
+from gcdsums.cli import parse_set_file
+from gcdsums.multiindex import to_integer
 from gcdsums.search import cube_construction
 
 # Settings of the module that force each kernel path.  Id 22, the largest
@@ -131,6 +136,75 @@ def test_masks_agree_with_to_mask(values):
         assert int.from_bytes(row.tobytes(), "little") == sum(
             1 << i for i, j in enumerate(B.universe()) if x >> (j - 1) & 1
         )
+
+
+@st.composite
+def member_lists(draw):
+    """Distinct members in no particular order: square-free or with exponents
+    up to 4, on positions up to 12, 70 or 200 (so mask words past the first),
+    the zero member among them at times."""
+    top = draw(st.sampled_from([1, 1, 4]))
+    position = st.integers(1, draw(st.sampled_from([12, 70, 200])))
+    member = st.dictionaries(position, st.integers(1, top), max_size=7).map(MultiIndex)
+    return draw(st.lists(member, min_size=1, max_size=20, unique=True))
+
+
+@given(member_lists(), st.randoms(use_true_random=False))
+@example([zero], random.Random(0))
+@example([zero, MultiIndex({65: 1}), MultiIndex({1: 1, 200: 1}), e2], random.Random(1))
+@example([MultiIndex({3: 2}), zero, MultiIndex({3: 1, 70: 4})], random.Random(2))
+def test_constructors_match_the_eager_construction(members, rng):
+    ref, universe, matrix, words = eager_index_set(members)
+    rng.shuffle(members)
+    column = {j: i for i, j in enumerate(universe)}
+    rows = np.zeros((len(members), len(universe)), dtype=np.int64)
+    for r, m in enumerate(members):
+        for j, e in m.items:
+            rows[r, column[j]] = e
+    built = {"members": IndexSet(members), "rows": IndexSet.from_rows(universe, rows)}
+    if words is not None:
+        masks = [to_mask(m) for m in members]
+        built["masks"] = IndexSet.from_masks(masks)
+        with pytest.MonkeyPatch.context() as mp:
+            # small mask lists are sorted in Python; take the lexsort path too
+            mp.setattr(gcdsum_module, "_PYTHON_SORT_MAX", 0)
+            built["masks, lexsort"] = IndexSet.from_masks(masks)
+    with tempfile.TemporaryDirectory() as tmp:
+        # members whose integer fits 63 bits go in as integers every other line
+        path = Path(tmp) / "set.txt"
+        path.write_text("".join(
+            f"{to_integer(m)}\n" if i % 2 and to_integer(m) < 1 << 63 else f"{m}\n"
+            for i, m in enumerate(members)))
+        built["file"] = parse_set_file(str(path))
+    for name, B in built.items():
+        assert B == built["members"], name
+        assert B.members == ref and hash(B) == hash(ref), name
+        assert B.as_set() == frozenset(members) and all(m in B for m in members), name
+        assert B.universe() == universe, name
+        assert B.exponent_matrix().dtype == np.int16, name
+        assert np.array_equal(B.exponent_matrix(), matrix), name
+        assert B.is_square_free() == (words is not None), name
+        if words is not None:
+            assert np.array_equal(B.masks(), words), name
+            assert B.position_masks() == tuple(map(to_mask, ref)), name
+    if len(members) > 1:
+        assert IndexSet.from_rows(universe, rows[1:]) != built["members"]
+
+
+def test_from_masks_rejects_bad_input():
+    with pytest.raises(DomainError, match="nonempty"):
+        IndexSet.from_masks([])
+    for small in (0, 32):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gcdsum_module, "_PYTHON_SORT_MAX", small)
+            with pytest.raises(DomainError, match="distinct"):
+                IndexSet.from_masks([5, 1 << 100, 5])
+    with pytest.raises(DomainError, match=">= 0"):
+        IndexSet.from_masks([1, -2])
+    with pytest.raises(DomainError, match="distinct"):
+        IndexSet.from_rows((1, 2), np.array([[0, 1], [1, 0], [0, 1]]))
+    with pytest.raises(DomainError, match="too large"):
+        IndexSet([MultiIndex({1: 30_001})])
 
 
 def test_cached_arrays_are_read_only():
