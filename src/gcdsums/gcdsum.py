@@ -8,22 +8,21 @@ is bit i % 64 of word i // 64).  Every kernel below reads these; `MultiIndex`
 members are decoded from the rows only when a caller asks for them.
 
 The central quantity is S(t, B) = sum over all ordered pairs (a, b) of B of
-t^|a-b|.  The path is chosen from the input alone:
-- a square-free set on at most `_XOR_TABLE_MAX_BITS` positions, when the cost
-  model `_transform_cheaper` prefers it, takes the Walsh-Hadamard transform:
-  its sum, row sums, weighted form and large-matrix matvec cost O(m 2^m)
-  instead of O(N^2);
-- a set that is not square-free, when the cost model `_divisors_cheaper`
-  prefers it, takes the divisor factorization M = T diag(c) T^T (`_Divisors`):
-  its sum, row sums, large-matrix matvec and cross sums cost
-  O(sum_a prod_j (a_j + 1)) instead of O(N^2 m);
-- otherwise the one blocked pair kernel, `_pair_blocks`, evaluates t^|a-b|.
-  For square-free sets, on any number of positions, the powers are products
-  of lookups in XOR-indexed tables, one per slice of at most
-  `_TABLE_SLICE_BITS` positions of a mask word; only sets that are not
-  square-free take exponent-matrix blocks.
-Cross sums of two square-free sets and dense matrices always use the pair
-kernel.  Sums are combined with compensated summation in a fixed order, so
+t^|a-b|, the form 1 . M 1 of the pair matrix M[a, b] = t^|a-b|.  A set has one
+operator for M, chosen by `_operator` from the input alone; its `form` and
+`apply` give the sum, row sums, weighted form and large-matrix matvec:
+- `_Transform`, the Walsh-Hadamard transform of a square-free set on at most
+  `_XOR_TABLE_MAX_BITS` positions, in O(m 2^m) instead of O(N^2), when the
+  cost model `_transform_cheaper` prefers it;
+- `_Divisors`, the divisor factorization M = T diag(c) T^T of any other set, in
+  O(sum_a prod_j (a_j + 1)) instead of O(N^2 m), when `_divisors_cheaper` does;
+- `_Pairs` otherwise, over the one blocked pair kernel `_pair_blocks`: products
+  of lookups in XOR-indexed tables for square-free sets (one per slice of at
+  most `_TABLE_SLICE_BITS` positions of a mask word, any number of positions),
+  exponent-matrix blocks for any other set.
+A cross sum takes `_Divisors` over the union of its two sets or `_Pairs` of one
+against the other; dense matrices and the closure majorant read the pair
+blocks.  Sums are combined with compensated summation in a fixed order, so
 results are deterministic.
 
 The lcm closure of a square-free set takes the subset lattice when
@@ -416,19 +415,19 @@ class _Transform:
 
     def _transformed(self, v) -> np.ndarray:
         x = np.zeros(len(self.spectrum), dtype=np.float64)
-        x[self.masks] = v
+        x[self.masks] = 1.0 if v is None else v
         _fwht(x)
         return x
 
-    def form(self, v) -> float:
-        """v . M v"""
+    def form(self, v=None) -> float:
+        """v . M v, v all-ones by default"""
         x = self._transformed(v)
         x *= x
         x *= self.spectrum
         return math.fsum(x) / len(x)
 
-    def apply(self, v) -> np.ndarray:
-        """M v"""
+    def apply(self, v=None) -> np.ndarray:
+        """M v, v all-ones by default"""
         x = self._transformed(v)
         x *= self.spectrum
         _fwht(x)
@@ -501,16 +500,16 @@ class _Divisors:
 
     def _columns(self, v) -> np.ndarray:
         """T^T v"""
-        weights = self.value * np.asarray(v, dtype=np.float64)[self.owner]
+        weights = self.value if v is None else self.value * np.asarray(v, dtype=np.float64)[self.owner]
         return np.bincount(self.label, weights=weights, minlength=len(self.scale))
 
-    def form(self, v) -> float:
-        """v . M v"""
+    def form(self, v=None) -> float:
+        """v . M v, v all-ones by default"""
         y = self._columns(v)
         return math.fsum(self.scale * y * y)
 
-    def apply(self, v) -> np.ndarray:
-        """M v"""
+    def apply(self, v=None) -> np.ndarray:
+        """M v, v all-ones by default"""
         y = self._columns(v)
         y *= self.scale
         return np.bincount(self.owner, weights=self.value * y[self.label], minlength=self.n)
@@ -539,20 +538,6 @@ def _divisors_preferred(pairs: int, m: int, *sets: IndexSet) -> bool:
         entries += float(np.prod(E + 1.0, axis=1).sum())
         width = max(width, int(np.count_nonzero(E, axis=1).max()))
     return _divisors_cheaper(entries, width, pairs, m)
-
-
-def _transform_path(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | None:
-    """The transform path for B when the cost model prefers it: the
-    Walsh-Hadamard transform for a square-free set, the divisor factorization
-    for any other."""
-    n, m = len(B), len(B.universe())
-    if B.is_square_free():
-        if m <= _XOR_TABLE_MAX_BITS and _transform_cheaper(n, m):
-            return _Transform(t, B)
-        return None
-    if _divisors_preferred(n * n, m, B):
-        return _Divisors(t, B)
-    return None
 
 
 def _pair_blocks(
@@ -593,27 +578,45 @@ def _pair_blocks(
             yield lo, hi, np.exp(np.tensordot(diff, logw, axes=([2], [0])))
 
 
-def _block_row_sums(t: WeightSequence, B: IndexSet) -> np.ndarray:
-    out = np.empty(len(B), dtype=np.float64)
-    for lo, hi, block in _pair_blocks(t, B):
-        out[lo:hi] = block.sum(axis=1)
-    return out
+class _Pairs:
+    """The pair blocks of A against B (B defaults to A) as an operator."""
+
+    def __init__(self, t: WeightSequence, A: IndexSet, B: IndexSet | None = None):
+        self.t, self.A, self.B = t, A, B
+
+    def apply(self, v=None) -> np.ndarray:
+        """M v, v all-ones by default"""
+        out = np.empty(len(self.A), dtype=np.float64)
+        for lo, hi, block in _pair_blocks(self.t, self.A, self.B):
+            out[lo:hi] = block.sum(axis=1) if v is None else block @ v
+        return out
+
+    def form(self, v=None) -> float:
+        """v . M v, v all-ones by default (for A and B apart, 1_A . M 1_B)"""
+        rows = self.apply(v)
+        return math.fsum(rows if v is None else v * rows)
+
+
+def _operator(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | _Pairs:
+    """B's one pair operator: the transform for a square-free set and the divisor
+    factorization for any other where their cost models prefer them, else the pairs."""
+    n, m = len(B), len(B.universe())
+    if B.is_square_free():
+        if m <= _XOR_TABLE_MAX_BITS and _transform_cheaper(n, m):
+            return _Transform(t, B)
+    elif _divisors_preferred(n * n, m, B):
+        return _Divisors(t, B)
+    return _Pairs(t, B)
 
 
 def gcd_row_sums(t: WeightSequence, B: IndexSet) -> np.ndarray:
     """Per-member row sums sum_b t^|a-b| in canonical member order."""
-    transform = _transform_path(t, B)
-    if transform is not None:
-        return transform.apply(np.ones(len(B)))
-    return _block_row_sums(t, B)
+    return _operator(t, B).apply()
 
 
 def gcd_sum(t: WeightSequence, B: IndexSet) -> float:
     """S(t, B): the full pair sum including the diagonal; always >= |B|."""
-    transform = _transform_path(t, B)
-    if transform is not None:
-        return transform.form(np.ones(len(B)))
-    return float(math.fsum(_block_row_sums(t, B)))
+    return _operator(t, B).form()
 
 
 def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
@@ -621,13 +624,17 @@ def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
     if A == B:
         return gcd_sum(t, A)
     if not (A.is_square_free() and B.is_square_free()):
-        m = len({*A.universe(), *B.universe()})
-        if _divisors_preferred(len(A) * len(B), m, A, B):
-            # 1_A . M 1_B over the divisors of A and B together
-            union = IndexSet(A.as_set() | B.as_set())
-            rows = _Divisors(t, union).apply([b in B for b in union])
-            return float(math.fsum(rows[[a in A for a in union]]))
-    return float(math.fsum(r for _, _, block in _pair_blocks(t, A, B) for r in block.sum(axis=1)))
+        universe = tuple(sorted({*A.universe(), *B.universe()}))
+        if _divisors_preferred(len(A) * len(B), len(universe), A, B):
+            # 1_A . M 1_B over the divisors of the union of A and B, built from
+            # their rows; `where` places A's members, then B's, in its order
+            stacked = np.concatenate([A.exponent_matrix(universe), B.exponent_matrix(universe)])
+            rows, source = np.unique(stacked, axis=0, return_inverse=True)
+            union = IndexSet.__new__(IndexSet)
+            where = np.argsort(union._encode(universe, rows))[source.reshape(-1)]
+            in_b = np.bincount(where[len(A) :], minlength=len(rows))
+            return math.fsum(_Divisors(t, union).apply(in_b)[where[: len(A)]])
+    return _Pairs(t, A, B).form()
 
 
 def gcd_sum_mp(t: WeightSequence, B: IndexSet, dps: int = 50) -> mp.mpf:
@@ -869,23 +876,28 @@ def lcm_closure_bound(
     rhs = sum over c in closure(B) of (sum over members a <= c of t^(c-a))^2;
     returns (rhs, S <= rhs * (1 + tol)).
     """
-    E, logw = B.exponent_matrix(), np.log(t.weights_for(B.universe()))
+    closure = lcm_closure(B)
     # the closure lies on B's universe: joins add no position
-    inner = np.array([
-        math.fsum(np.exp((row - E[np.all(E <= row, axis=1)]).astype(np.float64) @ logw))
-        for row in lcm_closure(B).exponent_matrix()
-    ])
-    rhs = float(math.fsum(inner * inner))
-    s = gcd_sum(t, B)
-    return rhs, s <= rhs * (1.0 + tol) + tol
+    E, F = B.exponent_matrix(), closure.exponent_matrix()
+    inner = np.empty(len(closure), dtype=np.float64)
+    for lo, hi, block in _pair_blocks(t, closure, B):
+        # a <= c as rows x N bools built a column at a time, freed before the next block
+        below = np.ones(block.shape, dtype=bool)
+        for j in range(E.shape[1]):
+            below &= E[:, j] <= F[lo:hi, j, None]
+        block *= below
+        del below
+        inner[lo:hi] = block.sum(axis=1)
+    rhs = math.fsum(inner * inner)
+    return rhs, gcd_sum(t, B) <= rhs * (1.0 + tol) + tol
 
 
 class GcdMatrix:
     """Symmetric unit-diagonal matrix with entries t^|a-b| over B's members.
 
     Up to n = _DENSE_CAP the matrix is stored densely (built lazily) and
-    matvec multiplies it; above, matvec takes the transform path when the cost
-    model prefers it, and otherwise streams recomputed pair blocks.
+    matvec multiplies it; above, matvec applies B's one operator, chosen by
+    `_operator`: the transform, the divisor factorization or the pair blocks.
     """
 
     def __init__(self, t: WeightSequence, B: IndexSet):
@@ -908,18 +920,13 @@ class GcdMatrix:
         return self._dense
 
     @cached_property
-    def _transform(self) -> _Transform | _Divisors | None:
-        return _transform_path(self.t, self.B)
+    def _operator(self) -> _Transform | _Divisors | _Pairs:
+        return _operator(self.t, self.B)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.n <= _DENSE_CAP:
             return self.dense() @ v
-        if self._transform is not None:
-            return self._transform.apply(v)
-        out = np.empty(self.n, dtype=np.float64)
-        for lo, hi, block in _pair_blocks(self.t, self.B):
-            out[lo:hi] = block @ v
-        return out
+        return self._operator.apply(v)
 
 
 def gcd_matrix(t: WeightSequence, B: IndexSet) -> GcdMatrix:
@@ -999,14 +1006,7 @@ def weighted_sf_form(
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
         raise DomainError("sizes must be positive")
-    roots = np.sqrt(np.array(sizes, dtype=np.float64))
-    transform = _transform_path(u, reps)
-    if transform is not None:
-        return transform.form(roots)
-    terms = np.empty(len(reps), dtype=np.float64)
-    for lo, hi, block in _pair_blocks(u, reps):
-        terms[lo:hi] = roots[lo:hi] * (block @ roots)
-    return float(math.fsum(terms))
+    return _operator(u, reps).form(np.sqrt(np.array(sizes, dtype=np.float64)))
 
 
 def support_grouping_form(u: WeightSequence, B: IndexSet) -> float:

@@ -66,6 +66,20 @@ def brute_lcm_closure(members) -> set:
     return out
 
 
+def brute_closure_majorant(t, members) -> float:
+    """sum over c in the lcm closure of (sum over members a <= c of
+    t^(c - a))^2, termwise with dict arithmetic."""
+    squares = []
+    for c in map(dict, brute_lcm_closure(members)):
+        inner = math.fsum(
+            pow_from_scratch(t, {j: e - a.exponent(j) for j, e in c.items()})
+            for a in members
+            if all(e <= c.get(j, 0) for j, e in a.items)
+        )
+        squares.append(inner * inner)
+    return math.fsum(squares)
+
+
 def brute_is_divisor_closed(members) -> bool:
     """Every member minus any supported position stays in the set."""
     membership = set(members)

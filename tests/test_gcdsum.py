@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 
 from conftest import index_sets, multi_indices, square_free_sets
 from oracles import (
+    brute_closure_majorant,
     brute_cross_sum,
     brute_lcm_closure,
     brute_pair_matrix,
@@ -50,7 +51,8 @@ from gcdsums.cli import parse_set_file
 from gcdsums.multiindex import to_integer
 from gcdsums.search import cube_construction
 
-# Settings of the module that force each kernel path.  Id 22, the largest
+# Settings of the module that force each kernel path, and the operator
+# (`_operator`) the path must give a square-free set.  Id 22, the largest
 # universe of the transform path, keeps its old name: one product table for
 # these small sets.  "split" takes product tables on slices of three
 # positions, and "transform" the Walsh-Hadamard path wherever it is allowed.
@@ -59,21 +61,23 @@ from gcdsums.search import cube_construction
 # send such sets to exponent blocks.
 NO_TRANSFORM = {"_transform_cheaper": lambda n, m: False, "_divisors_cheaper": lambda *size: False}
 KERNEL_PATHS = {
-    22: NO_TRANSFORM,
-    "split": {**NO_TRANSFORM, "_TABLE_SLICE_BITS": 3},
-    "transform": {"_transform_cheaper": lambda n, m: True},
-    "divisor": {**NO_TRANSFORM, "_divisors_cheaper": lambda *size: True},
+    22: (gcdsum_module._Pairs, NO_TRANSFORM),
+    "split": (gcdsum_module._Pairs, {**NO_TRANSFORM, "_TABLE_SLICE_BITS": 3}),
+    "transform": (gcdsum_module._Transform, {"_transform_cheaper": lambda n, m: True}),
+    "divisor": (gcdsum_module._Pairs, {**NO_TRANSFORM, "_divisors_cheaper": lambda *size: True}),
 }
 PAIR_BLOCK_PATHS = [22, "split"]
 
 
 @contextmanager
 def kernel_path(name, **settings):
-    """Force one kernel path, plus any other module settings, for the block."""
+    """Force one kernel path, plus any other module settings, for the block;
+    gives the type of operator the path must produce for a square-free set."""
+    operator, forced = KERNEL_PATHS[name]
     with pytest.MonkeyPatch.context() as mp:
-        for attr, value in {**KERNEL_PATHS[name], **settings}.items():
+        for attr, value in {**forced, **settings}.items():
             mp.setattr(gcdsum_module, attr, value)
-        yield
+        yield operator
 
 
 half = PrimePowerWeights(0.5)
@@ -248,7 +252,8 @@ def test_gcd_sum_square_free_path_matches_brute_force(B):
 @settings(max_examples=50)
 @given(square_free_sets(max_index=9, max_n=12))
 def test_sum_and_row_sums_match_brute_force_on_every_path(path, B):
-    with kernel_path(path, _BLOCK_BUDGET=40):
+    with kernel_path(path, _BLOCK_BUDGET=40) as operator:
+        assert type(gcdsum_module._operator(half, B)) is operator
         value = gcd_sum(half, B)
         rows = gcd_row_sums(half, B)
     assert value == pytest.approx(brute_pair_sum(half, B.members), rel=1e-12)
@@ -294,7 +299,7 @@ def test_mask_words_on_wide_sets(m):
 @given(index_sets(max_index=7, max_exponent=4, max_n=10))
 def test_divisor_path_matches_brute_force(B):
     with kernel_path("divisor"):
-        path = gcdsum_module._transform_path(half, B)
+        path = gcdsum_module._operator(half, B)
         value = gcd_sum(half, B)
         rows = gcd_row_sums(half, B)
     # square-free sets keep their own paths, whatever the divisor cost model says
@@ -315,13 +320,34 @@ def test_divisor_path_cross_sum_matches_brute_force(A, B):
     assert backward == pytest.approx(expected, rel=1e-12)
 
 
+def test_divisor_path_cross_sum_decodes_no_member(monkeypatch):
+    # the union of A and B comes from their rows: no member is decoded
+    rng = random.Random(5)
+    integers = [12, *rng.sample(range(1, 10**6), 40)], [12, *rng.sample(range(1, 10**6), 30)]
+    expected = brute_cross_sum(half, *(index_set_from_integers(ns).members for ns in integers))
+    # sets from rows alone hold no decoded members
+    A, B = (IndexSet.from_rows(S.universe(), S.exponent_matrix())
+            for S in map(index_set_from_integers, integers))
+    decoded, init = [], MultiIndex.__init__
+
+    def counted_init(self, *args):
+        decoded.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MultiIndex, "__init__", counted_init)
+    with kernel_path("divisor"):
+        value = cross_sum(half, A, B)
+    assert not decoded
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
 def test_divisor_path_on_integers_below_1e8():
     rng = random.Random(12)
     ns = rng.sample(range(1, 10**8), 200)
     B = index_set_from_integers(ns)
     for alpha in (0.5, 1.0):
         t = PrimePowerWeights(alpha)
-        assert isinstance(gcdsum_module._transform_path(t, B), gcdsum_module._Divisors)
+        assert isinstance(gcdsum_module._operator(t, B), gcdsum_module._Divisors)
         assert gcd_sum(t, B) == pytest.approx(gcd_sum_integers(ns, alpha), rel=1e-12)
 
 
@@ -377,11 +403,11 @@ def test_divisor_cost_model():
     assert not cheaper(10**6, 9, 10**8, 10**4)
     rng = random.Random(4)
     B = index_set_from_integers(rng.sample(range(1, 10**8), 250))
-    assert isinstance(gcdsum_module._transform_path(half, B), gcdsum_module._Divisors)
+    assert isinstance(gcdsum_module._operator(half, B), gcdsum_module._Divisors)
     smooth = index_set_from_integers(
         {2**rng.randint(0, 4) * 3**rng.randint(0, 4) * 5**rng.randint(0, 4) * 7**rng.randint(0, 4)
          for _ in range(300)})
-    assert gcdsum_module._transform_path(half, smooth) is None
+    assert isinstance(gcdsum_module._operator(half, smooth), gcdsum_module._Pairs)
 
 
 @pytest.mark.parametrize("k", [15, 16, 17, 18])
@@ -541,6 +567,20 @@ def test_closure_bound_holds(B):
     assert gcd_sum(half, B) <= rhs * (1 + 1e-12) + 1e-12
 
 
+@pytest.mark.parametrize("path, sets", [
+    (22, square_free_sets(max_index=9, max_n=12)),
+    ("split", square_free_sets(max_index=9, max_n=12)),
+    (22, index_sets(max_index=7, max_exponent=3, max_n=10).filter(lambda B: not B.is_square_free())),
+], ids=["22", "split", "exponents"])
+@settings(max_examples=50)
+@given(st.data())
+def test_closure_bound_matches_brute_force_on_every_pair_path(path, sets, data):
+    B = data.draw(sets)
+    with kernel_path(path, _BLOCK_BUDGET=40):  # several pair blocks per closure
+        rhs, _ = lcm_closure_bound(half, B)
+    assert rhs == pytest.approx(brute_closure_majorant(half, B.members), rel=1e-12)
+
+
 def test_gcd_matrix_entries():
     M = gcd_matrix(half, IndexSet([zero]))
     assert M.dense().tolist() == [[1.0]]
@@ -598,11 +638,11 @@ def test_matrix_free_matvec_agrees():
     for path in KERNEL_PATHS:
         # above the dense cap matvec transforms or streams pair blocks, here
         # several per product
-        with kernel_path(path, _DENSE_CAP=10, _BLOCK_BUDGET=600):
+        with kernel_path(path, _DENSE_CAP=10, _BLOCK_BUDGET=600) as operator:
             M = gcd_matrix(half, B)
             assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-15)
             assert np.allclose(M.matvec(positive), reference @ positive, rtol=1e-12, atol=0)
-            assert (M._transform is not None) == (path == "transform")
+            assert type(M._operator) is operator
             with pytest.raises(DomainError):
                 M.dense()
             lam_free = spectral_norm(M)
@@ -619,7 +659,7 @@ def test_divisor_matvec_above_dense_cap():
     v = np.linspace(-1.0, 1.0, len(B))
     with kernel_path("divisor", _DENSE_CAP=10):
         M = gcd_matrix(half, B)
-        assert isinstance(M._transform, gcdsum_module._Divisors)
+        assert isinstance(M._operator, gcdsum_module._Divisors)
         assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-14)
         with pytest.raises(DomainError):
             M.dense()
@@ -632,7 +672,7 @@ def test_spectral_norm_13_cube_by_transform():
     assert M.n > gcdsum_module._DENSE_CAP
     closed = math.prod(1 + half.weight_at(j) for j in range(1, 14))
     assert spectral_norm(M) == pytest.approx(closed, rel=1e-10)
-    assert M._transform is not None
+    assert isinstance(M._operator, gcdsum_module._Transform)
 
 
 def test_power_iteration_failure_carries_state():
@@ -749,7 +789,8 @@ def test_cross_sum_examples():
 @given(square_free_sets(max_index=9, max_n=10), st.data())
 def test_weighted_sf_form_matches_brute_force(path, reps, data):
     sizes = data.draw(st.lists(st.integers(1, 9), min_size=len(reps), max_size=len(reps)))
-    with kernel_path(path, _BLOCK_BUDGET=40):
+    with kernel_path(path, _BLOCK_BUDGET=40) as operator:
+        assert type(gcdsum_module._operator(half, reps)) is operator
         value = weighted_sf_form(half, reps, sizes)
     assert value == pytest.approx(brute_weighted_form(half, reps.members, sizes), rel=1e-12)
 
