@@ -21,15 +21,17 @@ operator for M, chosen by `_operator` from the input alone; its `form` and
   most `_TABLE_SLICE_BITS` positions of a mask word, any number of positions),
   exponent-matrix blocks for any other set.
 A cross sum takes `_Divisors` over the union of its two sets or `_Pairs` of one
-against the other; dense matrices and the closure majorant read the pair
-blocks.  Sums are combined with compensated summation in a fixed order, so
-results are deterministic.
+against the other; dense matrices read the pair blocks.  Sums are combined
+with compensated summation in a fixed order, so results are deterministic.
 
 The lcm closure of a square-free set takes the subset lattice when
 `_lattice_cheaper` prefers it (zeta and Moebius transforms over the 2^m
 subsets of the universe) and pairwise joins keyed as packed integers
-otherwise; `ClosureMasks` holds a square-free closure as bitmasks for the
-chain certificate.
+otherwise.  `LcmClosure` computes every sum over (closure member, member)
+pairs a <= c, for the square majorant `lcm_closure_bound` and the chain
+certificate: by weighted zeta transforms on the lattice, otherwise over its
+own blocks of closure rows with the row-range products of the pair blocks
+(`_xor_products`, `_exp_products`).
 """
 
 from __future__ import annotations
@@ -380,6 +382,14 @@ def _xor_products(tables: list, left: list, right: list, rows: slice) -> np.ndar
     return block
 
 
+def _exp_products(logw: np.ndarray, left: np.ndarray, right: np.ndarray, rows: slice) -> np.ndarray:
+    """block[r, c] = t^|left[rows][r] - right[c]| for exponent rows over one
+    universe, with logw the logs of its weights: the absolute differences as
+    int32 and one exp of their dot with logw."""
+    diff = np.abs(left[rows, None, :].astype(np.int32) - right[None, :, :])
+    return np.exp(np.tensordot(diff, logw, axes=([2], [0])))
+
+
 def _fwht(x: np.ndarray) -> None:
     """Unnormalised Walsh-Hadamard transform of a length-2^m array, in place."""
     h = 1
@@ -574,8 +584,7 @@ def _pair_blocks(
         rows = max(1, _BLOCK_BUDGET // max(n * max(m, 1), 1))
         for lo in range(0, len(A), rows):
             hi = min(lo + rows, len(A))
-            diff = np.abs(left[lo:hi, None, :].astype(np.int32) - right[None, :, :])
-            yield lo, hi, np.exp(np.tensordot(diff, logw, axes=([2], [0])))
+            yield lo, hi, _exp_products(logw, left, right, slice(lo, hi))
 
 
 class _Pairs:
@@ -754,28 +763,29 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
 
 
-class ClosureMasks:
-    """The lcm closure of a square-free set, with the members and the closure
-    as bitmasks over the set's universe (their cached `IndexSet.masks`, so any
-    number of positions), and the per-closure-member quantities of the chain
-    certificate computed on them.
+class LcmClosure:
+    """The lcm closure of any set, with the sums over its pairs (closure
+    member c, member a) with a <= c behind the square majorant and the chain
+    certificate, and the certificate's witness pairs.
 
-    Where the closure takes the subset-lattice path (`_lattice_cheaper`),
-    sums are weighted zeta transforms over the 2^m subsets; otherwise they
-    run over blocks of (closure member, member) pairs.  Every term summed is
-    non-negative.
+    A square-free set whose closure takes the subset-lattice path
+    (`_lattice_cheaper`) sums by weighted zeta transforms over the 2^m
+    subsets.  Any other set runs over blocks of closure rows (`_pairs`), with
+    one mask a <= c per block; every weight vector's products there come from
+    the row-range products of the pair blocks: `_xor_products` on the mask
+    words of a square-free set (any number of positions), `_exp_products` on
+    the exponent rows of any other.  Every term summed is non-negative.
     """
 
     def __init__(self, B: IndexSet):
-        self._E = B.masks()
+        self.B = B
         self.closure = lcm_closure(B)  # on B's universe: joins add no position
-        self.rows = self.closure.exponent_matrix()  # closure exponents, 0/1
-        self._F = self.closure.masks()
-        self.lattice = _lattice_cheaper(len(B), self.rows.shape[1])
+        self.rows = self.closure.exponent_matrix()  # closure exponents
+        self.lattice = B.is_square_free() and _lattice_cheaper(len(B), self.rows.shape[1])
 
     def sum_error_bound(self) -> float:
-        """Relative error bound, to first order, of `subset_sums` against the
-        exact sums over the same double weights.
+        """Relative error bound, to first order, of `subset_sums` on a
+        square-free set against the exact sums over the same double weights.
 
         A sum of k non-negative terms that each carry a relative error of at
         most d is within d + (k - 1) u in any order of summation (u = 2^-53).
@@ -783,24 +793,35 @@ class ClosureMasks:
         position: 2 m u.  On the pair path a term is a product of at most m
         table weights, (m - 1) u, and a row sums at most N terms.
         """
-        m, n = self.rows.shape[1], len(self._E)
+        m, n = self.rows.shape[1], len(self.B)
         return (2 * m + 2 if self.lattice else m + n + 1) * 2.0 ** -53
 
-    def _pairs(self, F: np.ndarray):
-        """Yield (lo, hi, below, diff) per block of closure masks F, with
-        below[r, k] whether member k is a subset of F[lo + r] and diff[r, k]
-        the words of F[lo + r] xor member k: for a subset, the difference.
-        About four pair arrays are live at once, so a block holds a quarter
-        of _BLOCK_BUDGET pairs."""
-        E = self._E
-        n, words = E.shape
-        rows = max(1, _BLOCK_BUDGET // (4 * n * words))
+    def _pairs(self, rest: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield (lo, hi, below) per block of the closure rows (of those
+        indexed by `rest` when given), with below[r, k] whether member k lies
+        below row lo + r.  About four pair arrays, each over the mask words
+        or exponent columns of a row, are live at once, so a block holds a
+        quarter of _BLOCK_BUDGET."""
+        square_free = self.B.is_square_free()
+        if square_free:
+            E, F = self.B.masks(), self.closure.masks()
+        else:
+            E, F = self.B.exponent_matrix(), self.rows
+        if rest is not None:
+            F = F[rest]
+        n, width = E.shape
+        rows = max(1, _BLOCK_BUDGET // (4 * n * width))
         for lo in range(0, len(F), rows):
             hi = min(lo + rows, len(F))
-            diff = F[lo:hi, None, :] ^ E[None, :, :]
-            # a member lies below c iff it shares no bit with c xor itself
-            below = ~np.any(diff & E[None, :, :], axis=2)
-            yield lo, hi, below, diff
+            if square_free:
+                # a member lies below c iff it has no bit outside c
+                below = ~np.any(E[None, :, :] & ~F[lo:hi, None, :], axis=2)
+            else:
+                # rows x N bools built a column at a time
+                below = np.ones((hi - lo, n), dtype=bool)
+                for j in range(width):
+                    below &= E[:, j] <= F[lo:hi, j, None]
+            yield lo, hi, below
 
     def subset_sums(self, weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """(inner, above) for weight vectors over the universe.
@@ -811,12 +832,12 @@ class ClosureMasks:
         c minus a_k.  On the lattice path they are the weighted subset zeta of
         the members' indicator, read at the closure, and the weighted
         superset zeta of the closure's indicator, read at the members;
-        otherwise the row and column sums of the pair blocks.
+        otherwise the row and column sums of the masked pair blocks.
         """
-        inner = np.empty((len(self._F), len(weights)), dtype=np.float64)
+        inner = np.empty((len(self.closure), len(weights)), dtype=np.float64)
         m = self.rows.shape[1]
         if self.lattice:
-            members, closure = self._E[:, 0], self._F[:, 0]
+            members, closure = self.B.masks()[:, 0], self.closure.masks()[:, 0]
             for q, w in enumerate(weights):
                 g = np.zeros(1 << m, dtype=np.float64)
                 g[members] = 1.0
@@ -826,13 +847,19 @@ class ClosureMasks:
             h[closure] = 1.0
             _subset_zeta(h, weights[-1], superset=True)
             return inner, h[members]
-        slices = _slices(m)
-        tables = [[_power_table(w[s : s + k]) for s, k in slices] for w in weights]
-        closure, members = _sliced(self._F, slices), _sliced(self._E, slices)
-        above = np.zeros(len(self._E), dtype=np.float64)
-        for lo, hi, below, _ in self._pairs(self._F):
-            for q, table in enumerate(tables):
-                terms = _xor_products(table, closure, members, slice(lo, hi))
+        if self.B.is_square_free():
+            slices = _slices(m)
+            products = _xor_products
+            factors = [[_power_table(w[s : s + k]) for s, k in slices] for w in weights]
+            left, right = _sliced(self.closure.masks(), slices), _sliced(self.B.masks(), slices)
+        else:
+            products = _exp_products
+            factors = [np.log(w) for w in weights]
+            left, right = self.rows, self.B.exponent_matrix()
+        above = np.zeros(len(self.B), dtype=np.float64)
+        for lo, hi, below in self._pairs():
+            for q, factor in enumerate(factors):
+                terms = products(factor, left, right, slice(lo, hi))
                 terms *= below
                 inner[lo:hi, q] = terms.sum(axis=1)
             above += terms.sum(axis=0)
@@ -840,29 +867,32 @@ class ClosureMasks:
 
     def witnesses(self) -> np.ndarray:
         """Per closure member c, the first pair (k, l) of members in canonical
-        order whose join is c.
+        order whose join is c; square-free, divisor-closed sets only.
 
         A complete set is divisor-closed, so a member a_k below c joins some
         member to c iff c minus a_k is a member, and l is then the first
         member with a_k | a_l = c.  The empty member, first in canonical
         order, joins every member c with c itself; only closure members
-        outside the set are searched, in pair blocks.
+        outside the set are searched, in the blocks of `_pairs`.
         """
-        E, keys = self._E, _row_keys(self._E)
+        E, F = self.B.masks(), self.closure.masks()
+        keys = _row_keys(E)
         if E[0].any():
             raise DomainError("witness pairs need a divisor-closed set")
         index = dict(zip(keys.tolist(), range(len(keys))))
-        own = np.array([index.get(c, -1) for c in _row_keys(self._F).tolist()], dtype=np.int64)
+        own = np.array([index.get(c, -1) for c in _row_keys(F).tolist()], dtype=np.int64)
         out = np.zeros((len(own), 2), dtype=np.int64)
         out[:, 1] = own
         rest = np.flatnonzero(own < 0)
-        for lo, hi, below, diff in self._pairs(self._F[rest]):
-            hit = below & np.isin(_row_keys(diff), keys)
+        for lo, hi, below in self._pairs(rest):
+            target = F[rest[lo:hi]]
+            # for a member a below c, c xor a is c minus a
+            hit = np.isin(_row_keys(target[:, None, :] ^ E[None, :, :]), keys)
+            hit &= below
             if not hit.any(axis=1).all():
                 raise DomainError("closure member without a generating pair: B is not divisor closed")
             k = hit.argmax(axis=1)
-            target = self._F[rest[lo:hi]]
-            join = np.all((E[k][:, None, :] | E[None, :, :]) == target[:, None, :], axis=2)
+            join = _row_keys(E[k][:, None, :] | E[None, :, :]) == _row_keys(target)[:, None]
             out[rest[lo:hi], 0] = k
             out[rest[lo:hi], 1] = join.argmax(axis=1)
         return out
@@ -870,26 +900,16 @@ class ClosureMasks:
 
 def lcm_closure_bound(
     t: WeightSequence, B: IndexSet, tol: float = 1e-12
-) -> tuple[float, bool]:
+) -> tuple[float, bool, float]:
     """Square majorant of S(t, B) over the lcm closure.
 
-    rhs = sum over c in closure(B) of (sum over members a <= c of t^(c-a))^2;
-    returns (rhs, S <= rhs * (1 + tol)).
+    rhs = sum over c in closure(B) of (sum over members a <= c of t^(c-a))^2,
+    the inner sums from `LcmClosure`; returns (rhs, S <= rhs * (1 + tol), S).
     """
-    closure = lcm_closure(B)
-    # the closure lies on B's universe: joins add no position
-    E, F = B.exponent_matrix(), closure.exponent_matrix()
-    inner = np.empty(len(closure), dtype=np.float64)
-    for lo, hi, block in _pair_blocks(t, closure, B):
-        # a <= c as rows x N bools built a column at a time, freed before the next block
-        below = np.ones(block.shape, dtype=bool)
-        for j in range(E.shape[1]):
-            below &= E[:, j] <= F[lo:hi, j, None]
-        block *= below
-        del below
-        inner[lo:hi] = block.sum(axis=1)
+    inner = LcmClosure(B).subset_sums([t.weights_for(B.universe())])[0][:, 0]
     rhs = math.fsum(inner * inner)
-    return rhs, gcd_sum(t, B) <= rhs * (1.0 + tol) + tol
+    s = gcd_sum(t, B)
+    return rhs, s <= rhs * (1.0 + tol) + tol, s
 
 
 class GcdMatrix:

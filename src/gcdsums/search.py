@@ -133,21 +133,12 @@ class SearchReport:
     iterations: int | None = None
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
-        out = {
-            "n": self.n,
-            "max_index": self.max_index,
-            "best_value": self.best_value,
-            "gamma": self.gamma,
-            "maximizers": [[str(m) for m in s] for s in self.maximizers],
-            "candidates": self.candidates,
-            "mode": self.mode,
-        }
-        if include_elapsed:
-            out["elapsed_ms"] = self.elapsed_ms
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.iterations is not None:
-            out["iterations"] = self.iterations
+        out = {**vars(self), "maximizers": [[str(m) for m in s] for s in self.maximizers]}
+        if not include_elapsed:
+            del out["elapsed_ms"]
+        for key in ("seed", "iterations"):
+            if out[key] is None:
+                del out[key]
         return out
 
 

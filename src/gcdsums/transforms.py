@@ -53,19 +53,10 @@ class TransformTrace:
 
     def to_dict(self) -> dict:
         return {
-            "weights": self.weights,
+            **vars(self),
             "initial": [str(m) for m in self.initial],
             "final": [str(m) for m in self.final] if self.final is not None else None,
-            "steps": [
-                {
-                    "description": s.description,
-                    "size_before": s.size_before,
-                    "s_before": s.s_before,
-                    "s_after": s.s_after,
-                    "strict": s.strict,
-                }
-                for s in self.steps
-            ],
+            "steps": [vars(s).copy() for s in self.steps],
         }
 
 

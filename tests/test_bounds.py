@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -35,7 +36,7 @@ from gcdsums import AuxiliaryWeights, verify_decay
 from gcdsums import bounds as bounds_module
 from gcdsums import gcdsum as gcdsum_module
 from gcdsums import lcm_closure
-from gcdsums.gcdsum import ClosureMasks
+from gcdsums.gcdsum import LcmClosure
 from gcdsums.verify import random_index_set
 
 half = PrimePowerWeights(0.5)
@@ -223,6 +224,8 @@ def test_chain_report_on_cube():
     assert len(report.records) == report.closure_size == 32
     assert report.exact["term_vs_midpoint"] and report.exact["term_vs_integral"]
     assert report.to_dict()["tail"]["width"] == report.tail.width > 0
+    # the shallow copy of the fields equals the deep one, record for record
+    assert report.to_dict() == dataclasses.asdict(report)
 
 
 def test_chain_report_high_branch():
@@ -309,7 +312,7 @@ def sorted_closure(B):
 def assert_matches_old_loop(t, B, rel=1e-13):
     """Records, witnesses and verdict inputs against the per-row loop the
     certificate replaced.  Float sums are compared at rel, above both the
-    certificate's stated bound (`ClosureMasks.sum_error_bound`) and the
+    certificate's stated bound (`LcmClosure.sum_error_bound`) and the
     rounding of the old loop's exp/log terms.  Euler products are exact below
     17 positions, where one product table is a sequential product in
     position order."""
@@ -353,17 +356,26 @@ def test_chain_report_matches_old_loop_on_random_complete_sets(alpha):
         assert_matches_old_loop(PrimePowerWeights(alpha), B)
 
 
+def exponent_set():
+    # 21 members, not square-free, and not closed under joins: the closure
+    # adds {1: 2, 2: 1}, {1: 2, 3: 2}, the pairs of singletons and more
+    items = [{}, {1: 2}, {2: 1}, {1: 1, 3: 2}, {2: 3, 4: 1}, {3: 1, 4: 2}, {1: 1, 2: 1}]
+    return IndexSet([MultiIndex(d) for d in items] + [MultiIndex.unit(j) for j in range(5, 19)])
+
+
 @pytest.mark.parametrize("lattice", [True, False])
 def test_closure_sums_on_both_paths(monkeypatch, lattice):
     """Inner sums and per-member exchange sums from the zeta transforms and
-    from the pair blocks, each forced onto sets the other path would take."""
+    from the pair blocks, each forced onto sets the other path would take; a
+    set that is not square-free takes the pair blocks on exponent rows
+    either way, and has no witnesses."""
     monkeypatch.setattr(gcdsum_module, "_lattice_cheaper", lambda n, m: lattice)
     t = PrimePowerWeights(0.5)
-    for B in [cube_construction(6), high_branch_set()] + random_complete_sets(7, 4):
+    for B in [cube_construction(6), high_branch_set(), exponent_set()] + random_complete_sets(7, 4):
         aux = AuxiliaryWeights(t, len(B), _decay(t, B))
         t_vals, w_vals = t.weights_for(B.universe()), aux.weights_for(B.universe())
-        masks = ClosureMasks(B)
-        assert masks.lattice is lattice
+        masks = LcmClosure(B)
+        assert masks.lattice is (lattice and B.is_square_free())
         inner, by_member = masks.subset_sums([t_vals, w_vals, t_vals ** 2 / w_vals])
         ref, ref_by_member = chain_rows_reference(
             t, aux, B.members, aux.threshold, sorted_closure(B)
@@ -371,14 +383,24 @@ def test_closure_sums_on_both_paths(monkeypatch, lattice):
         for q, f in enumerate(("inner_sum", "aux_sum", "ratio_sum")):
             assert inner[:, q] == pytest.approx([r[f] for r in ref], rel=1e-13)
         assert by_member == pytest.approx(ref_by_member, rel=1e-13)
-        assert masks.witnesses().tolist() == [[r["witness_k"], r["witness_l"]] for r in ref]
+        if B.is_square_free():
+            assert masks.witnesses().tolist() == [[r["witness_k"], r["witness_l"]] for r in ref]
+        else:
+            with pytest.raises(DomainError):
+                masks.witnesses()
 
 
 def test_closure_masks_preconditions():
+    # the closure object takes any set; its witnesses need a square-free,
+    # divisor-closed one, and the certificate still refuses a set that is
+    # not square-free
     with pytest.raises(DomainError):
-        ClosureMasks(IndexSet([MultiIndex.unit(1), MultiIndex.unit(2)])).witnesses()
+        LcmClosure(IndexSet([MultiIndex.unit(1), MultiIndex.unit(2)])).witnesses()
+    squares = IndexSet([zero, MultiIndex({1: 2})] + [MultiIndex.unit(j) for j in range(1, 21)])
     with pytest.raises(DomainError):
-        ClosureMasks(IndexSet([zero, MultiIndex({1: 2})]))
+        LcmClosure(squares).witnesses()
+    with pytest.raises(DomainError, match="square-free"):
+        bound_chain_report(half, squares, 1.0)
 
 
 @pytest.mark.parametrize("lattice", [True, False])
@@ -393,7 +415,7 @@ def test_chain_report_inner_sums_within_stated_bound(monkeypatch, lattice):
         aux = AuxiliaryWeights(t, len(B), 1.0)
         t_vals, w_vals = t.weights_for(universe), aux.weights_for(universe)
         r_vals = np.exp(2.0 * np.log(t_vals) - np.log(w_vals))
-        bound = ClosureMasks(B).sum_error_bound()
+        bound = LcmClosure(B).sum_error_bound()
         col = {j: i for i, j in enumerate(universe)}
         with mp.workdps(50):
             for rec, beta in zip(report.records, lcm_closure(B).members):
@@ -436,7 +458,7 @@ def test_chain_report_wide_complete_set(m):
     members = [zero, MultiIndex({1: 1, 2: 1}), MultiIndex({1: 1, 3: 1})]
     B = IndexSet(members + [MultiIndex.unit(j) for j in range(1, m + 1)])
     assert is_complete(B)
-    assert not ClosureMasks(B).lattice
+    assert not LcmClosure(B).lattice
     for alpha in (0.5, 1.0):
         assert_matches_old_loop(PrimePowerWeights(alpha), B)
 

@@ -552,33 +552,50 @@ def test_lcm_closure_properties(B):
 
 
 def test_closure_bound_examples():
-    rhs, holds = lcm_closure_bound(half, IndexSet([zero]))
-    assert rhs == 1.0 and holds
-    rhs, holds = lcm_closure_bound(half, IndexSet([zero, e1]))
+    rhs, holds, s = lcm_closure_bound(half, IndexSet([zero]))
+    assert rhs == 1.0 and holds and s == 1.0
+    B = IndexSet([zero, e1])
+    rhs, holds, s = lcm_closure_bound(half, B)
     t1 = half.weight_at(1)
     assert rhs == pytest.approx(1 + (1 + t1) ** 2, rel=1e-13)
-    assert holds
+    assert holds and s == gcd_sum(half, B)
 
 
 @given(index_sets(max_index=8, max_exponent=3, max_n=10))
 def test_closure_bound_holds(B):
-    rhs, holds = lcm_closure_bound(half, B)
+    rhs, holds, s = lcm_closure_bound(half, B)
     assert holds
-    assert gcd_sum(half, B) <= rhs * (1 + 1e-12) + 1e-12
+    assert s == gcd_sum(half, B)
+    assert s <= rhs * (1 + 1e-12) + 1e-12
 
 
-@pytest.mark.parametrize("path, sets", [
-    (22, square_free_sets(max_index=9, max_n=12)),
-    ("split", square_free_sets(max_index=9, max_n=12)),
-    (22, index_sets(max_index=7, max_exponent=3, max_n=10).filter(lambda B: not B.is_square_free())),
-], ids=["22", "split", "exponents"])
+@pytest.mark.parametrize("path, lattice, sets", [
+    (22, True, square_free_sets(max_index=9, max_n=12)),
+    (22, False, square_free_sets(max_index=9, max_n=12)),
+    ("split", False, square_free_sets(max_index=9, max_n=12)),
+    (22, False, index_sets(max_index=7, max_exponent=3, max_n=10).filter(lambda B: not B.is_square_free())),
+], ids=["lattice", "22", "split", "exponents"])
 @settings(max_examples=50)
 @given(st.data())
-def test_closure_bound_matches_brute_force_on_every_pair_path(path, sets, data):
+def test_closure_bound_matches_brute_force_on_every_pair_path(path, lattice, sets, data):
+    # the subset lattice, or pair blocks of several closure rows each
     B = data.draw(sets)
-    with kernel_path(path, _BLOCK_BUDGET=40):  # several pair blocks per closure
-        rhs, _ = lcm_closure_bound(half, B)
+    with kernel_path(path, _BLOCK_BUDGET=40, _lattice_cheaper=lambda n, m: lattice):
+        assert gcdsum_module.LcmClosure(B).lattice is lattice
+        rhs, _, _ = lcm_closure_bound(half, B)
     assert rhs == pytest.approx(brute_closure_majorant(half, B.members), rel=1e-12)
+
+
+def test_closure_bound_cube_13_closed_form():
+    # the majorant of the cube is prod_j (1 + (1 + t_j)^2); cube 13 takes the
+    # subset lattice, a few milliseconds, where its 2^26 pairs would not
+    B = cube_construction(13)
+    assert gcdsum_module.LcmClosure(B).lattice
+    rhs, holds, s = lcm_closure_bound(half, B)
+    assert holds and s == gcd_sum(half, B)
+    assert rhs == pytest.approx(
+        math.prod(1.0 + (1.0 + half.weight_at(j)) ** 2 for j in range(1, 14)), rel=1e-13
+    )
 
 
 def test_gcd_matrix_entries():
