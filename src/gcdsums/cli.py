@@ -37,7 +37,7 @@ from .gcdsum import (
     spectral_norm,
     support_grouping_form,
 )
-from .multiindex import format_items, from_integer, parse_items
+from .multiindex import factors_in_scope, format_items, parse_items, ranked_items
 from .search import cube_construction, extremal_sf, local_search
 from .transforms import divisor_closure, is_complete, normalize_to_complete
 from .verify import run_suite
@@ -87,11 +87,18 @@ def parse_set_file(path: str) -> IndexSet:
     """Read one member per line: a decimal integer or an `mi j:e ...` form.
 
     Blank lines and `#` comments are skipped; duplicates and malformed lines
-    are rejected with their line number.  A line becomes its (position,
-    exponent) pairs, which are both its key among the lines seen and its
-    row of the set; no `MultiIndex` is built for an `mi` line.
+    are rejected with their line number, the first such line winning.  An
+    integer line is factored as it is read, and the prime factors of all of
+    them are ranked together (`ranked_items`); then each line becomes its
+    (position, exponent) pairs, which are both its key among the lines seen
+    and its row of the set.  No `MultiIndex` is built.
     """
-    seen: dict[tuple[tuple[int, int], ...], int] = {}
+    linenos: list[int] = []
+    # per line its (position, exponent) pairs; an integer line's prime
+    # factors until they are ranked
+    members: list = []
+    integers: list[int] = []  # where the integer lines are in members
+    failure = None
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -103,22 +110,35 @@ def parse_set_file(path: str) -> IndexSet:
                 continue
             try:
                 if line.startswith("mi"):
-                    items = tuple(parse_items(line))
+                    member = tuple(parse_items(line))
                 else:
                     value = int(line)
                     if value >= 1 << 63:
                         raise DomainError(f"{value} is beyond the 64-bit range")
-                    items = from_integer(value).items
+                    member = factors_in_scope(value)
+                    integers.append(len(members))
             except DomainError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                failure = ParseError(str(exc), line=lineno)
+                break
             except ValueError:
-                raise ParseError(f"malformed line {line!r}", line=lineno) from None
-            if items in seen:
-                raise ParseError(
-                    f"duplicate member {format_items(items)} (first seen at line {seen[items]})",
-                    line=lineno,
-                )
-            seen[items] = lineno
+                failure = ParseError(f"malformed line {line!r}", line=lineno)
+                break
+            linenos.append(lineno)
+            members.append(member)
+    for k, items in zip(integers, ranked_items(members[k] for k in integers)):
+        members[k] = items
+    # every line here precedes a failed one, so a duplicate among them is
+    # the first error by line
+    seen: dict[tuple[tuple[int, int], ...], int] = {}
+    for lineno, member in zip(linenos, members):
+        if member in seen:
+            raise ParseError(
+                f"duplicate member {format_items(member)} (first seen at line {seen[member]})",
+                line=lineno,
+            )
+        seen[member] = lineno
+    if failure is not None:
+        raise failure
     if not seen:
         raise ParseError("set file has no members")
     counts = np.fromiter(map(len, seen), dtype=np.intp, count=len(seen))

@@ -14,8 +14,10 @@ operator for M, chosen by `_operator` from the input alone; its `form` and
 - `_Transform`, the Walsh-Hadamard transform of a square-free set on at most
   `_XOR_TABLE_MAX_BITS` positions, in O(m 2^m) instead of O(N^2), when the
   cost model `_transform_cheaper` prefers it;
-- `_Divisors`, the divisor factorization M = T diag(c) T^T of any other set, in
-  O(sum_a prod_j (a_j + 1)) instead of O(N^2 m), when `_divisors_cheaper` does;
+- `_Divisors`, the divisor factorization M = T diag(c) T^T of any set the
+  transform does not take, in O(sum_a prod_j (a_j + 1)) instead of O(N^2)
+  times the positions (exponent rows) or slices (mask words) of a pair, when
+  `_divisors_cheaper` prefers it;
 - `_Pairs` otherwise, over the one blocked pair kernel `_pair_blocks`: products
   of lookups in XOR-indexed tables for square-free sets (one per slice of at
   most `_TABLE_SLICE_BITS` positions of a mask word, any number of positions),
@@ -47,7 +49,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .multiindex import MultiIndex, abs_diff, from_integer
+from .multiindex import MultiIndex, abs_diff, factors_in_scope, ranked_items
 from .weights import WeightSequence
 
 _XOR_TABLE_MAX_BITS = 22  # the transform path's largest universe: arrays of 2^m floats
@@ -445,8 +447,8 @@ class _Transform:
 
 
 class _Divisors:
-    """The divisor factorization of the pair matrix of a set that is not
-    square-free (Smith 1876, over the divisor lattice).
+    """The divisor factorization of the pair matrix of any set (Smith 1876,
+    over the divisor lattice).
 
     For members a, b and every divisor e <= a of a member, let
     T[a, e] = t^(a-e) and c(e) = prod over the support of e of (1 - t_j^2).
@@ -484,7 +486,9 @@ class _Divisors:
         digits = np.arange(len(self.owner)) - np.repeat(np.cumsum(counts) - counts, counts)
         self.value = np.ones(len(self.owner))  # T[owner, divisor]
         scale = np.ones(len(self.owner))  # c(divisor)
-        keys = np.zeros((len(self.owner), col.shape[1]), dtype=np.int64)
+        # one column at least: np.lexsort needs a key even when every member
+        # is empty (the set {0}), whose one divisor keys as zeros
+        keys = np.zeros((len(self.owner), max(col.shape[1], 1)), dtype=np.int64)
         sq = (1.0 - w) * (1.0 + w)  # 1 - t_j^2 without cancellation near t_j = 1
         for s in reversed(range(col.shape[1])):
             radix = top[self.owner, s] + 1
@@ -528,7 +532,8 @@ class _Divisors:
 def _divisors_cheaper(entries: float, width: int, pairs: int, m: int) -> bool:
     """Cost model of the divisor factorization with `entries` (member, divisor)
     entries and members on at most `width` positions, against `pairs`
-    exponent-block pairs over m positions.  Its arrays hold about 2 width + 8
+    pair-block pairs that cost m each: their positions on exponent rows, their
+    slices (`_slices`) on mask words.  Its arrays hold about 2 width + 8
     words per entry while it dedupes the divisors, so they must also fit in
     two pair blocks."""
     return _DIVISOR_COST * entries < pairs * m and entries * (2 * width + 8) <= 2 * _BLOCK_BUDGET
@@ -538,8 +543,8 @@ def _divisors_preferred(pairs: int, m: int, *sets: IndexSet) -> bool:
     """Whether `_divisors_cheaper` prefers the divisor factorization over the
     members of the sets, with sum_a prod_j (a_j + 1) entries (in float64)
     and the largest support as width.  Every member has at least one entry,
-    and a set that is not square-free a width of at least 1, so when even
-    those bounds lose, the sizes are not computed."""
+    and every set but {0} a width of at least 1, so when even those bounds
+    lose, the sizes are not computed."""
     if not _divisors_cheaper(sum(map(len, sets)), 1, pairs, m):
         return False
     entries, width = 0.0, 0
@@ -607,13 +612,16 @@ class _Pairs:
 
 
 def _operator(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | _Pairs:
-    """B's one pair operator: the transform for a square-free set and the divisor
-    factorization for any other where their cost models prefer them, else the pairs."""
+    """B's one pair operator: the transform for a square-free set where its cost
+    model prefers it, else the divisor factorization where its cost model
+    prefers that over the pair blocks, else the pairs."""
     n, m = len(B), len(B.universe())
+    cost = m  # of one exponent-block pair, in positions
     if B.is_square_free():
         if m <= _XOR_TABLE_MAX_BITS and _transform_cheaper(n, m):
             return _Transform(t, B)
-    elif _divisors_preferred(n * n, m, B):
+        cost = len(_slices(m))  # a mask-word pair costs one gather per slice
+    if _divisors_preferred(n * n, cost, B):
         return _Divisors(t, B)
     return _Pairs(t, B)
 
@@ -1073,4 +1081,5 @@ def rayleigh_bounds(t: WeightSequence, B: IndexSet, tol: float = 1e-13) -> Rayle
 
 
 def index_set_from_integers(ns: Sequence[int]) -> IndexSet:
-    return IndexSet([from_integer(n) for n in ns])
+    """The set of the integers ns as multi-indices, their primes ranked together."""
+    return IndexSet(map(MultiIndex, ranked_items(map(factors_in_scope, ns))))

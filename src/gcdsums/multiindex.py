@@ -170,13 +170,9 @@ def from_mask(mask: int) -> MultiIndex:
     return MultiIndex({b + 1: 1 for b in range(mask.bit_length()) if mask >> b & 1})
 
 
-def from_integer(n: int, table: PrimeTable = DEFAULT_TABLE) -> MultiIndex:
-    """Multi-index of n's prime factorization; from_integer(1) is zero.
-
-    A prime factor above the table's ceiling raises PrimeRangeError before
-    the table grows; every other factor is ranked by the table, which
-    sieves up to the largest of them.
-    """
+def factors_in_scope(n: int, table: PrimeTable = DEFAULT_TABLE) -> dict[int, int]:
+    """Prime -> exponent for n >= 1, with PrimeRangeError for a prime factor
+    above the table's ceiling; the table is not touched."""
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -186,7 +182,29 @@ def from_integer(n: int, table: PrimeTable = DEFAULT_TABLE) -> MultiIndex:
         raise PrimeRangeError(
             f"prime factor {top} of {n} exceeds the prime table ceiling {table.ceiling}"
         )
-    return MultiIndex({table.index_of(p): e for p, e in factors.items()})
+    return factors
+
+
+def ranked_items(
+    factors: Iterable[Mapping[int, int]], table: PrimeTable = DEFAULT_TABLE
+) -> list[tuple[tuple[int, int], ...]]:
+    """Each factorization's (position, exponent) pairs, ascending: the primes
+    of all of them ranked by one `table.ranks` call, so that a counting pass
+    serves them together."""
+    factors = list(factors)
+    primes = sorted({p for f in factors for p in f})
+    rank = dict(zip(primes, table.ranks(primes)))
+    return [tuple((rank[p], e) for p, e in sorted(f.items())) for f in factors]
+
+
+def from_integer(n: int, table: PrimeTable = DEFAULT_TABLE) -> MultiIndex:
+    """Multi-index of n's prime factorization; from_integer(1) is zero.
+
+    A prime factor above the table's ceiling raises PrimeRangeError before
+    any rank is sought (`factors_in_scope`); the others are ranked together
+    (`ranked_items`).
+    """
+    return MultiIndex(ranked_items([factors_in_scope(n, table)], table)[0])
 
 
 def to_integer(a: MultiIndex, table: PrimeTable = DEFAULT_TABLE) -> int:

@@ -1,9 +1,18 @@
-"""Lazily extended prime table backed by a cache-blocked wheel sieve, and
-integer factorization by Miller-Rabin and Pollard-Brent."""
+"""Prime ranks and integer factorization.
+
+A `PrimeTable` holds a dense int32 prefix of the ascending primes, grown on
+demand by rank, and ranks the primes above it by counting: one pass over the
+odd numbers up to the largest prime asked for keeps only the primes asked
+for, plus a cumulative count every `_MARK` odd numbers, so that a later rank
+inside the counted range sieves one short window.  The prefix, the pass and
+the windows all run one cache-blocked wheel sieve, `_odd_blocks`.  Integers
+factor by trial division, Miller-Rabin and Pollard-Brent."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,6 +26,10 @@ _WHEEL = (3, 5, 7, 11, 13)
 # 2^17, where per-prime slicing dominates, 0.22 s with 2^20 and 0.29 s with
 # 2^22, which spill out of L2.
 _BLOCK = 1 << 20
+# Odd numbers between the cumulative counts (marks) a counting pass records:
+# about 1.5k marks up to 10^8, and a later rank inside the counted range
+# sieves at most this many odd numbers.
+_MARK = 1 << 16
 
 
 def _wheel_pattern() -> np.ndarray:
@@ -43,29 +56,17 @@ def _count_bound(lo: int, hi: int) -> int:
     return min(odd, int(upper - lower) + 2)
 
 
-def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """head followed by the primes p with lo <= p <= hi (lo > head[-1]), in
-    one preallocated int32 array.
+def _odd_blocks(first: int, last: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, flags) per block of at most _BLOCK odd numbers 2i + 1 with
+    first <= i <= last (first <= last), in order: flags[k] is whether
+    2 (lo + k) + 1 is prime.  Every block is a view of one buffer, read
+    before the next is asked for.
 
-    Flags cover odd numbers only; each block of _BLOCK of them starts as the
-    wheel pattern repeated (no multiple of 3, 5, 7, 11 or 13), and every base
-    prime from 17 to isqrt(hi) strikes its odd multiples from its square on,
-    its next multiple carried from block to block."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return head
-    if hi >= 1 << 31:
-        raise DomainError(f"primes above 2^31 do not fit int32 storage (hi = {hi})")
-    out = np.empty(len(head) + _count_bound(lo, hi), dtype=np.int32)
-    out[: len(head)] = head
-    end = len(head)
-    if lo == 2:
-        out[end] = 2
-        end += 1
-    first, last = lo // 2, (hi - 1) // 2  # odd numbers 2i + 1 with lo <= 2i + 1 <= hi
-    if first > last:
-        return out[:end]
-    base = sieve_range(17, math.isqrt(hi)).astype(np.int64)
+    Each block starts as the wheel pattern repeated (no multiple of 3, 5, 7,
+    11 or 13), and every base prime from 17 to isqrt(2 last + 1) strikes its
+    odd multiples from its square on, its next multiple carried from block to
+    block."""
+    base = sieve_range(17, math.isqrt(2 * last + 1)).astype(np.int64)
     # each base prime's next odd multiple to strike, as an index: from its
     # square or the first in range on
     start = np.maximum(base * base, -(-(2 * first + 1) // base) * base)
@@ -91,6 +92,27 @@ def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
             block[j - lo_i :: p] = False
         # each next multiple moves to the first at or past hi_i
         nxt[:live] += (hi_i - nxt[:live] + base[:live] - 1) // base[:live] * base[:live]
+        yield lo_i, block
+
+
+def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """head followed by the primes p with lo <= p <= hi (lo > head[-1]), in
+    one preallocated int32 array, read off the blocks of `_odd_blocks`."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return head
+    if hi >= 1 << 31:
+        raise DomainError(f"primes above 2^31 do not fit int32 storage (hi = {hi})")
+    out = np.empty(len(head) + _count_bound(lo, hi), dtype=np.int32)
+    out[: len(head)] = head
+    end = len(head)
+    if lo == 2:
+        out[end] = 2
+        end += 1
+    first, last = lo // 2, (hi - 1) // 2  # odd numbers 2i + 1 with lo <= 2i + 1 <= hi
+    if first > last:
+        return out[:end]
+    for lo_i, block in _odd_blocks(first, last):
         found = np.flatnonzero(block)
         out[end : end + len(found)] = 2 * (found + lo_i) + 1
         end += len(found)
@@ -110,7 +132,19 @@ def sieve_upto(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Ascending primes p_1 = 2, p_2 = 3, ... grown on demand."""
+    """The ascending primes p_1 = 2, p_2 = 3, ... and their ranks.
+
+    A dense int32 prefix holds every prime up to `limit`; `prime(j)` and
+    `first(count)` grow it by rank, and `ranks` by doubling when a prime asked
+    for lies within twice its limit.  `ranks` ranks larger primes by counting
+    and keeps only those, in a map between rank and prime that `prime(j)`
+    reads before it grows the prefix.  A counting pass runs from the highest
+    counted bound to the largest prime asked for and records a mark, the
+    count of primes below an odd number, every _MARK odd numbers and at its
+    end; a rank below the highest counted bound sieves one window from the
+    mark below it.  Marks are exact counts, so a longer prefix leaves them
+    valid.
+    """
 
     def __init__(self, initial_limit: int = _DEFAULT_INITIAL, ceiling: int = _DEFAULT_CEILING):
         if not 0 < int(ceiling) < 1 << 31:
@@ -118,19 +152,43 @@ class PrimeTable:
         self._ceiling = int(ceiling)
         self._limit = 0
         self._primes = np.zeros(0, dtype=np.int32)
+        self._rank: dict[int, int] = {}  # prime -> rank, for the primes ranked by counting
+        self._prime: dict[int, int] = {}  # rank -> prime, the same pairs
+        # _counts[k] primes lie below the odd number 2 _marks[k] + 1; ascending
+        self._marks: list[int] = []
+        self._counts: list[int] = []
+        self._passes = 0
+        self._windows = 0
         self._grow(min(int(initial_limit), self._ceiling))
 
     def __len__(self) -> int:
+        """The number of primes in the dense prefix."""
         return int(self._primes.size)
 
     @property
     def limit(self) -> int:
+        """The dense prefix holds every prime up to this bound."""
         return self._limit
 
     @property
     def ceiling(self) -> int:
         """Largest prime the table may ever hold."""
         return self._ceiling
+
+    @property
+    def counting_passes(self) -> int:
+        """How many counting passes `ranks` has run."""
+        return self._passes
+
+    @property
+    def windows_sieved(self) -> int:
+        """How many windows inside the counted range `ranks` has sieved."""
+        return self._windows
+
+    @property
+    def counted_limit(self) -> int:
+        """The largest odd number a counting pass has reached; 0 before the first."""
+        return 2 * self._marks[-1] - 1 if self._marks else 0
 
     def _grow(self, limit: int) -> None:
         if limit <= self._limit:
@@ -158,11 +216,15 @@ class PrimeTable:
         """The j-th prime, 1-based (prime(1) == 2)."""
         if j < 1:
             raise DomainError(f"prime index must be >= 1, got {j}")
-        self._ensure_count(j)
+        if j > len(self):
+            p = self._prime.get(j)
+            if p is not None:
+                return p
+            self._ensure_count(j)
         return int(self._primes[j - 1])
 
     def first(self, count: int) -> np.ndarray:
-        """The first `count` primes as a read-only int32 view of the table."""
+        """The first `count` primes as a read-only int32 view of the prefix."""
         if count < 0:
             raise DomainError("count must be >= 0")
         self._ensure_count(count)
@@ -170,16 +232,104 @@ class PrimeTable:
 
     def index_of(self, p: int) -> int:
         """1-based rank of the prime p; DomainError if p is not prime."""
-        if p < 2:
-            raise DomainError(f"{p} is not prime")
-        if p > self._limit:
-            self._grow(p)
-        # an int32 needle: a Python int would make searchsorted cast the
-        # whole table to int64 on every call (p <= limit < 2^31 here)
-        i = int(self._primes.searchsorted(np.int32(p)))
-        if i >= len(self) or int(self._primes[i]) != p:
-            raise DomainError(f"{p} is not prime")
-        return i + 1
+        return self.ranks([p])[0]
+
+    def ranks(self, ps: Iterable[int]) -> list[int]:
+        """The 1-based rank of each of the primes ps, in order.
+
+        PrimeRangeError if one lies above the ceiling, else DomainError if
+        one is not prime.  A prime within twice `limit` grows the prefix
+        first, by doubling as `prime(j)` does: that sieves about as many
+        numbers as counting up to it would, and later ranks below the new
+        limit are lookups (about a microsecond, where a window costs
+        0.1-0.3 ms).  A rank up to `limit` is read off the prefix; the
+        others are counted together (`_count`) and kept."""
+        ps = [int(p) for p in ps]
+        for p in ps:
+            if p > self._ceiling:
+                raise PrimeRangeError(
+                    f"prime table ceiling {self._ceiling} exceeded (requested {p})"
+                )
+        self._grow(max((p for p in ps if p <= 2 * self._limit), default=0))
+        pending = sorted({p for p in ps if p > self._limit and p % 2 and p not in self._rank})
+        if pending:
+            self._count(pending)
+        out = []
+        for p in ps:
+            rank = None
+            if p > self._limit:
+                rank = self._rank.get(p)
+            elif p >= 2:
+                # an int32 needle: a Python int would make searchsorted cast
+                # the whole prefix to int64 on every call (p < 2^31 here)
+                i = int(self._primes.searchsorted(np.int32(p)))
+                if i < len(self) and int(self._primes[i]) == p:
+                    rank = i + 1
+            if rank is None:
+                raise DomainError(f"{p} is not prime")
+            out.append(rank)
+        return out
+
+    def _known(self, i: int) -> tuple[int, int]:
+        """(g, count) for the highest g <= i with count, the number of primes
+        below the odd number 2g + 1, known: from the prefix or a mark."""
+        g, count = (self._limit + 1) // 2, len(self)
+        k = bisect_right(self._marks, i) - 1
+        if k >= 0 and self._marks[k] > g:
+            g, count = self._marks[k], self._counts[k]
+        return g, count
+
+    def _keep(self, p: int, rank: int) -> None:
+        self._rank[p] = rank
+        self._prime[rank] = p
+
+    def _count(self, pending: list[int]) -> None:
+        """Rank those of the odd numbers `pending` (ascending, above the
+        prefix, none ranked yet) that are prime: each below the highest
+        counted bound by a window from the mark below it, the others by one
+        counting pass."""
+        top = max((self._limit + 1) // 2, self._marks[-1] if self._marks else 0)
+        beyond = []
+        for p in pending:
+            i = p // 2  # p = 2i + 1
+            if i >= top:
+                beyond.append(i)
+                continue
+            g, count = self._known(i)
+            for _, block in _odd_blocks(g, i):
+                count += int(np.count_nonzero(block))
+            if block[-1]:  # the last block ends at p
+                self._keep(p, count)
+            self._windows += 1
+        if beyond:
+            self._pass(top, beyond)
+
+    def _pass(self, g: int, queries: list[int]) -> None:
+        """Count the primes from the odd number 2g + 1, the highest counted
+        bound, up to 2 queries[-1] + 1 (queries ascending, none below g):
+        keep each odd number 2i + 1 of queries that is prime with its rank,
+        and record a mark at every multiple of _MARK and at the end."""
+        count = self._known(g)[1]
+        end = queries[-1] + 1
+        q = 0
+        for lo, block in _odd_blocks(g, end - 1):
+            hi = lo + len(block)
+            # counts are taken at the marks and after each query, in order
+            cuts = {*range(-(-(lo + 1) // _MARK) * _MARK, hi + 1, _MARK), hi}
+            asked = set()
+            while q < len(queries) and queries[q] < hi:
+                asked.add(queries[q] + 1)
+                q += 1
+            at = lo
+            for cut in sorted(cuts | asked):
+                count += int(np.count_nonzero(block[at - lo : cut - lo]))
+                at = cut
+                if cut in asked and block[cut - 1 - lo]:
+                    self._keep(2 * cut - 1, count)
+                if cut % _MARK == 0 or cut == end:
+                    self._marks.append(cut)
+                    self._counts.append(count)
+        self._passes += 1
 
 
 DEFAULT_TABLE = PrimeTable()

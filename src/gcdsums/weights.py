@@ -98,7 +98,23 @@ class PrimePowerWeights(WeightSequence):
         if idx.min() < 1:
             # a position below 1 would index the table from its end
             raise DomainError(f"prime index must be >= 1, got {int(idx.min())}")
-        primes = self.table.first(int(idx.max()))[idx - 1].astype(np.float64)
+        table = self.table
+        top = int(idx.max())
+        # Positions past the dense prefix, from the highest down: the table
+        # answers those it ranked by counting without growing, and the first
+        # it cannot answer grows the prefix past every position below it.
+        past: dict[int, int] = {}
+        while top > len(table):
+            past[top] = table.prime(top)
+            below = idx[idx < top]
+            top = int(below.max()) if below.size else 0
+        if not past:
+            primes = table.first(top)[idx - 1].astype(np.float64)
+        else:
+            inside = idx <= len(table)
+            primes = np.empty(idx.shape, dtype=np.float64)
+            primes[inside] = table.first(len(table))[idx[inside] - 1]
+            primes[~inside] = [past[j] for j in idx[~inside].tolist()]
         return primes ** (-self.alpha)
 
     def count_above_half(self) -> int:

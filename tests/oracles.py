@@ -505,3 +505,38 @@ def eager_index_set(members):
     for r, c in zip(*np.nonzero(matrix)):
         words[r, c // 64] |= np.uint64(1 << (c % 64))
     return members, universe, matrix, words
+
+
+def parse_set_text_reference(text: str) -> dict:
+    """The line-by-line parse of a set file that the two-phase parse
+    replaced: each line ranked as it is read, the first failing line
+    raising ParseError.  Returns {(position, exponent) pairs: line}."""
+    from gcdsums.errors import DomainError, ParseError
+    from gcdsums.multiindex import format_items, from_integer, parse_items
+
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("mi"):
+                items = tuple(parse_items(line))
+            else:
+                value = int(line)
+                if value >= 1 << 63:
+                    raise DomainError(f"{value} is beyond the 64-bit range")
+                items = from_integer(value).items
+        except DomainError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        except ValueError:
+            raise ParseError(f"malformed line {line!r}", line=lineno) from None
+        if items in seen:
+            raise ParseError(
+                f"duplicate member {format_items(items)} (first seen at line {seen[items]})",
+                line=lineno,
+            )
+        seen[items] = lineno
+    if not seen:
+        raise ParseError("set file has no members")
+    return seen

@@ -3,6 +3,10 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from oracles import parse_set_text_reference
 
 from gcdsums import IndexSet, MultiIndex, PrimePowerWeights, gcd_sum
 from gcdsums.cli import main, parse_set_file
@@ -59,6 +63,14 @@ def test_parse_set_file_overflow(tmp_path):
     # an integer line and an mi line share the duplicate key
     ("6\nmi 1:1 2:1\n", "line 2: duplicate member mi 1:1 2:1 (first seen at line 1)"),
     ("mi 1:1 2:1\n6\n", "line 2: duplicate member mi 1:1 2:1 (first seen at line 1)"),
+    # a duplicate comes first when an out-of-range member follows it
+    ("mi 1:1 2:1\n6\n7\n1000000016000000063\n",
+     "line 2: duplicate member mi 1:1 2:1 (first seen at line 1)"),
+    ("5\n1000000016000000063\n5\n",
+     "line 2: prime factor 1000000009 of 1000000016000000063 exceeds the prime table ceiling 1000000000"),
+    ("mi 1:1\nabc\nmi 1:1\n", "line 2: malformed line 'abc'"),
+    # the message names the counted rank of a prime above the dense prefix
+    ("99999989\n99999989\n", "line 2: duplicate member mi 5761455:1 (first seen at line 1)"),
     ("mi 3:1 2:1\n", "line 1: positions must be strictly increasing (saw 2 after 3)"),
     ("mi 2:1 2:1\n", "line 1: positions must be strictly increasing (saw 2 after 2)"),
     ("mi 0:1\n", "line 1: positions must be strictly increasing (saw 0 after 0)"),
@@ -79,6 +91,31 @@ def test_parse_set_file_messages(tmp_path, content, message):
     with pytest.raises(ParseError) as err:
         parse_set_file(write(tmp_path, "set.txt", content))
     assert str(err.value) == message
+
+
+_LINES = st.one_of(
+    st.integers(1, 40).map(str),
+    st.sampled_from(["mi", "mi 1:1", "mi 2:1", "mi 1:1 2:1", "mi 3:2", "mi 1:2 3:1", "mi 12:1"]),
+    st.sampled_from(["", "# c", "0", "-4", "abc", "mi 2:1 1:1", f"{1 << 63}",
+                     "1000000016000000063", "99999989", "mi 5761455:1"]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_LINES, max_size=8))
+def test_parse_set_file_matches_line_by_line_parse(tmp_path_factory, lines):
+    # the two-phase parse reports what the line-by-line parse did: the same
+    # members, or the same first failing line and message
+    text = "\n".join(lines) + "\n"
+    path = write(tmp_path_factory.mktemp("sets"), "set.txt", text)
+    try:
+        expected = parse_set_text_reference(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_set_file(path)
+        assert str(err.value) == str(exc)
+    else:
+        assert parse_set_file(path) == IndexSet([MultiIndex(items) for items in expected])
 
 
 def test_parse_set_file_edge_members(tmp_path):
@@ -121,7 +158,7 @@ def test_out_of_range_member_fails_fast(tmp_path, capsys):
     from gcdsums.primes import DEFAULT_TABLE
 
     path = write(tmp_path, "big.txt", f"2\n{1_000_000_007 * 1_000_000_009}\n3\n")
-    limit = DEFAULT_TABLE.limit
+    limit, passes = DEFAULT_TABLE.limit, DEFAULT_TABLE.counting_passes
     start = time.perf_counter()
     code, out, err = run(capsys, ["sum", path, "--alpha", "0.5"])
     assert time.perf_counter() - start < 1.0
@@ -129,6 +166,7 @@ def test_out_of_range_member_fails_fast(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "line 2" in err and "ceiling" in err
     assert DEFAULT_TABLE.limit == limit
+    assert DEFAULT_TABLE.counting_passes == passes
 
 
 def test_sum_json_matches_library(tmp_path, capsys):

@@ -56,15 +56,15 @@ from gcdsums.search import cube_construction
 # universe of the transform path, keeps its old name: one product table for
 # these small sets.  "split" takes product tables on slices of three
 # positions, and "transform" the Walsh-Hadamard path wherever it is allowed.
-# "divisor" takes the divisor factorization for every set that is not
-# square-free and leaves square-free sets on the pair blocks; the pair paths
-# send such sets to exponent blocks.
+# "divisor" takes the divisor factorization for every set the transform does
+# not take, square-free or not; the pair paths send sets that are not
+# square-free to exponent blocks.
 NO_TRANSFORM = {"_transform_cheaper": lambda n, m: False, "_divisors_cheaper": lambda *size: False}
 KERNEL_PATHS = {
     22: (gcdsum_module._Pairs, NO_TRANSFORM),
     "split": (gcdsum_module._Pairs, {**NO_TRANSFORM, "_TABLE_SLICE_BITS": 3}),
     "transform": (gcdsum_module._Transform, {"_transform_cheaper": lambda n, m: True}),
-    "divisor": (gcdsum_module._Pairs, {**NO_TRANSFORM, "_divisors_cheaper": lambda *size: True}),
+    "divisor": (gcdsum_module._Divisors, {**NO_TRANSFORM, "_divisors_cheaper": lambda *size: True}),
 }
 PAIR_BLOCK_PATHS = [22, "split"]
 
@@ -297,13 +297,14 @@ def test_mask_words_on_wide_sets(m):
 
 @settings(max_examples=60)
 @given(index_sets(max_index=7, max_exponent=4, max_n=10))
+@example(IndexSet([MultiIndex.zero()]))  # no position: one empty divisor
 def test_divisor_path_matches_brute_force(B):
     with kernel_path("divisor"):
         path = gcdsum_module._operator(half, B)
         value = gcd_sum(half, B)
         rows = gcd_row_sums(half, B)
-    # square-free sets keep their own paths, whatever the divisor cost model says
-    assert isinstance(path, gcdsum_module._Divisors) != B.is_square_free()
+    # square-free sets take it too, the set {0} among them
+    assert isinstance(path, gcdsum_module._Divisors)
     assert value == pytest.approx(brute_pair_sum(half, B.members), rel=1e-12)
     expected = [math.fsum(row) for row in brute_pair_matrix(half, B.members)]
     assert np.allclose(rows, expected, rtol=1e-12, atol=0)

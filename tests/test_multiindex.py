@@ -113,6 +113,19 @@ def test_round_trip_large_deterministic():
         assert to_integer(from_integer(n, table), table) == n
 
 
+def test_index_set_from_integers_ranks_all_primes_in_one_call(monkeypatch):
+    from gcdsums import IndexSet, index_set_from_integers
+    from gcdsums.primes import DEFAULT_TABLE
+
+    ns = [1, 2 * 999_983, 9_999_991 * 3, 7_919**2, 99_999_989, 1_000_003 * 999_983]
+    expected = IndexSet([from_integer(n) for n in ns])
+    calls = []
+    ranks = DEFAULT_TABLE.ranks
+    monkeypatch.setattr(DEFAULT_TABLE, "ranks", lambda ps: calls.append(ps) or ranks(ps))
+    assert index_set_from_integers(ns) == expected
+    assert calls == [[2, 3, 7_919, 999_983, 1_000_003, 9_999_991, 99_999_989]]
+
+
 _SMALL_CEILING = 10 ** 6
 _SMALL_TABLE = PrimeTable(ceiling=_SMALL_CEILING)
 _RANK = {p: j for j, p in enumerate(primes_upto(_SMALL_CEILING), start=1)}

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,8 +81,12 @@ def test_int32_table_ranks_near_1e8():
     table = PrimeTable()
     assert table.index_of(99_999_989) == 5_761_455
     assert table.prime(5_761_455) == 99_999_989
-    for n in (99_999_989, 2 * 99_999_989, 99_999_989 * 99_999_971, 3 ** 5 * 7 * 99_999_959):
+    for n in (99_999_989, 2 * 99_999_989, 99_999_989 * 99_999_971, 3 ** 5 * 7 * 99_999_959,
+              99_999_931 * 99_999_847, 2 ** 3 * 99_999_941 ** 2):
         assert to_integer(from_integer(n, table), table) == n
+    # one counting pass and windows below its bound; the prefix never grew
+    assert table.counting_passes == 1 and table.windows_sieved == 5
+    assert table.limit == 1 << 16
 
 
 _REFERENCE_LIMIT = (1 << 22) + 5000
@@ -91,6 +96,129 @@ _REFERENCE = np.array(primes_upto(_REFERENCE_LIMIT), dtype=np.int64)
 def reference_range(lo, hi):
     assert hi <= _REFERENCE_LIMIT
     return _REFERENCE[(_REFERENCE >= lo) & (_REFERENCE <= hi)]
+
+
+def reference_ranks(ps):
+    return [int(np.searchsorted(_REFERENCE, p)) + 1 for p in ps]
+
+
+# the largest prime below 10^k and pi(10^k), k = 1..8
+_PI_POWERS = [(7, 4), (97, 25), (997, 168), (9973, 1229), (99_991, 9592), (999_983, 78_498),
+              (9_999_991, 664_579), (99_999_989, 5_761_455)]
+
+
+def test_ranks_pi_of_powers_of_ten():
+    table = PrimeTable()
+    primes = [p for p, _ in _PI_POWERS]
+    tracemalloc.start()
+    try:
+        assert table.ranks(primes) == [r for _, r in _PI_POWERS]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 99 991 lies within twice the 2^16 prefix, which doubles; one counting
+    # pass above it, a 1 MB block of flags at a time: no table to 10^8
+    assert peak < 4 << 20
+    assert (table.counting_passes, table.windows_sieved) == (1, 0)
+    assert table.counted_limit == 99_999_989
+    assert table.limit == 1 << 17
+    # the ranked primes are kept: no second pass, and prime() reads them
+    assert table.ranks(primes[::-1]) == [r for _, r in _PI_POWERS[::-1]]
+    assert [table.prime(r) for _, r in _PI_POWERS] == primes
+    assert (table.counting_passes, table.windows_sieved) == (1, 0)
+    assert table.limit == 1 << 17
+
+
+def test_ranks_within_twice_the_prefix_double_it():
+    table = PrimeTable()
+    assert table.ranks([131_071, 3]) == reference_ranks([131_071, 3])  # 2^17 - 1
+    assert table.limit == 1 << 17 and table.counting_passes == 0
+    # only what lies within twice the prefix at the call counts, once
+    assert table.ranks([262_139, 1_000_003]) == reference_ranks([262_139, 1_000_003])
+    assert table.limit == 1 << 18 and table.counting_passes == 1
+
+
+def test_rank_of_the_largest_prime_below_the_ceiling():
+    table = PrimeTable()
+    assert table.ranks([999_999_937]) == [50_847_534]  # pi(10^9)
+    assert table.prime(50_847_534) == 999_999_937
+    assert table.index_of(999_999_937) == 50_847_534
+    assert (table.counting_passes, table.limit) == (1, 1 << 16)
+
+
+def _near_marks(mark, top):
+    """The primes nearest either side of every mark 2 k mark + 1 up to top:
+    a window then starts at its own mark or runs the whole stretch from the
+    mark before."""
+    out = set()
+    for k in range(1, top // (2 * mark) + 1):
+        at = int(np.searchsorted(_REFERENCE, 2 * k * mark + 1))
+        out.update(int(p) for p in _REFERENCE[max(at - 2, 0) : at + 2])
+    return sorted(p for p in out if 1 << 17 < p <= top)
+
+
+@pytest.mark.parametrize("block, mark", [(777, 1 << 10), (1000, 1 << 12), (4096, 1 << 12),
+                                         (1 << 20, 1 << 16)])
+def test_ranks_by_passes_and_windows_match_the_sieve(monkeypatch, block, mark):
+    # blocks of 777 and 1000 odd numbers put marks inside blocks and block
+    # edges between marks; no prime asked for lies within twice the 2^16
+    # prefix, so every rank is counted
+    monkeypatch.setattr(primes_module, "_BLOCK", block)
+    monkeypatch.setattr(primes_module, "_MARK", mark)
+    rng = random.Random(block)
+    table = PrimeTable()
+    above = [int(p) for p in _REFERENCE[(_REFERENCE > 1 << 17) & (_REFERENCE < 2_000_000)]]
+    first = sorted(rng.sample(above, 20))
+    assert table.ranks(first) == reference_ranks(first)
+    assert (table.counting_passes, table.windows_sieved) == (1, 0)
+    assert table.counted_limit == first[-1]
+    # below the counted bound: one window each, none longer than a mark
+    inside = rng.sample([p for p in _near_marks(mark, first[-1]) if p not in first], 24)
+    inside += rng.sample([p for p in above if p < first[-1] and p not in inside + first], 24)
+    assert table.ranks(inside) == reference_ranks(inside)
+    assert (table.counting_passes, table.windows_sieved) == (1, len(inside))
+    # windows and a second pass in one call, the pass from the highest mark
+    counted, windows = table.counted_limit, table.windows_sieved
+    later = [int(p) for p in _REFERENCE[(_REFERENCE > 2_000_000) & (_REFERENCE < 4_000_000)]]
+    mixed = rng.sample(later, 10) + rng.sample(above, 10)
+    assert table.ranks(mixed) == reference_ranks(mixed)
+    assert table.counting_passes == 2
+    assert table.counted_limit == max(mixed)
+    assert table.windows_sieved - windows == len({p for p in mixed if p < counted} - {*first, *inside})
+    # composites and even numbers, inside the counted range and beyond it
+    assert min(2003 * 2099, 2 * 2_100_001) > table.counted_limit
+    for n in (1009 * 1013, 2 * 1_000_003, 2003 * 2099, 2 * 2_100_001):
+        with pytest.raises(DomainError, match=f"{n} is not prime"):
+            table.ranks([first[0], n])
+    # every prime the map keeps reads back by rank
+    for p in first + inside + mixed:
+        assert table.prime(table.index_of(p)) == p
+    assert table.limit == 1 << 16
+
+
+def test_ranks_after_the_prefix_grows_past_the_marks():
+    table = PrimeTable()
+    low = [300_007, 400_009]
+    assert table.ranks(low) == reference_ranks(low)
+    # growing the prefix by rank leaves the counts valid; a later pass starts
+    # where the prefix ends
+    assert table.prime(100_000) == 1_299_709
+    assert table.limit > 1_299_709 > table.counted_limit
+    high = [3_000_017, 4_000_037]
+    assert table.ranks(high + low) == reference_ranks(high + low)
+    assert table.counting_passes == 2 and table.counted_limit == 4_000_037
+
+
+def test_ranks_refuse_primes_above_the_ceiling_and_non_primes():
+    table = PrimeTable(ceiling=10 ** 6)
+    with pytest.raises(PrimeRangeError):
+        table.ranks([3, 1_000_003])
+    for n in (-7, 0, 1, 4, 65_535, 999_999):
+        with pytest.raises(DomainError, match=f"{n} is not prime"):
+            table.ranks([n])
+    assert table.ranks([]) == []
+    # only 999 999, odd and beyond twice the prefix, was counted: composite
+    assert (table.counting_passes, table.counted_limit) == (1, 999_999)
 
 
 @pytest.mark.parametrize("lo, hi", [

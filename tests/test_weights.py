@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -172,6 +173,36 @@ def test_aux_requires_n_at_least_21():
 
 def test_verify_decay_prime_half():
     assert verify_decay(half, 10**5) <= 1.0
+
+
+def test_weights_for_reads_counted_ranks_without_growing():
+    table = PrimeTable()
+    top = table.index_of(999_983)  # past the prefix: ranked by counting
+    size = len(table)
+    got = PrimePowerWeights(0.5, table).weights_for([top, 1, top, 6542])
+    assert len(table) == size
+    dense = PrimeTable(initial_limit=1_000_000)
+    assert got.tolist() == PrimePowerWeights(0.5, dense).weights_for([top, 1, top, 6542]).tolist()
+
+
+def test_verify_decay_past_counted_ranks_reads_the_prefix(monkeypatch):
+    # positions 2..j past the prefix, j ranked by counting and none below
+    # it: one lookup answers j, one grows the prefix past the rest, which
+    # are read from it as numpy arrays, not one Python int each
+    table = PrimeTable()
+    j = table.index_of(999_983)
+    calls = []
+    prime = table.prime
+    monkeypatch.setattr(table, "prime", lambda k: calls.append(k) or prime(k))
+    tracemalloc.start()
+    try:
+        got = verify_decay(PrimePowerWeights(0.5, table), j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [j, j - 1]
+    assert peak < 80 * j  # the per-position lists took about 110 bytes a position
+    assert got == verify_decay(PrimePowerWeights(0.5, PrimeTable(initial_limit=1_000_000)), j)
 
 
 def test_verify_decay_prime_one():
