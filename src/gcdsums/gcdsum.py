@@ -344,6 +344,11 @@ def _power_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
+def _slice_tables(weights: np.ndarray, slices: list[tuple[int, int]]) -> list[np.ndarray]:
+    """One product table (`_power_table`) per slice (`_slices`) of the weights."""
+    return [_power_table(weights[s : s + k]) for s, k in slices]
+
+
 def _slices(m: int) -> list[tuple[int, int]]:
     """(first column, width) of the product tables over m columns: each mask
     word cut into the fewest slices of at most _TABLE_SLICE_BITS columns, of
@@ -572,7 +577,7 @@ def _pair_blocks(
         words = [S.masks() if S.universe() == universe else _mask_words(S.exponent_matrix(universe))
                  for S in (A, B)]
         slices = _slices(m)
-        tables = [_power_table(w[s : s + k]) for s, k in slices]
+        tables = _slice_tables(w, slices)
         left = _sliced(words[0], slices)
         right = left if B is A else _sliced(words[1], slices)
         # live per pair: the index array and the block, plus one gathered
@@ -858,7 +863,7 @@ class LcmClosure:
         if self.B.is_square_free():
             slices = _slices(m)
             products = _xor_products
-            factors = [[_power_table(w[s : s + k]) for s, k in slices] for w in weights]
+            factors = [_slice_tables(w, slices) for w in weights]
             left, right = _sliced(self.closure.masks(), slices), _sliced(self.B.masks(), slices)
         else:
             products = _exp_products
@@ -991,7 +996,20 @@ def _power_iteration(
 
 
 def spectral_norm(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_000) -> float:
-    """Largest eigenvalue via power iteration from the all-ones vector."""
+    """Largest eigenvalue via power iteration from the all-ones vector.
+
+    Up to _DENSE_CAP the iteration gets at most max(256, n) matvecs, work of
+    the same O(n^3) order as a dense symmetric solve, and a top eigenvalue too
+    close to the next to converge within them is read from `eigvalsh` of the
+    dense matrix.  A `max_iterations` at or below that budget is kept as
+    given, and the iteration raises ConvergenceError past it.
+    """
+    budget = max(256, M.n)
+    if M.n <= _DENSE_CAP and max_iterations > budget:
+        try:
+            return _power_iteration(M.matvec, M.n, tol, budget)
+        except ConvergenceError:
+            return float(np.linalg.eigvalsh(M.dense())[-1])
     return _power_iteration(M.matvec, M.n, tol, max_iterations)
 
 

@@ -8,10 +8,15 @@ point yields a complete set: divisor closed, and closed under replacing any
 supported position by any smaller one.
 
 The functions take and return IndexSets of square-free members and raise
-DomainError on any other set.  Inside, members are the sets' cached position
-masks (`IndexSet.position_masks`, bit j - 1 for position j), so with u_j the
-one-bit mask of position j, dropping j from member x is x ^ u_j and swapping
-j for i is x ^ u_j | u_i; results are built with `IndexSet.from_masks`.
+DomainError on any other set.  Inside, members are Python-int masks, so with
+u_j the one-bit mask of position j, dropping j from member x is x ^ u_j and
+swapping j for i is x ^ u_j | u_i.  The tests and `completeness_step` read
+the sets' cached position masks (`IndexSet.position_masks`, bit j - 1 for
+position j).  `divisor_closure` and `normalize_to_complete` run on masks
+over the positions the run can reach (`_MaskRun`), carry S by the delta of
+each move over one product table per run, and build an IndexSet only for the
+result and for a 50-digit recertification; results are built with
+`IndexSet.from_masks`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,19 @@ from typing import Collection
 import numpy as np
 
 from .errors import DomainError, TransformLimitError
-from .gcdsum import IndexSet, cross_sum, gcd_sum, gcd_sum_mp
+from .gcdsum import (
+    _BLOCK_BUDGET,
+    IndexSet,
+    _mask_words,
+    _set_bits,
+    _slice_tables,
+    _sliced,
+    _slices,
+    _xor_products,
+    cross_sum,
+    gcd_sum,
+    gcd_sum_mp,
+)
 from .weights import WeightSequence
 
 STRICT_MARGIN_FLOOR = 1e-9
@@ -81,7 +98,12 @@ def _position(u: int) -> int:
 
 def _units(x: int) -> list[int]:
     """One-bit masks of the positions of x, ascending."""
-    return [1 << b for b in range(x.bit_length()) if x >> b & 1]
+    out = []
+    while x:
+        u = x & -x
+        out.append(u)
+        x ^= u
+    return out
 
 
 def _is_divisor_closed(masks: Collection[int]) -> bool:
@@ -94,14 +116,37 @@ def _movable(masks: Collection[int], ui: int, uj: int) -> list[int]:
 
 
 def _first_swap(masks: Collection[int]) -> tuple[int, int] | None:
-    """One-bit masks (u_i, u_j) of the swap first_active_swap returns."""
-    for uj in _units(reduce(or_, masks, 0)):
-        ui = 1
-        while ui < uj:
-            if _movable(masks, ui, uj):
-                return ui, uj
-            ui <<= 1
-    return None
+    """One-bit masks (u_i, u_j) of the swap first_active_swap returns.
+
+    With up[y] the positions i of the members y + i (y itself need not be a
+    member), a member x with j set and i free moves under (i, j) iff i is not
+    in up[x - j].  So x's first swap is its least position j with a free
+    position below it outside up[x - j], and the lowest such i; the set's is
+    the least (j, i) over its members.  An unused position is in no up[y], so
+    it is the last i any j needs.  Two passes over the members' set bits,
+    written out: a call per member would double the scan's cost."""
+    up: dict[int, int] = {}
+    for z in masks:
+        y = z
+        while y:
+            u = y & -y
+            up[z ^ u] = up.get(z ^ u, 0) | u
+            y ^= u
+    best = None  # (u_j, u_i)
+    for x in masks:
+        y = x
+        while y:
+            uj = y & -y
+            if best is not None and uj > best[0]:
+                break
+            blocked = ~(x | up.get(x ^ uj, 0)) & (uj - 1)
+            if blocked:
+                pair = (uj, blocked & -blocked)
+                if best is None or pair < best:
+                    best = pair
+                break
+            y ^= uj
+    return None if best is None else (best[1], best[0])
 
 
 def is_divisor_closed(B: IndexSet) -> bool:
@@ -113,8 +158,99 @@ def is_divisor_closed(B: IndexSet) -> bool:
 def is_complete(B: IndexSet) -> bool:
     """Divisor closed, and for each member, supported position j, and free
     position i < j, the j-to-i swap stays in the set.  Square-free sets only."""
+    if B.is_square_free() and B.max_index() >= len(B):
+        # a complete set using position j holds the empty member and {1}, ..., {j}
+        return False
     masks = _mask_set(B, "is_complete")
     return _is_divisor_closed(masks) and _first_swap(masks) is None
+
+
+class _MaskRun:
+    """A sequence of moves on one square-free set, on masks over `positions`.
+
+    A member is a Python int with bit k set iff it supports positions[k]; the
+    positions are those of B's universe and any swap target to come.  `slot`
+    maps each member to its row in `parts`, its bits per slice (`_sliced`) of
+    one product table per slice of the positions (`_slice_tables`).  A move
+    replaces members M by x ^ flip, which keeps the XOR of any two of them, so
+    S changes by twice the cross sum of the images with the rest R less that
+    of M: one gather of 2|M| rows against the members, the columns of M
+    zeroed.  S itself is summed once, for B, before the first move.
+    IndexSets are built for the result and for the 50-digit recertification
+    of a swap whose margin is below the floor.
+    """
+
+    def __init__(self, t: WeightSequence, B: IndexSet, positions: tuple[int, ...], trace: TransformTrace):
+        self.t, self.B, self.positions, self.trace = t, B, positions, trace
+        rows = B.exponent_matrix(positions)
+        bits = np.packbits(rows, axis=1, bitorder="little").tolist()
+        self.slot = {int.from_bytes(x, "little"): r for r, x in enumerate(bits)}
+        slices = _slices(len(positions))
+        self.tables = _slice_tables(t.weights_for(positions), slices)
+        self.cuts = [(s, (1 << k) - 1) for s, k in slices]
+        self.parts = _sliced(_mask_words(rows), slices)
+        self.s: float | None = None
+
+    def position(self, u: int) -> int:
+        return self.positions[u.bit_length() - 1]
+
+    def index_set(self) -> IndexSet:
+        units = [1 << (j - 1) for j in self.positions]
+        return IndexSet.from_masks(sum([units[b] for b in _set_bits(x)]) for x in self.slot)
+
+    def result(self) -> IndexSet:
+        return self.index_set() if self.trace.steps else self.B
+
+    def _delta(self, rows: np.ndarray, flip: int) -> tuple[float, list[np.ndarray]]:
+        """S after moving the members in `rows` less S before, and the images'
+        parts."""
+        k = len(rows)
+        left = []
+        for p, (s, low) in zip(self.parts, self.cuts):
+            moved = p[rows]
+            left.append(np.concatenate((moved, moved ^ (flip >> s & low))))
+        step = max(1, _BLOCK_BUDGET // (len(self.slot) * len(self.tables)))
+        delta = 0.0
+        for lo in range(0, 2 * k, step):
+            block = _xor_products(self.tables, left, self.parts, slice(lo, lo + step))
+            block[:, rows] = 0.0
+            split = min(max(k - lo, 0), step)  # block rows of moved members, then images
+            delta += float(block[split:].sum() - block[:split].sum())
+        return 2.0 * delta, [x[k:] for x in left]
+
+    def move(self, moved: list[int], flip: int, description: str, certify_dps: int | None = None) -> None:
+        """Replace the members `moved` by x ^ flip and record the step; a swap
+        (`certify_dps` given) also records whether S rose strictly."""
+        rows = np.array([self.slot[x] for x in moved], dtype=np.intp)
+        delta, images = self._delta(rows, flip)
+        strict = None if certify_dps is None else delta > 0.0
+        before = self.index_set() if strict is not None and abs(delta) < STRICT_MARGIN_FLOOR else None
+        # the images are absent, and lack a position every moved member has
+        for x in moved:
+            self.slot[x ^ flip] = self.slot.pop(x)
+        for p, image in zip(self.parts, images):
+            p[rows] = image
+        if before is not None:
+            strict = (gcd_sum_mp(self.t, self.index_set(), dps=certify_dps)
+                      > gcd_sum_mp(self.t, before, dps=certify_dps))
+        if self.s is None:
+            self.s = gcd_sum(self.t, self.B)
+        step = TraceStep(description, len(self.slot), self.s, self.s + delta, strict)
+        self.trace.steps.append(step)
+        self.s = step.s_after
+
+    def close(self) -> None:
+        """Drop positions until the set is divisor closed: sweeps of ascending
+        positions, each batch every member with the position whose divisor is
+        absent, until a sweep changes nothing."""
+        changed = True
+        while changed:
+            changed = False
+            for u in _units(reduce(or_, self.slot, 0)):
+                batch = [x for x in self.slot if x & u and x ^ u not in self.slot]
+                if batch:
+                    self.move(batch, u, f"drop position {self.position(u)} from {len(batch)} member(s)")
+                    changed = True
 
 
 def divisor_closure(
@@ -127,31 +263,13 @@ def divisor_closure(
     preserved and S never decreases.  Output depends on the sweep order; this
     implementation fixes ascending positions.
     """
-    current = _mask_set(B, "divisor_closure")
+    if not B.is_square_free():
+        raise DomainError("divisor_closure requires a square-free set")
     trace = TransformTrace(weights=t.label(), initial=B)
-    result = B
-    s_current = None
-    changed = True
-    while changed:
-        changed = False
-        for u in _units(reduce(or_, current, 0)):
-            batch = [x for x in current if x & u and x ^ u not in current]
-            if not batch:
-                continue
-            if s_current is None:
-                s_current = gcd_sum(t, result)
-            current.difference_update(batch)
-            current.update(x ^ u for x in batch)
-            result = IndexSet.from_masks(current)
-            s_after = gcd_sum(t, result)
-            trace.steps.append(
-                TraceStep(f"drop position {_position(u)} from {len(batch)} member(s)",
-                          len(current), s_current, s_after)
-            )
-            s_current = s_after
-            changed = True
-    trace.final = result
-    return result, trace
+    run = _MaskRun(t, B, B.universe(), trace)
+    run.close()
+    trace.final = run.result()
+    return trace.final, trace
 
 
 @dataclass(frozen=True)
@@ -255,39 +373,34 @@ def normalize_to_complete(
     Swap pairs are scanned with ascending target j and ascending i below it;
     the first active pair is applied and the scan restarts.  Each swap
     strictly lowers the total weighted rank, so the loop terminates.
+
+    A swap target i is a used position or the lowest unused one, since an
+    unused i < j moves every member with j (so j falls out of use).  Hence no
+    swap raises the number of used positions, at most |U| for B's universe U,
+    and every target is one of U or 1, ..., min(N, |U| + 1): the positions of
+    the run's masks.
     """
     if not B.is_square_free():
         raise DomainError("normalize_to_complete requires a square-free set")
-    current, trace = divisor_closure(t, B)
+    universe = B.universe()
+    trace = TransformTrace(weights=t.label(), initial=B)
+    top = min(len(B), len(universe) + 1)
+    run = _MaskRun(t, B, tuple(sorted({*universe, *range(1, top + 1)})), trace)
+    run.close()
     if max_steps is None:
-        # twice the total weighted rank: column sums of the rows times positions
-        ranks = current.exponent_matrix().sum(axis=0, dtype=np.int64)
-        max_steps = 10 + 2 * int(ranks @ np.array(current.universe(), dtype=np.int64))
-    # S(t, current), carried over from the previous step so each swap sums once
-    s_current = trace.steps[-1].s_after if trace.steps else None
+        # twice the total weighted rank of the closed set
+        max_steps = 10 + 2 * sum(run.position(u) for x in run.slot for u in _units(x))
     steps = 0
-    while True:
-        pair = first_active_swap(current)
-        if pair is None:
-            break
+    while (pair := _first_swap(run.slot)) is not None:
         if steps >= max_steps:
-            trace.final = current
-            raise TransformLimitError(
-                f"swap iteration cap {max_steps} exceeded", trace=trace
-            )
-        i, j = pair
-        if s_current is None:
-            s_current = gcd_sum(t, current)
-        current, strict, s_after = completeness_step(
-            t, current, i, j, certify_dps=certify_dps, s_before=s_current
-        )
-        trace.steps.append(
-            TraceStep(f"swap position {j} -> {i}", len(current), s_current, s_after, strict)
-        )
-        s_current = s_after
+            trace.final = run.result()
+            raise TransformLimitError(f"swap iteration cap {max_steps} exceeded", trace=trace)
+        ui, uj = pair
+        run.move(_movable(run.slot, ui, uj), ui | uj,
+                 f"swap position {run.position(uj)} -> {run.position(ui)}", certify_dps)
         steps += 1
-    trace.final = current
-    return current, trace
+    trace.final = run.result()
+    return trace.final, trace
 
 
 def first_active_swap(B: IndexSet) -> tuple[int, int] | None:

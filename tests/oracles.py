@@ -540,3 +540,41 @@ def parse_set_text_reference(text: str) -> dict:
     if not seen:
         raise ParseError("set file has no members")
     return seen
+
+
+def divisor_closure_reference(t, B):
+    """The sweeps of `divisor_closure` on members, each batch summed in full:
+    (closed set, [(description, s_before, s_after)])."""
+    from gcdsums import IndexSet, gcd_sum
+
+    current, steps, s = set(B.members), [], None
+    changed = True
+    while changed:
+        changed = False
+        for j in sorted({j for m in current for j in m.support()}):
+            batch = [m for m in current if m.exponent(j) == 1 and m.with_unit_removed(j) not in current]
+            if not batch:
+                continue
+            s = gcd_sum(t, IndexSet(current)) if s is None else s
+            current.difference_update(batch)
+            current.update(m.with_unit_removed(j) for m in batch)
+            s_after = gcd_sum(t, IndexSet(current))
+            steps.append((f"drop position {j} from {len(batch)} member(s)", s, s_after))
+            s, changed = s_after, True
+    return IndexSet(current), steps
+
+
+def normalize_reference(t, B):
+    """`normalize_to_complete` replayed through `first_active_swap` and
+    `completeness_step`, which sums every swapped set in full:
+    (complete set, [(description, s_before, s_after, strict)])."""
+    from gcdsums import completeness_step, first_active_swap, gcd_sum
+
+    current, closure = divisor_closure_reference(t, B)
+    steps = [(d, s0, s1, None) for d, s0, s1 in closure]
+    s = steps[-1][2] if steps else gcd_sum(t, current)
+    while (pair := first_active_swap(current)) is not None:
+        current, strict, s_after = completeness_step(t, current, *pair, s_before=s)
+        steps.append((f"swap position {pair[1]} -> {pair[0]}", s, s_after, strict))
+        s = s_after
+    return current, steps

@@ -326,13 +326,15 @@ def test_transform_reports_swap_verdicts(tmp_path, capsys, monkeypatch):
     import gcdsums.transforms as transforms
 
     seen = []
-    step = transforms.completeness_step
+    exact = transforms.gcd_sum_mp
 
-    def recording(t, B, i, j, certify_dps=50, **kwargs):
-        seen.append(certify_dps)
-        return step(t, B, i, j, certify_dps=certify_dps, **kwargs)
+    def recording(t, B, dps=50):
+        seen.append(dps)
+        return exact(t, B, dps=dps)
 
-    monkeypatch.setattr(transforms, "completeness_step", recording)
+    # a floor above every margin sends each swap's verdict to the exact sums
+    monkeypatch.setattr(transforms, "STRICT_MARGIN_FLOOR", math.inf)
+    monkeypatch.setattr(transforms, "gcd_sum_mp", recording)
     monkeypatch.setenv("GCDSUMS_PRECISION", "60")
     path = write(tmp_path, "set.txt", "mi 2:1 3:1\nmi 3:1\nmi 4:1 5:1\nmi 5:1\n")
     code, out, _ = run(capsys, ["transform", path, "--mode", "complete", "--deterministic"])
@@ -341,7 +343,7 @@ def test_transform_reports_swap_verdicts(tmp_path, capsys, monkeypatch):
     swaps = [l for l in steps if l["description"].startswith("swap")]
     drops = [l for l in steps if l["description"].startswith("drop")]
     assert swaps and drops
-    assert seen == [60] * len(swaps)
+    assert seen == [60] * (2 * len(swaps))
     assert all(l["strict"] is True for l in swaps)
     assert all("strict" not in l for l in drops)
 
@@ -349,8 +351,9 @@ def test_transform_reports_swap_verdicts(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("content, moves", [("mi 2:1 3:1\nmi 3:1\nmi 4:1 5:1\nmi 5:1\n", True),
                                             ("1\n2\n", False)])
 def test_transform_sums_final_set_only_without_steps(tmp_path, capsys, monkeypatch, content, moves):
-    # the final S is the last step's s_after; the command sums the set itself
-    # only when no move changed it
+    # the final S is the last step's s_after, carried by the moves' deltas to
+    # within rounding of the full sum; the command sums the set itself only
+    # when no move changed it
     import gcdsums.cli as cli_module
 
     calls = []
@@ -370,9 +373,28 @@ def test_transform_sums_final_set_only_without_steps(tmp_path, capsys, monkeypat
         assert code == 0 and bool(steps) is moves
         assert len(calls) == (0 if moves else 1)
         B = IndexSet(map(parse_multiindex, final["final"]))
-        assert final["s_value"] == real(half, B)
+        assert final["s_value"] == pytest.approx(real(half, B), rel=1e-12)
         if moves:
             assert final["s_value"] == steps[-1]["s_after"]
+
+
+def test_far_positions_fail_fast(tmp_path, capsys):
+    # the 64 divisors of 2*3*5*7*11*99999989: 99999989 sits at position 5761455
+    from itertools import combinations
+
+    primes = [2, 3, 5, 7, 11, 99999989]
+    lines = [str(math.prod(c)) for r in range(7) for c in combinations(primes, r)]
+    path = write(tmp_path, "divisors.txt", "\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["certify", path])
+    assert_one_line_error(code, err)
+    assert "complete" in err
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["transform", path, "--mode", "complete", "--deterministic"])
+    final = json.loads(out.splitlines()[-1])
+    assert code == 0 and final["complete"] is True and final["n"] == 64
+    assert time.perf_counter() - start < 2.0
 
 
 def test_transform_closure_mode(tmp_path, capsys):

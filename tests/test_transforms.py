@@ -8,12 +8,15 @@ import hypothesis.strategies as st
 from conftest import square_free_sets
 from oracles import (
     brute_cross_sum,
+    divisor_closure_reference,
+    normalize_reference,
     brute_first_active_swap,
     brute_is_complete,
     brute_is_divisor_closed,
     brute_pair_sum,
     brute_swap_partition,
 )
+from gcdsums.verify import random_index_set
 
 from gcdsums import (
     DomainError,
@@ -107,6 +110,15 @@ def test_is_complete_matches_multiindex_definition(B):
 @given(square_free_sets(max_index=6, max_n=12))
 def test_is_complete_matches_multiindex_definition_small(B):
     assert is_complete(B) == brute_is_complete(B.members)
+
+
+def test_is_complete_rejects_far_positions_at_once():
+    # a complete set with position j holds the empty member and {1}, ..., {j}
+    B = completion([1 << 5])
+    assert len(B) == 7 and is_complete(B)
+    far = IndexSet([zero, e1, e2, MultiIndex({5_761_455: 1})])
+    assert not is_complete(far)
+    assert first_active_swap(far) == (3, 5_761_455)
 
 
 def test_is_complete_rejects_non_square_free():
@@ -369,7 +381,7 @@ def test_completeness_step_reuses_given_sum():
     assert completeness_step(half, B, 1, 2, s_before=1e9)[1] is False
 
 
-def test_normalize_sums_once_per_swap(monkeypatch):
+def test_normalize_sums_once_per_run(monkeypatch):
     import gcdsums.transforms as transforms
 
     calls = []
@@ -386,13 +398,9 @@ def test_normalize_sums_once_per_swap(monkeypatch):
         members = {MultiIndex({j: 1 for j in rng.sample(range(1, 8), rng.randint(0, 5))})
                    for _ in range(rng.randint(1, 10))}
         _, trace = normalize_to_complete(half, IndexSet(members))
-        closure_steps = sum(step.strict is None for step in trace.steps)
-        swaps = len(trace.steps) - closure_steps
-        # divisor_closure sums once per batch plus once up front; the swaps
-        # add one sum each, plus one initial sum when the closure made none
-        closure_sums = closure_steps + 1 if closure_steps else 0
-        assert swaps <= len(calls) - closure_sums <= swaps + 1
-        total_swaps += swaps
+        # S of the input, before the first move; every move carries S by its delta
+        assert len(calls) == (1 if trace.steps else 0)
+        total_swaps += sum(step.strict is not None for step in trace.steps)
         calls.clear()
     assert total_swaps > 40
 
@@ -403,3 +411,97 @@ def test_trace_records_weights_label():
     d = trace.to_dict()
     assert d["final"] == ["mi", "mi 1:1"]
     assert all({"description", "s_before", "s_after"} <= set(s) for s in d["steps"])
+
+
+def wide_sets(seed, count=4):
+    """Random square-free sets on 20-40 positions: their runs take more than
+    one product table (`_slices`)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(20, 40)
+        members = {MultiIndex({j: 1 for j in rng.sample(range(1, m + 1), rng.randint(0, 5))})
+                   for _ in range(rng.randint(15, 40))}
+        B = IndexSet(members)
+        if len(B.universe()) >= 20:
+            out.append(B)
+    return out
+
+
+def trace_cases():
+    for seed in range(5):
+        rng = random.Random(seed)
+        yield from (random_index_set(rng) for _ in range(40))
+    yield from wide_sets(11)
+
+
+def assert_same_trace(steps, expected):
+    assert [(s.description, s.strict) for s in steps] == [(e[0], e[3] if len(e) > 3 else None)
+                                                          for e in expected]
+    for step, (_, s_before, s_after, *_) in zip(steps, expected):
+        assert step.s_before == pytest.approx(s_before, rel=1e-12)
+        assert step.s_after == pytest.approx(s_after, rel=1e-12)
+
+
+def test_normalize_matches_full_sum_replay():
+    for B in trace_cases():
+        done, trace = normalize_to_complete(half, B)
+        expected_set, expected = normalize_reference(half, B)
+        assert done == expected_set
+        assert_same_trace(trace.steps, expected)
+
+
+def test_divisor_closure_matches_full_sum_replay():
+    for B in trace_cases():
+        closed, trace = divisor_closure(half, B)
+        expected_set, expected = divisor_closure_reference(half, B)
+        assert closed == expected_set
+        assert_same_trace(trace.steps, expected)
+
+
+def test_wide_sets_take_sliced_tables():
+    from gcdsums.gcdsum import _slices
+
+    for B in wide_sets(11):
+        assert len(_slices(len(B.universe()))) > 1
+
+
+def test_recertified_swaps_keep_the_trace(monkeypatch):
+    import gcdsums.transforms as transforms
+
+    sets = [random_index_set(random.Random(seed)) for seed in range(30)] + wide_sets(12, 2)
+    plain = [normalize_to_complete(half, B) for B in sets]
+    calls = []
+    exact = transforms.gcd_sum_mp
+
+    def counting(t, B, dps=50):
+        calls.append(dps)
+        return exact(t, B, dps=dps)
+
+    # every swap's margin is below this floor, so each is decided at 50 digits
+    monkeypatch.setattr(transforms, "STRICT_MARGIN_FLOOR", math.inf)
+    monkeypatch.setattr(transforms, "gcd_sum_mp", counting)
+    swaps = 0
+    for B, (done, trace) in zip(sets, plain):
+        again, retrace = normalize_to_complete(half, B)
+        assert again == done
+        assert [(s.description, s.strict, s.s_after) for s in retrace.steps] == \
+            [(s.description, s.strict, s.s_after) for s in trace.steps]
+        swaps += sum(s.strict is not None for s in retrace.steps)
+        assert all(s.strict is True for s in retrace.steps if s.strict is not None)
+    assert swaps > 30
+    assert calls == [50] * (2 * swaps)
+
+
+def test_move_blocks_match_one_block(monkeypatch):
+    import gcdsums.transforms as transforms
+
+    sets = [random_index_set(random.Random(seed)) for seed in range(20)] + wide_sets(13, 2)
+    plain = [normalize_to_complete(half, B)[1].steps for B in sets]
+    # a budget of one float cuts every move's gather into one-row blocks
+    monkeypatch.setattr(transforms, "_BLOCK_BUDGET", 1)
+    for B, steps in zip(sets, plain):
+        again = normalize_to_complete(half, B)[1].steps
+        assert [(s.description, s.strict) for s in again] == [(s.description, s.strict) for s in steps]
+        for a, b in zip(again, steps):
+            assert a.s_after == pytest.approx(b.s_after, rel=1e-12)
