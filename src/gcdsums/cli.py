@@ -13,10 +13,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from .bounds import (
     lower_curve,
     squarefree_upper_curve,
 )
-from .errors import ConvergenceError, DomainError, ParseError, TransformLimitError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    DuplicateMemberError,
+    ParseError,
+    TransformLimitError,
+)
 from .gcdsum import (
     IndexSet,
     cube_sum_closed_form,
@@ -37,7 +44,14 @@ from .gcdsum import (
     spectral_norm,
     support_grouping_form,
 )
-from .multiindex import factors_in_scope, format_items, parse_items, ranked_items
+from .multiindex import (
+    MAX_PARSE_EXPONENT,
+    MAX_PARSE_INDEX,
+    factors_in_scope,
+    format_items,
+    parse_items,
+    ranked_items,
+)
 from .search import cube_construction, extremal_sf, local_search
 from .transforms import divisor_closure, is_complete, normalize_to_complete
 from .verify import run_suite
@@ -83,71 +97,141 @@ def _default_precision() -> int:
         raise DomainError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
 
 
+# A text of plain `mi` lines, each ending in a newline: "mi", then per entry
+# one or more spaces and position:exponent without leading zeros.  At most 7
+# and 5 digits, so every value fits int64 and one over its cap is still read,
+# then found by the value checks; any other file is read line by line
+# (`_read_lines`).  Each entry starts at a space and each line ends at its
+# newline, so the greedy match backtracks in linear time.
+_PLAIN_TEXT = re.compile(r"(?:mi(?: +[1-9][0-9]{0,6}:[1-9][0-9]{0,4})*\n)*")
+
+
+def _plain_entries(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line number, position and exponent of every entry of a text of plain
+    `mi` lines, in text order: one numpy conversion reads the numbers, and
+    each entry's line is found from its colon's offset."""
+    if ":" not in text:  # numpy would read a text without entries as one 0
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    colons = np.flatnonzero(chars == ord(":"))
+    ends = np.append(np.flatnonzero(chars == ord("\n")), len(chars))
+    # each line's entries are the colons between its start and its end
+    counts = np.searchsorted(colons, ends)
+    counts[1:] -= counts[:-1]
+    lines = np.repeat(np.arange(1, len(ends) + 1), counts)
+    pairs = np.fromstring(text.replace("mi", " ").replace(":", " "), dtype=np.int64, sep=" ")
+    return lines, pairs[0::2], pairs[1::2]
+
+
+def _read_lines(lines: Iterable[tuple[int, str]]) -> tuple[list[int], list, ParseError | None]:
+    """Read (line number, text) lines one at a time, as far as the first
+    failing one: the line numbers of the members, their (position, exponent)
+    pairs, and the failure, if any.  Comments and blank lines are skipped;
+    the integer lines' prime factors are ranked together (`ranked_items`)."""
+    linenos: list[int] = []
+    # per line its pairs; an integer line's prime factors until they are ranked
+    members: list = []
+    integers: list[int] = []  # where the integer lines are in members
+    failure = None
+    for lineno, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("mi"):
+                member = parse_items(line)
+            else:
+                value = int(line)
+                if value >= 1 << 63:
+                    raise DomainError(f"{value} is beyond the 64-bit range")
+                member = factors_in_scope(value)
+                integers.append(len(members))
+        except DomainError as exc:
+            failure = ParseError(str(exc), line=lineno)
+            break
+        except ValueError:
+            failure = ParseError(f"malformed line {line!r}", line=lineno)
+            break
+        linenos.append(lineno)
+        members.append(member)
+    if integers:
+        for k, items in zip(integers, ranked_items(members[k] for k in integers)):
+            members[k] = items
+    return linenos, members, failure
+
+
 def parse_set_file(path: str) -> IndexSet:
     """Read one member per line: a decimal integer or an `mi j:e ...` form.
 
     Blank lines and `#` comments are skipped; duplicates and malformed lines
-    are rejected with their line number, the first such line winning.  An
-    integer line is factored as it is read, and the prime factors of all of
-    them are ranked together (`ranked_items`); then each line becomes its
-    (position, exponent) pairs, which are both its key among the lines seen
-    and its row of the set.  No `MultiIndex` is built.
+    are rejected with their line number, the first such line winning.
+
+    The file is read whole.  A file of plain `mi` lines (`_PLAIN_TEXT`) is
+    read in one pass (`_plain_entries`), and the caps and increasing
+    positions are checked over all its entries at once; only the first line
+    that fails a check is read on its own.  Any other file is split at its
+    newlines and read one line at a time (`_read_lines`).
+    The members before the first failing line become rows over one
+    universe, in line order, and `IndexSet.from_rows` names the first
+    duplicate (`DuplicateMemberError`).  No `MultiIndex` is built.
     """
-    linenos: list[int] = []
-    # per line its (position, exponent) pairs; an integer line's prime
-    # factors until they are ranked
-    members: list = []
-    integers: list[int] = []  # where the integer lines are in members
-    failure = None
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot open set file: {exc}")
     with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("mi"):
-                    member = tuple(parse_items(line))
-                else:
-                    value = int(line)
-                    if value >= 1 << 63:
-                        raise DomainError(f"{value} is beyond the 64-bit range")
-                    member = factors_in_scope(value)
-                    integers.append(len(members))
-            except DomainError as exc:
-                failure = ParseError(str(exc), line=lineno)
-                break
-            except ValueError:
-                failure = ParseError(f"malformed line {line!r}", line=lineno)
-                break
-            linenos.append(lineno)
-            members.append(member)
-    for k, items in zip(integers, ranked_items(members[k] for k in integers)):
-        members[k] = items
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot decode set file: {exc}") from None
+    if _PLAIN_TEXT.fullmatch(text):
+        plain = np.arange(1, text.count("\n") + 1)
+        at, j, e = _plain_entries(text)
+        # the grammar has made every position and exponent at least 1
+        bad = (j > MAX_PARSE_INDEX) | (e > MAX_PARSE_EXPONENT)
+        bad[1:] |= (at[1:] == at[:-1]) & (j[1:] <= j[:-1])
+        others = []
+        if bad.any():
+            stop = int(at[bad.argmax()])
+            others = [(stop, text.split("\n", stop)[stop - 1])]
+    else:
+        plain = at = j = e = np.zeros(0, dtype=np.int64)
+        others = enumerate(text.split("\n"), start=1)
+    linenos, members, failure = _read_lines(others)
+    if failure is not None:
+        plain = plain[plain < failure.line]
+        at, j, e = (a[at < failure.line] for a in (at, j, e))
+
+    # the members' line numbers, and the members as rows in that order
+    numbers = np.sort(np.concatenate([plain, np.array(linenos, dtype=np.intp)]))
+    if not len(numbers):
+        if failure is not None:
+            raise failure
+        raise ParseError("set file has no members")
+    row_at = np.zeros(numbers[-1] + 1, dtype=np.intp)
+    row_at[numbers] = np.arange(len(numbers))
+    entries = np.array([p for items in members for p in items], dtype=np.int64).reshape(-1, 2)
+    row = np.concatenate([row_at[at], np.repeat(row_at[linenos], list(map(len, members)))])
+    positions = np.concatenate([j, entries[:, 0]])
+    ordered = np.sort(positions)  # a sort and a search: np.unique's inverse takes twice as long
+    universe = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+    column = np.searchsorted(universe, positions)
+    rows = np.zeros((len(numbers), len(universe)), dtype=np.int16)
+    rows[row, column] = np.concatenate([e, entries[:, 1]])
     # every line here precedes a failed one, so a duplicate among them is
     # the first error by line
-    seen: dict[tuple[tuple[int, int], ...], int] = {}
-    for lineno, member in zip(linenos, members):
-        if member in seen:
-            raise ParseError(
-                f"duplicate member {format_items(member)} (first seen at line {seen[member]})",
-                line=lineno,
-            )
-        seen[member] = lineno
+    try:
+        B = IndexSet.from_rows(universe.tolist(), rows)
+    except DuplicateMemberError as exc:
+        r, q = exc.rows
+        used = np.flatnonzero(rows[r])
+        items = zip(universe[used].tolist(), rows[r, used].tolist())
+        raise ParseError(f"duplicate member {format_items(items)} (first seen at line {numbers[q]})",
+                         line=int(numbers[r])) from None
     if failure is not None:
         raise failure
-    if not seen:
-        raise ParseError("set file has no members")
-    counts = np.fromiter(map(len, seen), dtype=np.intp, count=len(seen))
-    entries = np.fromiter(chain.from_iterable(chain.from_iterable(seen)), dtype=np.int64)
-    entries = entries.reshape(-1, 2)
-    universe, column = np.unique(entries[:, 0], return_inverse=True)
-    rows = np.zeros((len(seen), len(universe)), dtype=np.int16)
-    rows[np.repeat(np.arange(len(seen)), counts), column] = entries[:, 1]
-    return IndexSet.from_rows(universe.tolist(), rows)
+    return B
 
 
 def load_weights(config: RunConfig) -> WeightSequence:

@@ -15,6 +15,16 @@ class ParseError(DomainError):
         self.line = line
 
 
+class DuplicateMemberError(DomainError):
+    """A set was given the same member twice.  For members given as rows,
+    `rows` is (r, q): r the first row equal to an earlier one, q the first
+    row equal to it, both in the order given."""
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
+
+
 class PrimeRangeError(DomainError):
     """A prime beyond the configured sieve ceiling was requested."""
 

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import mpmath as mp
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, DuplicateMemberError
 from .multiindex import MultiIndex, abs_diff, factors_in_scope, ranked_items
 from .weights import WeightSequence
 
@@ -164,7 +164,7 @@ class IndexSet:
         row is keyed by its exponents with such gaps raised to top + 1, the
         columns packed into as few int64 words as hold them, most
         significant first, and one `np.lexsort` over the words sorts the
-        rows; two equal adjacent keys are a duplicate.
+        rows; two equal adjacent keys are a duplicate (`DuplicateMemberError`).
         """
         n, m = rows.shape
         present = rows > 0
@@ -177,8 +177,9 @@ class IndexSet:
                  for s in range(0, m, per)] or [np.zeros(n, dtype=np.int64)]
         order = np.lexsort(words[::-1])
         ranked = np.column_stack(words)[order]
-        if (ranked[1:] == ranked[:-1]).all(axis=1).any():
-            raise DomainError("members must be pairwise distinct")
+        same = (ranked[1:] == ranked[:-1]).all(axis=1)
+        if same.any():
+            raise DuplicateMemberError("members must be pairwise distinct", _first_repeat(order, same))
         self._store(universe, rows[order].astype(np.int16, copy=False), top <= 1)
         return order
 
@@ -306,6 +307,17 @@ class IndexSet:
                 out[r] |= bits[c]
             self._position_masks = tuple(out)
         return self._position_masks
+
+
+def _first_repeat(order: np.ndarray, same: np.ndarray) -> tuple[int, int]:
+    """(r, q) for rows in a stable sort `order`, `same` telling whether each
+    sorted row equals the one before: r the first row, in the order given,
+    equal to an earlier one, and q the first row equal to it, which heads
+    r's run of equal rows."""
+    r = int(order[1:][same].min())
+    at = int(np.flatnonzero(order == r)[0])
+    heads = np.flatnonzero(~same[:at]) + 1
+    return r, int(order[heads[-1] if len(heads) else 0])
 
 
 def _check_exponent(top: int) -> None:

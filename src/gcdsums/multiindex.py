@@ -225,8 +225,8 @@ def format_multiindex(a: MultiIndex) -> str:
     return format_items(a.items)
 
 
-_MAX_PARSE_INDEX = 10 ** 6
-_MAX_PARSE_EXPONENT = 10 ** 4
+MAX_PARSE_INDEX = 10 ** 6
+MAX_PARSE_EXPONENT = 10 ** 4
 
 
 def parse_items(text: str) -> list[tuple[int, int]]:
@@ -248,10 +248,10 @@ def parse_items(text: str) -> list[tuple[int, int]]:
             raise DomainError(f"malformed entry {tok!r} (want position:exponent)") from None
         if j <= last:
             raise DomainError(f"positions must be strictly increasing (saw {j} after {last})")
-        if j > _MAX_PARSE_INDEX:
-            raise DomainError(f"position {j} exceeds the cap {_MAX_PARSE_INDEX}")
-        if not 1 <= e <= _MAX_PARSE_EXPONENT:
-            raise DomainError(f"exponent {e} outside [1, {_MAX_PARSE_EXPONENT}]")
+        if j > MAX_PARSE_INDEX:
+            raise DomainError(f"position {j} exceeds the cap {MAX_PARSE_INDEX}")
+        if not 1 <= e <= MAX_PARSE_EXPONENT:
+            raise DomainError(f"exponent {e} outside [1, {MAX_PARSE_EXPONENT}]")
         pairs.append((j, e))
         last = j
     return pairs

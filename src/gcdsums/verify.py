@@ -35,6 +35,8 @@ class _Failed(Exception):
 
 
 def _require(ok, detail: str) -> str:
+    # a check repeated over many sets raises _Failed itself instead, so that
+    # its message (a set's repr, a list) is built only when it fails
     if not ok:
         raise _Failed(detail)
     return detail
@@ -59,19 +61,26 @@ def _check(name: str):
 
 def random_index_set(rng: random.Random, max_n=12, max_index=8, max_exponent=1) -> IndexSet:
     """1 to max_n distinct members on at most min(max_index, 6) of positions
-    1..max_index each; exponents are drawn only when max_exponent > 1."""
+    1..max_index each; exponents are drawn only when max_exponent > 1, and
+    otherwise the members are kept as position masks."""
     n = rng.randint(1, max_n)
+    if max_exponent <= 1:
+        masks: set[int] = set()
+        while len(masks) < n:
+            positions = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_index, 6)))
+            masks.add(sum(1 << (j - 1) for j in positions))
+        return IndexSet.from_masks(masks)
     members: set[MultiIndex] = set()
     while len(members) < n:
         positions = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_index, 6)))
-        members.add(MultiIndex(
-            {j: rng.randint(1, max_exponent) if max_exponent > 1 else 1 for j in positions}))
+        members.add(MultiIndex({j: rng.randint(1, max_exponent) for j in positions}))
     return IndexSet(members)
 
 
 def _support_bound_members(B: IndexSet) -> int:
     for m in B:
-        _require(support_tail_bound(B, m)[0], f"support bound fails for {m} in {B!r}")
+        if not support_tail_bound(B, m)[0]:
+            raise _Failed(f"support bound fails for {m} in {B!r}")
     return len(B)
 
 
@@ -95,9 +104,11 @@ def check_maximizers_complete(seed: int, quick: bool):
         for m in range(1, m_max + 1):
             for n in range(1, min(10, 1 << m) + 1):
                 maximizers = extremal_sf(PrimePowerWeights(alpha), n, m).maximizers
-                _require(maximizers, f"no maximizer for n={n}, m={m}, alpha={alpha}")
+                if not maximizers:
+                    raise _Failed(f"no maximizer for n={n}, m={m}, alpha={alpha}")
                 for s in maximizers:
-                    _require(is_complete(s), f"incomplete maximizer at alpha={alpha}: {s!r}")
+                    if not is_complete(s):
+                        raise _Failed(f"incomplete maximizer at alpha={alpha}: {s!r}")
                     members += _support_bound_members(s)
                 count += len(maximizers)
     return f"{count} maximizers all complete, support bound on {members} members", members
@@ -115,13 +126,15 @@ def check_transforms(seed: int, quick: bool):
         complete, trace = normalize_to_complete(HALF, B)
         for step in trace.steps:
             if step.strict is None:
-                _require(step.s_after >= step.s_before - MONOTONE_TOL,
-                         f"S dropped at {step.description} in {B!r}")
+                if not step.s_after >= step.s_before - MONOTONE_TOL:
+                    raise _Failed(f"S dropped at {step.description} in {B!r}")
             else:
-                _require(step.strict, f"non-strict {step.description} in {B!r}")
+                if not step.strict:
+                    raise _Failed(f"non-strict {step.description} in {B!r}")
                 swaps += 1
                 recertified += step.s_after - step.s_before < STRICT_MARGIN_FLOOR
-        _require(is_complete(complete), f"fixed point of {B!r} not complete")
+        if not is_complete(complete):
+            raise _Failed(f"fixed point of {B!r} not complete")
         members += _support_bound_members(complete)
     return (f"{rounds} sets, closure monotone, {swaps} swaps all strict ({recertified} "
             f"decided at 50 digits), support bound on {members} members"), members
@@ -136,7 +149,8 @@ def check_closure_bound(seed: int, quick: bool):
     for i in range(rounds):
         B = random_index_set(rng, max_exponent=1 if i % 2 else 3)
         rhs, holds, s = lcm_closure_bound(HALF, B)
-        _require(holds, f"violated at {B!r}")
+        if not holds:
+            raise _Failed(f"violated at {B!r}")
         worst = max(worst, s / rhs)
     return f"{rounds} sets, max lhs/rhs {worst:.6f}"
 
@@ -151,7 +165,8 @@ def check_positive_definite(seed: int, quick: bool):
         t = PrimePowerWeights(rng.choice((0.5, 1.0)))
         B = random_index_set(rng, max_n=40, max_index=9, max_exponent=2)
         worst = min(worst, min_eigenvalue(gcd_matrix(t, B)))
-        _require(worst > 0, f"min eigenvalue {worst:.3e} at {B!r}")
+        if not worst > 0:
+            raise _Failed(f"min eigenvalue {worst:.3e} at {B!r}")
     return f"{rounds} sets, min eigenvalue {worst:.3e}"
 
 
@@ -170,7 +185,8 @@ def check_integer_consistency(seed: int, quick: bool):
         direct = gcd_sum_integers(ns, alpha)
         lifted = gcd_sum(PrimePowerWeights(alpha), index_set_from_integers(ns))
         worst = max(worst, abs(direct - lifted) / direct)
-        _require(worst <= 1e-10, f"gap {worst:.3e} at {ns}")
+        if not worst <= 1e-10:
+            raise _Failed(f"gap {worst:.3e} at {ns}")
     sizes = f", {large} of 200" if large else ""
     return f"{rounds} sets of integers up to {top}{sizes}, worst gap {worst:.3e}"
 
@@ -190,7 +206,8 @@ def check_rayleigh(seed: int, quick: bool):
     rng = random.Random(seed)
     for _ in range(10):
         B = random_index_set(rng, max_n=max_n, max_index=10, max_exponent=2)
-        _require(sandwiched(rayleigh_bounds(HALF, B)), f"random set {B!r}")
+        if not sandwiched(rayleigh_bounds(HALF, B)):
+            raise _Failed(f"random set {B!r}")
     return f"cubes k<={k_max} (spectral worst rel {worst:.2e}), 10 sets of <= {max_n} members"
 
 

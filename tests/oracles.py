@@ -4,6 +4,7 @@ Everything here is deliberately written from first principles (plain dicts,
 double loops, closed forms) so it shares no code path with the library.
 """
 
+import io
 import math
 
 import mpmath
@@ -510,12 +511,16 @@ def eager_index_set(members):
 def parse_set_text_reference(text: str) -> dict:
     """The line-by-line parse of a set file that the two-phase parse
     replaced: each line ranked as it is read, the first failing line
-    raising ParseError.  Returns {(position, exponent) pairs: line}."""
+    raising ParseError.  Returns {(position, exponent) pairs: line}.
+
+    The text is split as a file opened in text mode splits it: `\r\n` and
+    `\r` end a line as `\n` does, and no other character does (not `\x0c`,
+    as `str.splitlines` would have it)."""
     from gcdsums.errors import DomainError, ParseError
     from gcdsums.multiindex import format_items, from_integer, parse_items
 
     seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -4,10 +4,12 @@ line.  Criterion 9 rides on the checks of criteria 2 and 3; only criterion 1's
 forced direct path is tested here."""
 
 import functools
+import random
 import time
 
 import gcdsums.gcdsum as gcdsum_module
-from gcdsums import PrimePowerWeights, cube_construction, cube_sum_closed_form, gcd_sum, verify
+from gcdsums import (IndexSet, MultiIndex, PrimePowerWeights, cube_construction, cube_sum_closed_form,
+                     gcd_sum, verify)
 
 CRITERIA = {  # test name: (check, seed)
     "01_cube_product_identity": (verify.check_cube_identity, 0),
@@ -71,3 +73,23 @@ def test_rayleigh_quick_seed_812():
     # one of its sets has 3 members with top eigenvalues 1.0000084 and 0.9999988:
     # the power iteration cannot converge in its budget and eigvalsh answers
     assert verify.check_rayleigh(812, quick=True).ok
+
+
+def _random_index_set_of_members(rng, max_n=12, max_index=8):
+    # the square-free draw as MultiIndex members, the construction the masks replaced
+    n = rng.randint(1, max_n)
+    members = set()
+    while len(members) < n:
+        positions = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_index, 6)))
+        members.add(MultiIndex({j: 1 for j in positions}))
+    return IndexSet(members)
+
+
+def test_random_index_set_masks_match_members():
+    # same sets, and the same draws from rng, as the MultiIndex construction
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for i in range(40):
+            kwargs = {"max_n": 40, "max_index": 9} if i % 2 else {}
+            assert verify.random_index_set(rng, **kwargs) == _random_index_set_of_members(ref, **kwargs)
+            assert rng.getstate() == ref.getstate()

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 
 import pytest
@@ -19,7 +20,7 @@ half = PrimePowerWeights(0.5)
 
 def write(tmp_path, name, content):
     path = tmp_path / name
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     return str(path)
 
 
@@ -98,24 +99,33 @@ _LINES = st.one_of(
     st.sampled_from(["mi", "mi 1:1", "mi 2:1", "mi 1:1 2:1", "mi 3:2", "mi 1:2 3:1", "mi 12:1"]),
     st.sampled_from(["", "# c", "0", "-4", "abc", "mi 2:1 1:1", f"{1 << 63}",
                      "1000000016000000063", "99999989", "mi 5761455:1"]),
+    # forms the plain-line grammar leaves to the line-by-line reading: tabs,
+    # runs of spaces, leading blanks, comments, what int() also accepts, a
+    # form feed (no line break in a file), values past the caps
+    st.sampled_from(["mi\t1:1", "mi 1:1\t2:1", "mi  1:1   2:1", "  mi 2:1", "\tmi 1:1 2:1",
+                     "mi 1:1 # c", "mi 3:2# c", "6  # six", " 3", "mi +3:1", "mi 1_0:1",
+                     "mi 03:1", "mi \u0663:1", "mi 1:1\x0cmi 2:1", "mi 1:10001",
+                     "mi 1000001:1", "mi 12345678:1", "mi 1:123456", "mi 2:1 2:1", "mi 1:1 "]),
 )
 
 
 @settings(max_examples=300)
-@given(st.lists(_LINES, max_size=8))
-def test_parse_set_file_matches_line_by_line_parse(tmp_path_factory, lines):
-    # the two-phase parse reports what the line-by-line parse did: the same
-    # members, or the same first failing line and message
-    text = "\n".join(lines) + "\n"
-    path = write(tmp_path_factory.mktemp("sets"), "set.txt", text)
+@given(st.lists(_LINES, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_parse_set_file_matches_line_by_line_parse(tmp_path_factory, lines, newline, last):
+    # the bulk parse reports what the line-by-line parse did: the same
+    # members, or the same first failing line and message, whatever the
+    # line ends and with or without a break after the last line
+    text = newline.join(lines) + (newline if last else "")
+    path = tmp_path_factory.mktemp("sets") / "set.txt"
+    path.write_bytes(text.encode("utf-8"))
     try:
         expected = parse_set_text_reference(text)
     except ParseError as exc:
         with pytest.raises(ParseError) as err:
-            parse_set_file(path)
+            parse_set_file(str(path))
         assert str(err.value) == str(exc)
     else:
-        assert parse_set_file(path) == IndexSet([MultiIndex(items) for items in expected])
+        assert parse_set_file(str(path)) == IndexSet([MultiIndex(items) for items in expected])
 
 
 def test_parse_set_file_edge_members(tmp_path):
@@ -151,6 +161,74 @@ def test_square_free_jobs_build_no_multiindex(tmp_path, capsys, multiindex_count
     # the count sees members that are asked for: transform prints them
     assert run(capsys, ["transform", path, "--deterministic"])[0] == 0
     assert multiindex_count() >= 300
+
+
+def _cube_subset_lines(seed, n=3000, k=14):
+    masks = random.Random(seed).sample(range(1 << k), n)
+    return masks, [" ".join(["mi"] + [f"{j + 1}:1" for j in range(k) if x >> j & 1]) for x in masks]
+
+
+def _assert_reference_error(tmp_path, lines):
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as expected:
+        parse_set_text_reference(text)
+    with pytest.raises(ParseError) as err:
+        parse_set_file(write(tmp_path, "set.txt", text))
+    assert str(err.value) == str(expected.value)
+    assert err.value.line == expected.value.line
+    return err.value
+
+
+def test_large_file_duplicate(tmp_path):
+    _, lines = _cube_subset_lines(1)
+    lines[2899] = lines[17]
+    err = _assert_reference_error(tmp_path, lines)
+    assert err.line == 2900 and "first seen at line 18" in str(err)
+
+
+@pytest.mark.parametrize("duplicate, line", [(2900, 2900), (2980, 2950)])
+def test_large_file_decreasing_line_and_duplicate(tmp_path, duplicate, line):
+    # the earlier of a duplicate and a line with decreasing positions wins
+    _, lines = _cube_subset_lines(2)
+    lines[duplicate - 1] = lines[40]
+    lines[2949] = "mi 1:1 5:1 3:1"
+    assert _assert_reference_error(tmp_path, lines).line == line
+
+
+def test_large_file_exponent_cap_at_last_line(tmp_path):
+    _, lines = _cube_subset_lines(3)
+    lines[-1] = "mi 2:1 7:10001"
+    err = _assert_reference_error(tmp_path, lines)
+    assert str(err) == "line 3000: exponent 10001 outside [1, 10000]"
+
+
+def test_large_plain_file_reads_no_line_alone(tmp_path, monkeypatch, multiindex_count):
+    # a file of plain mi lines is read in bulk: no parse_items call, no MultiIndex
+    import gcdsums.cli as cli
+
+    calls = [0]
+    parse = cli.parse_items
+
+    def counting(text):
+        calls[0] += 1
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_items", counting)
+    masks, lines = _cube_subset_lines(4)
+    B = parse_set_file(write(tmp_path, "set.txt", "\n".join(lines) + "\n"))
+    assert calls[0] == 0 and multiindex_count() == 0
+    assert B == IndexSet.from_masks(masks)
+
+
+def test_undecodable_set_file(tmp_path, capsys):
+    # a byte that is not UTF-8 is a ParseError, also far behind a failing line
+    path = tmp_path / "set.txt"
+    path.write_bytes(b"mi 1:1\nabc\n" + b"mi 2:1\n" * 4000 + b"\xff\n")
+    with pytest.raises(ParseError, match="cannot decode set file"):
+        parse_set_file(str(path))
+    code, out, err = run(capsys, ["sum", str(path), "--alpha", "0.5"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot decode set file") and "Traceback" not in err
 
 
 def test_out_of_range_member_fails_fast(tmp_path, capsys):

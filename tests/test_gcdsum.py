@@ -48,6 +48,7 @@ from gcdsums import (
     weighted_sf_form,
 )
 from gcdsums.cli import parse_set_file
+from gcdsums.errors import DuplicateMemberError
 from gcdsums.multiindex import to_integer
 from gcdsums.search import cube_construction
 
@@ -209,6 +210,20 @@ def test_from_masks_rejects_bad_input():
         IndexSet.from_rows((1, 2), np.array([[0, 1], [1, 0], [0, 1]]))
     with pytest.raises(DomainError, match="too large"):
         IndexSet([MultiIndex({1: 30_001})])
+
+
+@pytest.mark.parametrize("rows, repeat", [
+    ([[0, 1], [1, 0], [0, 1]], (2, 0)),
+    ([[1, 0], [0, 1], [2, 0], [0, 1], [1, 0], [0, 1]], (3, 1)),
+    ([[3], [1], [1], [3], [3]], (2, 1)),
+    ([[0], [0]], (1, 0)),
+])
+def test_from_rows_names_the_first_repeated_row(rows, repeat):
+    # the first row equal to an earlier one, and the first row equal to it
+    rows = np.array(rows)
+    with pytest.raises(DuplicateMemberError, match="distinct") as err:
+        IndexSet.from_rows(range(1, rows.shape[1] + 1), rows)
+    assert err.value.rows == repeat
 
 
 def test_cached_arrays_are_read_only():
