@@ -249,6 +249,8 @@ def load_weights(config: RunConfig) -> WeightSequence:
                         raise ParseError(f"malformed weight {line!r}", line=lineno) from None
         except OSError as exc:
             raise ParseError(f"cannot open weights file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot decode weights file: {exc}") from None
         return ExplicitWeights(values)
     return PrimePowerWeights(config.alpha if config.alpha is not None else 0.5)
 

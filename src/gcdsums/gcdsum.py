@@ -39,6 +39,7 @@ own blocks of closure rows with the row-range products of the pair blocks
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
@@ -375,8 +376,8 @@ def _slices(m: int) -> list[tuple[int, int]]:
 
 def _sliced(words: np.ndarray, slices: list[tuple[int, int]]) -> list[np.ndarray]:
     """Per slice (`_slices`), each mask's bits there as an index.  Bits past
-    the last column are zero, so a word's last slice needs no mask and its
-    first no shift."""
+    the last column are zero, so a word's last slice needs no mask, and its
+    first starts at bit 0."""
     out, m = [], sum(slices[-1])
     for s, w in slices:
         x = words[:, s // 64]
@@ -760,20 +761,20 @@ def lcm_closure(B: IndexSet) -> IndexSet:
     n, m = E.shape
     widths = np.array([int(e).bit_length() for e in E.max(axis=0)], dtype=np.int64)
     packed = int(widths.sum()) <= 63
-    shifts = np.cumsum(widths) - widths
+    offsets = np.cumsum(widths) - widths  # each column's lowest bit in a key
     row_bytes = np.dtype((np.void, E.itemsize * m))
     keys = []
     lo = 0
     while lo < n:
         hi = min(n, lo + max(1, _BLOCK_BUDGET // max((n - lo) * m, 1)))
         joined = np.maximum(E[lo:hi, None, :], E[None, lo:, :])
-        # fields do not overlap, so the sum of the shifted columns is their OR
-        key = joined @ (1 << shifts) if packed else joined.reshape(-1, m).view(row_bytes)
+        # fields do not overlap, so the sum of the columns at their offsets is their OR
+        key = joined @ (1 << offsets) if packed else joined.reshape(-1, m).view(row_bytes)
         keys.append(np.unique(key))
         lo = hi
     keys = np.unique(np.concatenate(keys))
     if packed:
-        rows = (keys[:, None] >> shifts) & ((1 << widths) - 1)
+        rows = (keys[:, None] >> offsets) & ((1 << widths) - 1)
     else:
         rows = keys.view(E.dtype).reshape(-1, m)
     return IndexSet.from_rows(universe, rows)
@@ -978,62 +979,58 @@ def gcd_matrix(t: WeightSequence, B: IndexSet) -> GcdMatrix:
     return GcdMatrix(t, B)
 
 
-def _power_iteration(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    tol: float,
-    max_iterations: int,
-) -> float:
-    # all-ones start: a positive matrix guarantees overlap with the
-    # dominant eigenvector
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam_prev = None
-    for it in range(1, max_iterations + 1):
-        y = matvec(v)
-        lam = float(v @ y)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            raise ConvergenceError("matvec collapsed to zero", estimate=lam, iterations=it)
-        v = y / norm
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return lam
-        lam_prev = lam
-    residual = float(np.linalg.norm(matvec(v) - lam_prev * v))
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iterations} iterations",
-        estimate=lam_prev,
-        residual=residual,
-        iterations=max_iterations,
-    )
+def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float,
+             max_iterations: int, lowest: bool) -> float:
+    """Lowest or highest eigenvalue of a symmetric operator by Lanczos with full
+    reorthogonalization, from a seeded Gaussian start.
+
+    A Ritz value theta of the tridiagonal T_k, s its unit eigenvector, lies
+    within |beta_k s_k| of an eigenvalue (Parlett, The Symmetric Eigenvalue
+    Problem, the Lanczos chapter).  T_k's eigenpairs are taken at steps spaced
+    geometrically; the solve stops once that bound is at most tol * |theta|,
+    at beta_k = 0, or at k = n, where T_k is the whole matrix, and raises
+    ConvergenceError past max_iterations steps.  The basis grows with k.
+    """
+    V = np.zeros((min(n, 64), n))  # V[-1] is finite: the first step subtracts 0 * V[-1]
+    # the standard library's generator: importing numpy.random costs about 5 MB
+    rng = random.Random(0)
+    start = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+    V[0] = start / np.linalg.norm(start)
+    alpha, beta = [], [0.0]
+    estimate = residual = None
+    check = 5
+    for k in range(1, min(n, max_iterations) + 1):
+        w = matvec(V[k - 1]) - beta[-1] * V[k - 2]
+        alpha.append(float(V[k - 1] @ w))
+        w -= alpha[-1] * V[k - 1]
+        w -= V[:k].T @ (V[:k] @ w)
+        beta.append(float(np.linalg.norm(w)))
+        if k in (check, n, max_iterations) or not beta[-1]:
+            check = k + max(5, k // 8)
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[1:-1], -1))
+            i = 0 if lowest else -1
+            estimate, residual = float(theta[i]), abs(beta[-1] * float(s[-1, i]))
+            if residual <= tol * abs(estimate) or k == n:
+                return estimate
+        if k == len(V):
+            grown = np.empty((min(n, 2 * k), n))
+            grown[:k] = V
+            V = grown
+        V[k] = w / beta[-1]
+    raise ConvergenceError(f"Lanczos did not converge in {max_iterations} iterations",
+                           estimate=estimate, residual=residual, iterations=max_iterations)
 
 
 def spectral_norm(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_000) -> float:
-    """Largest eigenvalue via power iteration from the all-ones vector.
-
-    Up to _DENSE_CAP the iteration gets at most max(256, n) matvecs, work of
-    the same O(n^3) order as a dense symmetric solve, and a top eigenvalue too
-    close to the next to converge within them is read from `eigvalsh` of the
-    dense matrix.  A `max_iterations` at or below that budget is kept as
-    given, and the iteration raises ConvergenceError past it.
-    """
-    budget = max(256, M.n)
-    if M.n <= _DENSE_CAP and max_iterations > budget:
-        try:
-            return _power_iteration(M.matvec, M.n, tol, budget)
-        except ConvergenceError:
-            return float(np.linalg.eigvalsh(M.dense())[-1])
-    return _power_iteration(M.matvec, M.n, tol, max_iterations)
+    """Largest eigenvalue by `_lanczos`, within tol relative."""
+    return _lanczos(M.matvec, M.n, tol, max_iterations, lowest=False)
 
 
 def min_eigenvalue(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_000) -> float:
-    """Smallest eigenvalue: dense symmetric solve up to _DENSE_CAP, else shifted iteration."""
+    """Smallest eigenvalue: dense symmetric solve up to _DENSE_CAP, else `_lanczos`."""
     if M.n <= _DENSE_CAP:
         return float(np.linalg.eigvalsh(M.dense())[0])
-    shift = spectral_norm(M, tol=tol, max_iterations=max_iterations) * (1.0 + 1e-12)
-    mu = _power_iteration(
-        lambda v: shift * v - M.matvec(v), M.n, tol, max_iterations
-    )
-    return shift - mu
+    return _lanczos(M.matvec, M.n, tol, max_iterations, lowest=True)
 
 
 def _support_patterns(B: IndexSet) -> tuple[IndexSet, np.ndarray, np.ndarray]:

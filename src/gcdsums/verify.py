@@ -10,6 +10,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import bound_chain_report, support_tail_bound, tail_sum
 from .errors import ConvergenceError, DomainError
 from .gcdsum import (IndexSet, cube_sum_closed_form, gcd_matrix, gcd_sum, gcd_sum_integers,
@@ -17,7 +19,7 @@ from .gcdsum import (IndexSet, cube_sum_closed_form, gcd_matrix, gcd_sum, gcd_su
 from .multiindex import MultiIndex
 from .search import cube_construction, extremal_sf
 from .transforms import MONOTONE_TOL, STRICT_MARGIN_FLOOR, is_complete, normalize_to_complete
-from .weights import PrimePowerWeights, count_above_half, doubled_weights
+from .weights import PrimePowerWeights, WeightSequence, count_above_half, doubled_weights
 
 HALF = PrimePowerWeights(0.5)
 
@@ -191,22 +193,45 @@ def check_integer_consistency(seed: int, quick: bool):
     return f"{rounds} sets of integers up to {top}{sizes}, worst gap {worst:.3e}"
 
 
+def spectrum_interval(t: WeightSequence, B: IndexSet) -> tuple[float, float]:
+    """(lo, hi) holding every eigenvalue of B's pair matrix.
+
+    The matrix is a principal submatrix of the Kronecker product over B's
+    universe of the matrices [t_j^|x - y|] over the exponents x, y in 0..e_j,
+    e_j the largest exponent B uses at position j.  By Cauchy interlacing its
+    eigenvalues lie between the products of their extreme eigenvalues: 1 -+ t_j
+    for e_j = 1, and for any e_j within (1 - t_j)/(1 + t_j) and its inverse,
+    the range of the Kac-Murdock-Szego symbol.  A square-free set gets
+    [prod (1 - t_j), prod (1 + t_j)], both ends attained by the cube.
+    """
+    w = t.weights_for(B.universe())
+    square_free = B.exponent_matrix().max(axis=0) == 1
+    lo = np.where(square_free, 1.0 - w, (1.0 - w) / (1.0 + w))
+    hi = np.where(square_free, 1.0 + w, (1.0 + w) / (1.0 - w))
+    return float(np.prod(lo)), float(np.prod(hi))
+
+
 @_check("rayleigh_sandwich")
 def check_rayleigh(seed: int, quick: bool):
-    """Criterion 7: S/N <= lambda_max <= max row sum; on cubes lambda_max = prod(1 + t_j)."""
-    def sandwiched(rb):
-        return rb.lower <= rb.spectral * (1 + 1e-10) and rb.spectral <= rb.upper * (1 + 1e-10)
+    """Criterion 7: S/N <= lambda_max <= max row sum; on cubes lambda_max = prod(1 + t_j).
+    Both ends of the spectrum lie in `spectrum_interval`."""
+    def sandwiched(B):
+        rb = rayleigh_bounds(HALF, B)
+        lo, hi = spectrum_interval(HALF, B)
+        lowest = min_eigenvalue(gcd_matrix(HALF, B))
+        return rb, (rb.lower <= rb.spectral * (1 + 1e-10) and rb.spectral <= rb.upper * (1 + 1e-10)
+                    and lo * (1 - 1e-10) <= lowest and rb.spectral <= hi * (1 + 1e-10))
     k_max, max_n = (6, 30) if quick else (12, 200)
     worst = 0.0
     for k in range(1, k_max + 1):
-        rb = rayleigh_bounds(HALF, cube_construction(k))
+        rb, ok = sandwiched(cube_construction(k))
         closed = math.prod(1 + HALF.weight_at(j) for j in range(1, k + 1))
         worst = max(worst, abs(rb.spectral - closed) / closed)
-        _require(sandwiched(rb) and worst <= 1e-8, f"cube k={k}, spectral gap {worst:.3e}")
+        _require(ok and worst <= 1e-8, f"cube k={k}, spectral gap {worst:.3e}")
     rng = random.Random(seed)
     for _ in range(10):
         B = random_index_set(rng, max_n=max_n, max_index=10, max_exponent=2)
-        if not sandwiched(rayleigh_bounds(HALF, B)):
+        if not sandwiched(B)[1]:
             raise _Failed(f"random set {B!r}")
     return f"cubes k<={k_max} (spectral worst rel {worst:.2e}), 10 sets of <= {max_n} members"
 

@@ -70,8 +70,7 @@ def test_every_check_is_a_criterion():
 
 
 def test_rayleigh_quick_seed_812():
-    # one of its sets has 3 members with top eigenvalues 1.0000084 and 0.9999988:
-    # the power iteration cannot converge in its budget and eigvalsh answers
+    # one of its sets has 3 members with top eigenvalues 1.0000084 and 0.9999988
     assert verify.check_rayleigh(812, quick=True).ok
 
 

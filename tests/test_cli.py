@@ -231,6 +231,15 @@ def test_undecodable_set_file(tmp_path, capsys):
     assert err.startswith("error: cannot decode set file") and "Traceback" not in err
 
 
+def test_undecodable_weights_file(tmp_path, capsys):
+    setp = write(tmp_path, "set.txt", "1\n2\n")
+    wpath = tmp_path / "w.txt"
+    wpath.write_bytes(b"0.5\n\xff\n")
+    code, out, err = run(capsys, ["sum", setp, "--weights", str(wpath)])
+    assert_one_line_error(code, err)
+    assert err.startswith("error: cannot decode weights file") and out == ""
+
+
 def test_out_of_range_member_fails_fast(tmp_path, capsys):
     # both prime factors lie above the 10^9 table ceiling; no sieve growth
     from gcdsums.primes import DEFAULT_TABLE
@@ -574,7 +583,7 @@ def test_verify_reports_solver_errors_per_check(capsys, monkeypatch):
     from gcdsums.errors import DomainError
 
     def diverging(*args, **kwargs):
-        raise ConvergenceError("power iteration did not converge in 3 iterations",
+        raise ConvergenceError("Lanczos did not converge in 3 iterations",
                                estimate=1.0, residual=1e-7, iterations=3)
 
     def out_of_scope(n):
@@ -587,7 +596,7 @@ def test_verify_reports_solver_errors_per_check(capsys, monkeypatch):
     assert code == 2
     assert len(lines) == len(ALL_CHECKS)
     assert [l for l in lines if l.startswith("FAIL")] == [
-        "FAIL rayleigh_sandwich: ConvergenceError: power iteration did not converge in 3 iterations",
+        "FAIL rayleigh_sandwich: ConvergenceError: Lanczos did not converge in 3 iterations",
         "FAIL tail_scaled_gap: DomainError: no tail for n=10000",
     ]
     assert "2 of 11 checks failed" in err
@@ -696,7 +705,7 @@ def test_convergence_error_is_one_line(tmp_path, capsys, monkeypatch):
     import gcdsums.cli as cli
 
     def no_convergence(M, tol):
-        raise ConvergenceError("power iteration did not converge in 7 iterations",
+        raise ConvergenceError("Lanczos did not converge in 7 iterations",
                                estimate=1.5, residual=0.25, iterations=7)
 
     monkeypatch.setattr(cli, "spectral_norm", no_convergence)
@@ -718,16 +727,30 @@ def test_matrix_tol_reaches_min_eigenvalue(tmp_path, capsys, monkeypatch):
     lines = ["mi" + "".join(f" {b + 1}:1" for b in range(8) if x >> b & 1) for x in masks]
     path = write(tmp_path, "set.txt", "\n".join(lines) + "\n")
     seen = []
-    iterate = gcdsum_module._power_iteration
+    solve = gcdsum_module._lanczos
 
-    def recording(matvec, n, tol, max_iterations):
-        seen.append(tol)
-        return iterate(matvec, n, tol, max_iterations)
+    def recording(matvec, n, tol, max_iterations, lowest):
+        seen.append((tol, lowest))
+        return solve(matvec, n, tol, max_iterations, lowest)
 
-    # above the dense cap min_eigenvalue takes the shifted power iteration
+    # above the dense cap min_eigenvalue takes Lanczos
     monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 10)
-    monkeypatch.setattr(gcdsum_module, "_power_iteration", recording)
+    monkeypatch.setattr(gcdsum_module, "_lanczos", recording)
     code, out, _ = run(capsys, ["matrix", path, "--stat", "mineig", "--tol", "1e-9"])
     assert code == 0
-    assert seen and all(tol == 1e-9 for tol in seen)
+    assert seen == [(1e-9, True)]
     assert json.loads(out)["min_eigenvalue"] > 0
+
+
+@pytest.mark.parametrize("cap", [None, 10])
+def test_matrix_deterministic_output_is_byte_identical(tmp_path, capsys, monkeypatch, cap):
+    import gcdsums.gcdsum as gcdsum_module
+
+    lines = ["mi" + "".join(f" {b + 1}:1" for b in range(7) if x >> b & 1) for x in range(0, 128, 3)]
+    path = write(tmp_path, "set.txt", "\n".join(lines) + "\n")
+    if cap is not None:
+        # both ends by Lanczos, from its seeded start
+        monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", cap)
+    outputs = [run(capsys, ["matrix", path, "--stat", "both", "--deterministic"]) for _ in range(2)]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]

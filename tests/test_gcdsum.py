@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tempfile
@@ -47,10 +48,11 @@ from gcdsums import (
     to_mask,
     weighted_sf_form,
 )
-from gcdsums.cli import parse_set_file
+from gcdsums.cli import main, parse_set_file
 from gcdsums.errors import DuplicateMemberError
 from gcdsums.multiindex import to_integer
 from gcdsums.search import cube_construction
+from gcdsums.verify import spectrum_interval
 
 # Settings of the module that force each kernel path, and the operator
 # (`_operator`) the path must give a square-free set.  Id 22, the largest
@@ -713,6 +715,7 @@ def test_power_iteration_failure_carries_state():
     with pytest.raises(ConvergenceError) as err:
         spectral_norm(M, tol=1e-30, max_iterations=2)
     assert err.value.estimate is not None
+    assert err.value.residual is not None and err.value.residual > 0
     assert err.value.iterations == 2
 
 
@@ -735,25 +738,76 @@ def test_min_eigenvalue_positive_and_cross_checked():
         np.linalg.cholesky(M.dense())  # independent positive-definiteness witness
 
 
-def test_min_eigenvalue_shifted_path(monkeypatch):
+def test_min_eigenvalue_lanczos_path(monkeypatch):
     rng = random.Random(13)
     members = set()
     while len(members) < 210:
         members.add(MultiIndex({j: 1 for j in rng.sample(range(1, 11), rng.randint(0, 7))}))
     B = IndexSet(members)
-    reference = np.array(brute_pair_matrix(half, B.members))
-    # the shifted power iteration runs only above the dense cap
+    reference = float(np.linalg.eigvalsh(np.array(brute_pair_matrix(half, B.members)))[0])
+    # Lanczos gives the smallest eigenvalue only above the dense cap
     monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 100)
-    mn = min_eigenvalue(gcd_matrix(half, B))
-    assert mn == pytest.approx(float(np.linalg.eigvalsh(reference)[0]), abs=1e-8)
+    for tol in (1e-8, 1e-13):
+        mn = min_eigenvalue(gcd_matrix(half, B), tol=tol)
+        assert abs(mn - reference) <= tol * reference
 
 
-@pytest.mark.parametrize("k", [8, 9, 10])
-def test_cube_spectrum_closed_forms(k):
+def test_near_degenerate_spectrum(monkeypatch):
+    # t_1 = t_2 = a: eigenvalues 1 - a^2 and 1 + a^2/2 -+ sqrt(2 a^2 + a^4/4),
+    # all three within 1.5e-6 of 1
+    a = 1e-6
+    t = ExplicitWeights([a])
+    B = IndexSet([zero, e1, e2])
+    spread = math.sqrt(2 * a * a + a ** 4 / 4)
+    monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 1)
+    M = gcd_matrix(t, B)
+    assert spectral_norm(M) == pytest.approx(1 + a * a / 2 + spread, rel=1e-14)
+    assert min_eigenvalue(M) == pytest.approx(1 + a * a / 2 - spread, rel=1e-14)
+
+
+@pytest.mark.parametrize("k, cap", [(8, None), (9, None), (10, None), (8, 100), (9, 100)],
+                         ids=["8", "9", "10", "8-cap100", "9-cap100"])
+def test_cube_spectrum_closed_forms(k, cap, monkeypatch):
+    if cap is not None:
+        # both ends by Lanczos on the transform matvec
+        monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", cap)
     M = gcd_matrix(half, cube_construction(k))
     ts = [half.weight_at(j) for j in range(1, k + 1)]
     assert spectral_norm(M) == pytest.approx(math.prod(1 + x for x in ts), rel=1e-10)
     assert min_eigenvalue(M) == pytest.approx(math.prod(1 - x for x in ts), rel=1e-10)
+
+
+def test_cube_13_min_eigenvalue_above_dense_cap(tmp_path, capsys):
+    B = cube_construction(13)
+    assert len(B) > gcdsum_module._DENSE_CAP
+    path = tmp_path / "cube13.txt"
+    path.write_text("".join(f"{m}\n" for m in B.members), encoding="utf-8")
+    assert main(["matrix", str(path), "--stat", "mineig"]) == 0
+    closed = math.prod(1 - half.weight_at(j) for j in range(1, 14))
+    assert json.loads(capsys.readouterr().out)["min_eigenvalue"] == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+@settings(max_examples=40)
+@given(B=square_free_sets(max_index=8, max_n=12))
+def test_spectrum_within_interlacing_bounds(cap, B):
+    # the pair matrix is a principal submatrix of the Kronecker product of
+    # [[1, t_j], [t_j, 1]] over the universe; cap 1 sends both ends to Lanczos
+    lo, hi = spectrum_interval(half, B)
+    assert lo == pytest.approx(math.prod(1 - half.weight_at(j) for j in B.universe()))
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(gcdsum_module, "_DENSE_CAP", cap)
+        M = gcd_matrix(half, B)
+        assert lo * (1 - 1e-12) <= min_eigenvalue(M)
+        assert spectral_norm(M) <= hi * (1 + 1e-12)
+
+
+@given(B=index_sets(max_index=5, max_exponent=3, max_n=10))
+def test_spectrum_interval_holds_for_exponent_sets(B):
+    lo, hi = spectrum_interval(half, B)
+    ev = np.linalg.eigvalsh(np.array(brute_pair_matrix(half, B.members)))
+    assert lo * (1 - 1e-12) <= ev[0] and ev[-1] <= hi * (1 + 1e-12)
 
 
 def test_group_by_support_examples():
