@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DomainError
-from .gcdsum import IndexSet, LcmClosure, gcd_sum
+from .gcdsum import IndexSet, LcmClosure, _distinct, gcd_sum
 from .multiindex import MultiIndex
 from .transforms import is_complete
 from .weights import (
@@ -346,7 +346,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     ]
 
     witness_ok = all(
-        support_tail_bound(B, members[k], n)[0] for k in np.unique(witness).tolist()
+        support_tail_bound(B, members[k], n)[0] for k in _distinct(witness.reshape(-1)).tolist()
     )
 
     majorant = float(math.fsum(inner * inner))

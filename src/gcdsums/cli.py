@@ -102,8 +102,10 @@ def _default_precision() -> int:
 # and 5 digits, so every value fits int64 and one over its cap is still read,
 # then found by the value checks; any other file is read line by line
 # (`_read_lines`).  Each entry starts at a space and each line ends at its
-# newline, so the greedy match backtracks in linear time.
-_PLAIN_TEXT = re.compile(r"(?:mi(?: +[1-9][0-9]{0,6}:[1-9][0-9]{0,4})*\n)*")
+# newline, so a repeat given back could never let the match go on: the
+# repeats are possessive, and the match keeps no backtracking state (greedy
+# repeats kept 3.6 MB of it on a 3000-line file, traced by tracemalloc).
+_PLAIN_TEXT = re.compile(r"(?:mi(?: +[1-9][0-9]{0,6}:[1-9][0-9]{0,4})*+\n)*+")
 
 
 def _plain_entries(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

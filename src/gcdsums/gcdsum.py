@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
@@ -56,20 +57,35 @@ from .weights import WeightSequence
 _XOR_TABLE_MAX_BITS = 22  # the transform path's largest universe: arrays of 2^m floats
 _TABLE_SLICE_BITS = 16  # positions per product table of the pair blocks
 # Cost of one transform element against one gathered pair.  On a 2-vCPU x86
-# VM (numpy 2.4) the pair blocks gather at about 5.3 ns per pair and the
-# transform path costs about 6 ns per element for m >= 14, where its fixed
-# per-level numpy overhead no longer counts; for m = 9..12 the measured
-# crossover lies between n^2 = 2 m 2^m and 4 m 2^m.
+# VM (numpy 2.4) the transform path costs about 6 ns per element for m >= 14,
+# where its fixed per-level numpy overhead no longer counts.  The pair blocks
+# gathered at about 5.3 ns per pair in blocks of 4 M floats, where for m = 9..12
+# the measured crossover lay between n^2 = 2 m 2^m and 4 m 2^m; in blocks of
+# _BLOCK_BUDGET they gather at about 2-3.5 ns per pair for m = 14..16, and the
+# crossover lies at 1.5-2.1 m 2^m for m = 12..16 and 4.4 m 2^m at m = 10.
 _TRANSFORM_COST = 4
 # Cost of one (member, divisor) entry of the divisor factorization against one
 # exponent-block pair per position.  On a 2-vCPU x86 VM (numpy 2.4) the two
-# paths break even between 80 and 400 (median about 150) on sets where either
-# takes over 10 ms: 100-1000 random integers below 10^6 or 10^8, and 100-2000
-# smooth integers on 6-16 primes.  A fixed cost of about 0.4 ms also favours
-# the pairs on fewer than about 40 random integers.
+# paths broke even between 80 and 400 (median about 150) in blocks of 4 M
+# floats on sets where either takes over 10 ms: 100-1000 random integers below
+# 10^6 or 10^8, and 100-2000 smooth integers on 6-16 primes; in blocks of
+# _BLOCK_BUDGET the exponent pairs are cheaper, and on 100-1000 random
+# integers and 100-900 smooth ones the break-even lies between 180 and 660
+# (median about 400).  A fixed cost of about 0.4 ms also favours the pairs on
+# fewer than about 40 random integers.
 _DIVISOR_COST = 150
 _DENSE_CAP = 4096  # dense storage, dense matvec and dense eigvalsh up to this n
-_BLOCK_BUDGET = 4_000_000  # floats per pair block
+# Floats per pair block: 512 KB an array, so the two or three arrays a block
+# keeps live fit a 2 MB L2 cache.  On a 2-vCPU x86 VM (numpy 2.4) 2^15 and
+# 2^17 were no faster, and at 2^17 exponent blocks ran three times slower.
+_BLOCK_BUDGET = 1 << 16
+_DIVISOR_WORDS = 8_000_000  # words the divisor factorization's arrays may hold
+_BASIS_ROWS = 64  # Lanczos basis vectors per block
+# Largest Lanczos tridiagonal T_k solved densely (np.linalg.eigh), which up to
+# here takes 0.1 ms against 0.2 ms for `_ritz`.  On a 2-vCPU x86 VM (numpy 2.4,
+# OpenBLAS) the dense solve takes 15 ms on some calls from k = 28 on, 270 ms
+# against 6 ms at k = 1257, and its k x k arrays hold 60 MB there.
+_DENSE_RITZ_MAX = 24
 _EXPONENT_CAP = 30_000  # exponents fit the int16 rows, and differences of two an int32
 # Largest mask list `IndexSet.from_masks` sorts in Python: below about 30-40
 # masks a sort keyed on each mask's positions beats the fixed cost of the
@@ -405,9 +421,17 @@ def _xor_products(tables: list, left: list, right: list, rows: slice) -> np.ndar
 def _exp_products(logw: np.ndarray, left: np.ndarray, right: np.ndarray, rows: slice) -> np.ndarray:
     """block[r, c] = t^|left[rows][r] - right[c]| for exponent rows over one
     universe, with logw the logs of its weights: the absolute differences as
-    int32 and one exp of their dot with logw."""
-    diff = np.abs(left[rows, None, :].astype(np.int32) - right[None, :, :])
-    return np.exp(np.tensordot(diff, logw, axes=([2], [0])))
+    int32 and one exp of their dot with logw.  The differences are formed
+    for at most _BLOCK_BUDGET entries at a time, a tile of columns each,
+    since one row alone can exceed the budget."""
+    lefts = left[rows, None, :].astype(np.int32)
+    n, m = right.shape
+    block = np.empty((len(lefts), n))
+    step = max(1, _BLOCK_BUDGET // max(len(lefts) * m, 1))
+    for lo in range(0, n, step):
+        diff = np.abs(lefts - right[None, lo : lo + step, :])
+        block[:, lo : lo + step] = np.tensordot(diff, logw, axes=([2], [0]))
+    return np.exp(block, out=block)
 
 
 def _fwht(x: np.ndarray) -> None:
@@ -553,8 +577,8 @@ def _divisors_cheaper(entries: float, width: int, pairs: int, m: int) -> bool:
     pair-block pairs that cost m each: their positions on exponent rows, their
     slices (`_slices`) on mask words.  Its arrays hold about 2 width + 8
     words per entry while it dedupes the divisors, so they must also fit in
-    two pair blocks."""
-    return _DIVISOR_COST * entries < pairs * m and entries * (2 * width + 8) <= 2 * _BLOCK_BUDGET
+    `_DIVISOR_WORDS`."""
+    return _DIVISOR_COST * entries < pairs * m and entries * (2 * width + 8) <= _DIVISOR_WORDS
 
 
 def _divisors_preferred(pairs: int, m: int, *sets: IndexSet) -> bool:
@@ -770,14 +794,24 @@ def lcm_closure(B: IndexSet) -> IndexSet:
         joined = np.maximum(E[lo:hi, None, :], E[None, lo:, :])
         # fields do not overlap, so the sum of the columns at their offsets is their OR
         key = joined @ (1 << offsets) if packed else joined.reshape(-1, m).view(row_bytes)
-        keys.append(np.unique(key))
+        keys.append(_distinct(key.reshape(-1)))
         lo = hi
-    keys = np.unique(np.concatenate(keys))
+    keys = _distinct(np.concatenate(keys))
     if packed:
         rows = (keys[:, None] >> offsets) & ((1 << widths) - 1)
     else:
         rows = keys.view(E.dtype).reshape(-1, m)
     return IndexSet.from_rows(universe, rows)
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending: a sort and a compare of
+    neighbours.  Plain np.unique would import numpy.ma (about 20 ms) on its
+    first call in a process."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
@@ -843,10 +877,7 @@ class LcmClosure:
                 # a member lies below c iff it has no bit outside c
                 below = ~np.any(E[None, :, :] & ~F[lo:hi, None, :], axis=2)
             else:
-                # rows x N bools built a column at a time
-                below = np.ones((hi - lo, n), dtype=bool)
-                for j in range(width):
-                    below &= E[:, j] <= F[lo:hi, j, None]
+                below = np.all(E[None, :, :] <= F[lo:hi, None, :], axis=2)
             yield lo, hi, below
 
     def subset_sums(self, weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -979,6 +1010,58 @@ def gcd_matrix(t: WeightSequence, B: IndexSet) -> GcdMatrix:
     return GcdMatrix(t, B)
 
 
+def _ritz(diagonal: list[float], off: list[float], lowest: bool) -> tuple[float, float]:
+    """(theta, s_k): the lowest or highest eigenvalue of the symmetric
+    tridiagonal matrix T with this diagonal and sub-diagonal, and the last
+    entry of a unit eigenvector for it, in O(k) memory and time per sweep.
+
+    theta is bisected down to adjacent doubles on Sturm counts: the number
+    of negative pivots of the LDL^T factorization of T - x I is the number of
+    eigenvalues below x.  The vector takes three steps of inverse iteration
+    on T - theta I, pivots kept at least 2^-52 |T| in size, from a start
+    that overlaps it: with a positive sub-diagonal, the highest eigenvector
+    has entries of one sign and the lowest of alternating sign.  Both are as
+    accurate as a dense symmetric solve (within a few 2^-52 |T|), without
+    its k x k arrays and O(k^3) time.
+    """
+    k = len(diagonal)
+    squares = [0.0, *(b * b for b in off)]
+    radius = [abs(p) + abs(q) for p, q in zip([0.0, *off], [*off, 0.0])]
+    lo = min(map(float.__sub__, diagonal, radius))  # Gershgorin
+    hi = max(map(float.__add__, diagonal, radius))
+    pivmin = sys.float_info.min * max(1.0, max(squares))
+    floor = sys.float_info.epsilon * max(-lo, hi) or 1.0
+    target = 1 if lowest else k  # eigenvalues below the lowest, or below all but the highest
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        count, d = 0, 1.0
+        for a, b2 in zip(diagonal, squares):
+            d = a - x - b2 / d
+            if d <= pivmin:
+                d = min(d, -pivmin)
+                count += 1
+        if count >= target:
+            hi = x
+        else:
+            lo = x
+    ratios, pivots, d = [], [], 1.0
+    for a, b in zip(diagonal, [0.0, *off]):
+        ratios.append(b / d)
+        d = a - lo - ratios[-1] * b
+        if abs(d) < floor:
+            d = math.copysign(floor, d)
+        pivots.append(d)
+    y = [-1.0 if lowest and i % 2 else 1.0 for i in range(k)]
+    for _ in range(3):
+        for i in range(1, k):  # L z = y
+            y[i] -= ratios[i] * y[i - 1]
+        y = list(map(float.__truediv__, y, pivots))
+        for i in reversed(range(k - 1)):  # L^T y = D^-1 z
+            y[i] -= ratios[i + 1] * y[i + 1]
+        scale = math.sqrt(math.fsum(v * v for v in y))
+        y = [v / scale for v in y]
+    return lo, y[-1]
+
+
 def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float,
              max_iterations: int, lowest: bool) -> float:
     """Lowest or highest eigenvalue of a symmetric operator by Lanczos with full
@@ -986,37 +1069,46 @@ def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float,
 
     A Ritz value theta of the tridiagonal T_k, s its unit eigenvector, lies
     within |beta_k s_k| of an eigenvalue (Parlett, The Symmetric Eigenvalue
-    Problem, the Lanczos chapter).  T_k's eigenpairs are taken at steps spaced
-    geometrically; the solve stops once that bound is at most tol * |theta|,
-    at beta_k = 0, or at k = n, where T_k is the whole matrix, and raises
-    ConvergenceError past max_iterations steps.  The basis grows with k.
+    Problem, the Lanczos chapter).  The extreme Ritz pair is taken at steps
+    spaced geometrically, from a dense solve of T_k up to k = `_DENSE_RITZ_MAX`
+    and from `_ritz` above; the solve stops once that bound is at most
+    tol * |theta|, at beta_k = 0, or at k = n, where T_k is the whole matrix,
+    and raises ConvergenceError past max_iterations steps.  The basis grows
+    with k in blocks of `_BASIS_ROWS` vectors, never copied, and each step is
+    reorthogonalized against it block by block.
     """
-    V = np.zeros((min(n, 64), n))  # V[-1] is finite: the first step subtracts 0 * V[-1]
     # the standard library's generator: importing numpy.random costs about 5 MB
     rng = random.Random(0)
     start = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-    V[0] = start / np.linalg.norm(start)
+    v, previous = start / np.linalg.norm(start), np.zeros(n)
+    blocks = [np.empty((min(n, _BASIS_ROWS), n))]
+    blocks[0][0] = v
     alpha, beta = [], [0.0]
     estimate = residual = None
     check = 5
     for k in range(1, min(n, max_iterations) + 1):
-        w = matvec(V[k - 1]) - beta[-1] * V[k - 2]
-        alpha.append(float(V[k - 1] @ w))
-        w -= alpha[-1] * V[k - 1]
-        w -= V[:k].T @ (V[:k] @ w)
+        w = matvec(v) - beta[-1] * previous
+        alpha.append(float(v @ w))
+        w -= alpha[-1] * v
+        for b, block in enumerate(blocks):  # the k basis vectors so far
+            basis = block[: k - b * _BASIS_ROWS]
+            w -= basis.T @ (basis @ w)
         beta.append(float(np.linalg.norm(w)))
         if k in (check, n, max_iterations) or not beta[-1]:
             check = k + max(5, k // 8)
-            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[1:-1], -1))
-            i = 0 if lowest else -1
-            estimate, residual = float(theta[i]), abs(beta[-1] * float(s[-1, i]))
+            if k <= _DENSE_RITZ_MAX:
+                theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[1:-1], -1))
+                i = 0 if lowest else -1
+                estimate, last = float(theta[i]), float(s[-1, i])
+            else:
+                estimate, last = _ritz(alpha, beta[1:-1], lowest)
+            residual = abs(beta[-1] * last)
             if residual <= tol * abs(estimate) or k == n:
                 return estimate
-        if k == len(V):
-            grown = np.empty((min(n, 2 * k), n))
-            grown[:k] = V
-            V = grown
-        V[k] = w / beta[-1]
+        previous, v = v, w / beta[-1]
+        if k % _BASIS_ROWS == 0:
+            blocks.append(np.empty((min(n - k, _BASIS_ROWS), n)))
+        blocks[-1][k % _BASIS_ROWS] = v
     raise ConvergenceError(f"Lanczos did not converge in {max_iterations} iterations",
                            estimate=estimate, residual=residual, iterations=max_iterations)
 

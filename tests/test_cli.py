@@ -647,6 +647,20 @@ def test_parser_not_built_at_import():
     assert out.stdout.strip() == "0"
 
 
+def test_certify_and_verify_leave_numpy_ma_unimported():
+    import subprocess
+    import sys
+
+    # np.unique imports numpy.ma (about 20 ms) on its first plain call
+    probe = ("import contextlib, io, sys; from gcdsums.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = main(['certify', '--cube', '8']), main(['verify', '--suite', 'quick'])\n"
+             "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "(0, 0) False"
+
+
 @pytest.mark.parametrize("extra", [
     ["--n", "5", "--max-index", "40"],
     ["--n", "5", "--max-index", "30"],

@@ -752,6 +752,36 @@ def test_min_eigenvalue_lanczos_path(monkeypatch):
         assert abs(mn - reference) <= tol * reference
 
 
+def test_lanczos_basis_blocks(monkeypatch):
+    # a basis of 64-vector blocks and one of 3-vector blocks take the same steps
+    rng = random.Random(13)
+    B = IndexSet.from_masks(rng.sample(range(1 << 10), 210))
+    spectrum = np.linalg.eigvalsh(gcd_matrix(half, B).dense())
+    reference = float(spectrum[0]), float(spectrum[-1])
+    monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 100)
+    M = gcd_matrix(half, B)
+    whole = min_eigenvalue(M), spectral_norm(M)
+    monkeypatch.setattr(gcdsum_module, "_BASIS_ROWS", 3)
+    blocked = min_eigenvalue(M), spectral_norm(M)
+    for a, b, c in zip(whole, blocked, reference):
+        assert a == pytest.approx(b, rel=1e-12)
+        assert b == pytest.approx(c, rel=1e-12)
+
+
+def test_ritz_pair_matches_dense_eigensolver():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        k = int(rng.integers(1, 60))
+        diagonal = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3)
+        off = np.abs(rng.normal(size=k - 1)) * 10.0 ** rng.uniform(-6, 1)
+        theta, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, -1))
+        scale = np.abs(theta).max()
+        for i, lowest in ((0, True), (-1, False)):
+            value, last = gcdsum_module._ritz(diagonal.tolist(), off.tolist(), lowest)
+            assert abs(value - theta[i]) <= 8 * 2.0 ** -52 * scale
+            assert abs(last) == pytest.approx(abs(vectors[-1, i]), rel=1e-6, abs=1e-12)
+
+
 def test_near_degenerate_spectrum(monkeypatch):
     # t_1 = t_2 = a: eigenvalues 1 - a^2 and 1 + a^2/2 -+ sqrt(2 a^2 + a^4/4),
     # all three within 1.5e-6 of 1
