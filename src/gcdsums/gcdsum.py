@@ -22,8 +22,8 @@ operator for M, chosen by `_operator` from the input alone; its `form` and
   of lookups in XOR-indexed tables for square-free sets (one per slice of at
   most `_TABLE_SLICE_BITS` positions of a mask word, any number of positions),
   exponent-matrix blocks for any other set.
-A cross sum takes `_Divisors` over the union of its two sets or `_Pairs` of one
-against the other; dense matrices read the pair blocks.  Sums are combined
+A cross sum takes `_Pairs` of one set against the other; dense matrices read
+the pair blocks.  Sums are combined
 with compensated summation in a fixed order, so results are deterministic.
 
 The lcm closure of a square-free set takes the subset lattice when
@@ -581,20 +581,17 @@ def _divisors_cheaper(entries: float, width: int, pairs: int, m: int) -> bool:
     return _DIVISOR_COST * entries < pairs * m and entries * (2 * width + 8) <= _DIVISOR_WORDS
 
 
-def _divisors_preferred(pairs: int, m: int, *sets: IndexSet) -> bool:
+def _divisors_preferred(pairs: int, m: int, B: IndexSet) -> bool:
     """Whether `_divisors_cheaper` prefers the divisor factorization over the
-    members of the sets, with sum_a prod_j (a_j + 1) entries (in float64)
-    and the largest support as width.  Every member has at least one entry,
-    and every set but {0} a width of at least 1, so when even those bounds
-    lose, the sizes are not computed."""
-    if not _divisors_cheaper(sum(map(len, sets)), 1, pairs, m):
+    members of B, with sum_a prod_j (a_j + 1) entries (in float64) and the
+    largest support as width.  Every member has at least one entry, and
+    every set but {0} a width of at least 1, so when even those bounds lose,
+    the sizes are not computed."""
+    if not _divisors_cheaper(len(B), 1, pairs, m):
         return False
-    entries, width = 0.0, 0
-    for S in sets:
-        E = S.exponent_matrix()
-        entries += float(np.prod(E + 1.0, axis=1).sum())
-        width = max(width, int(np.count_nonzero(E, axis=1).max()))
-    return _divisors_cheaper(entries, width, pairs, m)
+    E = B.exponent_matrix()
+    entries = float(np.prod(E + 1.0, axis=1).sum())
+    return _divisors_cheaper(entries, int(np.count_nonzero(E, axis=1).max()), pairs, m)
 
 
 def _pair_blocks(
@@ -682,17 +679,6 @@ def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
     """sum over a in A and b in B of t^|a-b|; cross_sum(t, B, B) == gcd_sum(t, B)."""
     if A == B:
         return gcd_sum(t, A)
-    if not (A.is_square_free() and B.is_square_free()):
-        universe = tuple(sorted({*A.universe(), *B.universe()}))
-        if _divisors_preferred(len(A) * len(B), len(universe), A, B):
-            # 1_A . M 1_B over the divisors of the union of A and B, built from
-            # their rows; `where` places A's members, then B's, in its order
-            stacked = np.concatenate([A.exponent_matrix(universe), B.exponent_matrix(universe)])
-            rows, source = np.unique(stacked, axis=0, return_inverse=True)
-            union = IndexSet.__new__(IndexSet)
-            where = np.argsort(union._encode(universe, rows))[source.reshape(-1)]
-            in_b = np.bincount(where[len(A) :], minlength=len(rows))
-            return math.fsum(_Divisors(t, union).apply(in_b)[where[: len(A)]])
     return _Pairs(t, A, B).form()
 
 

@@ -5,14 +5,17 @@ downsets (order ideals) of the m-dimensional boolean lattice, and a set can
 always be replaced by a downset without lowering its pair sum, so exhaustive
 search ranges over downsets only.  The search runs on the members' position
 masks (bit j - 1 for position j): positions {1..m} are the masks below 2^m.
-Each search builds one product table T over them, T[x] = prod of t_j over
-the positions of x, so a pair's term t^|a-b| is T[a ^ b].  Sets are built
-from masks (`IndexSet.from_masks`), with no `MultiIndex` on the way.
+`extremal_sf` builds one product table T over them, T[x] = prod of t_j over
+the positions of x, so a pair's term t^|a-b| is T[a ^ b].  `local_search`
+moves one set of masks through the transforms' move engine
+(`transforms._MaskRun`), which scores a move by its change in S and applies
+it.  Sets are built from masks (`IndexSet.from_masks`), with no `MultiIndex`
+on the way.
 
 IndexSets are built only where a full pair sum (`gcd_sum`) or a report needs
 one: `extremal_sf` re-sums the candidates that may tie the best, and
-`local_search` builds the current set for a completeness step and both sets
-of a near tie.  Both build the sets they report, and report their full sums.
+`local_search` sums its initial set and both sets of a near tie.  Both build
+the sets they report, and report their full sums.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import numpy as np
 
 from .errors import DomainError
 from .gcdsum import IndexSet, _power_table, gcd_sum
-from .transforms import _first_swap, completeness_step
+from .transforms import TransformTrace, _first_swap, _MaskRun, _movable
 from .weights import WeightSequence
 
 EXHAUSTIVE_MAX_INDEX = 6
-HEURISTIC_MAX_INDEX = 20  # the product table holds 2^m floats: 8 MB at m = 20
+HEURISTIC_MAX_INDEX = 20  # the heuristic's documented input domain
 CUBE_MAX_DIMENSION = 20
 TIE_TOL = 1e-12
 # the walk's running sums carry about n 2^-53 relative rounding; candidates
@@ -250,14 +253,6 @@ class _Frontier:
                 insort(self.removable, z)
 
 
-def _swap_delta(table: np.ndarray, members: np.ndarray, x: int, y: int) -> float:
-    """S after replacing member x by the non-member y, minus S before: twice
-    the terms of y against the other members less those of x, one gather
-    over the members' masks each."""
-    gain = table[members ^ y].sum() - table[members ^ x].sum()
-    return 2.0 * float(gain - table[x ^ y] + table[0])
-
-
 def _draw_skipping(rng: random.Random, items: list[int], skip: list[int]) -> int | None:
     """rng.choice over `items` without the ascending indices `skip`, drawing
     exactly as rng.choice over that filtered list; None when it is empty."""
@@ -282,23 +277,20 @@ def local_search(
     """Hill-climbing over downsets: single-member swaps plus position swaps.
 
     Heuristic only; the report never claims optimality.  iterations == 0
-    returns the seeded initial downset unchanged.  A swap is scored by its
-    delta over the product table; a decision whose margin is within TIE_TOL
-    relative is taken on the full sums of both sets.
+    returns the seeded initial downset unchanged.  Swaps are scored and
+    applied by one `_MaskRun` over positions 1..m, which carries S by each
+    move's delta; a single swap whose margin is within TIE_TOL relative is
+    decided on the full sums of both sets.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if m > HEURISTIC_MAX_INDEX:
-        raise DomainError(
-            f"heuristic search capped at m={HEURISTIC_MAX_INDEX}; "
-            f"its product table holds 2^m entries"
-        )
+        raise DomainError(f"heuristic search capped at m={HEURISTIC_MAX_INDEX}")
     if not 1 <= n <= (1 << m):
         raise DomainError(f"need 1 <= n <= 2^m, got n={n}")
     if iterations < 0:
         raise DomainError(f"iterations must be >= 0, got {iterations}")
     start = time.perf_counter()
-    table = _table(t, m)
     rng = random.Random(seed)
     front = _Frontier({0}, m)
     while len(front.chosen) < n:
@@ -307,22 +299,23 @@ def local_search(
     def full_sum(masks) -> float:
         return gcd_sum(t, IndexSet.from_masks(masks))
 
-    members = np.fromiter(front.chosen, dtype=np.int64, count=n)
-    s_current = full_sum(front.chosen)
-    best_masks, best_value = frozenset(front.chosen), s_current
+    # over positions 1..m the run's members are the position masks; run.s is
+    # the current S
+    initial = IndexSet.from_masks(front.chosen)
+    run = _MaskRun(t, initial, tuple(range(1, m + 1)), TransformTrace(t.label(), initial))
+    run.s = gcd_sum(t, initial)
+    best_masks, best_value = frozenset(front.chosen), run.s
     evaluations = 1
 
     for it in range(iterations):
         if it % 8 == 7:
-            pair = _first_swap(front.chosen)
+            pair = _first_swap(run.slot)
             if pair is None:
                 continue
             ui, uj = pair
-            current, _, s_current = completeness_step(
-                t, IndexSet.from_masks(front.chosen), ui.bit_length(), uj.bit_length(),
-                s_before=s_current)
-            front = _Frontier(current.position_masks(), m)
-            members = np.fromiter(front.chosen, dtype=np.int64, count=n)
+            run.move(_movable(run.slot, ui, uj), ui | uj,
+                     f"swap position {run.position(uj)} -> {run.position(ui)}")
+            front = _Frontier(run.slot, m)
             evaluations += 1
         else:
             if not front.removable:
@@ -333,26 +326,26 @@ def local_search(
             if y is None:
                 continue
             evaluations += 1
-            delta = _swap_delta(table, members, x, y)
-            if abs(delta) <= TIE_TOL * s_current:
+            delta, move = run.score([x], x ^ y)
+            if abs(delta) <= TIE_TOL * run.s:
                 s_candidate = full_sum(front.chosen - {x} | {y})
                 s_before = full_sum(front.chosen)
                 if not s_candidate > s_before:
-                    s_current = s_before
+                    run.s = s_before
                     continue
-                s_current = s_candidate
+                run.s = s_candidate
             elif delta > 0:
-                s_current += delta
+                run.s += delta
             else:
                 continue
+            run.commit(move)
             front.remove(x)
             front.add(y)
-            members[members == x] = y
-        margin = s_current - best_value
+        margin = run.s - best_value
         if margin > TIE_TOL * best_value or (
                 abs(margin) <= TIE_TOL * best_value
                 and full_sum(front.chosen) > full_sum(best_masks)):
-            best_masks, best_value = frozenset(front.chosen), s_current
+            best_masks, best_value = frozenset(front.chosen), run.s
 
     best_set = IndexSet.from_masks(best_masks)
     best_value = gcd_sum(t, best_set)

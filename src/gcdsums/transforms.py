@@ -12,11 +12,13 @@ DomainError on any other set.  Inside, members are Python-int masks, so with
 u_j the one-bit mask of position j, dropping j from member x is x ^ u_j and
 swapping j for i is x ^ u_j | u_i.  The tests and `completeness_step` read
 the sets' cached position masks (`IndexSet.position_masks`, bit j - 1 for
-position j).  `divisor_closure` and `normalize_to_complete` run on masks
-over the positions the run can reach (`_MaskRun`), carry S by the delta of
-each move over one product table per run, and build an IndexSet only for the
-result and for a 50-digit recertification; results are built with
-`IndexSet.from_masks`.
+position j).  `divisor_closure`, `normalize_to_complete` and the heuristic
+search (`search.local_search`) run on masks over the positions the run can
+reach (`_MaskRun`): each move is scored by its change in S over one product
+table per slice of those positions, then committed, and S is carried from
+there.  The transforms build an IndexSet only for the result and for a
+50-digit recertification; results are built with `IndexSet.from_masks`.
+`completeness_step` is the one-step swap on IndexSets, with full sums.
 """
 
 from __future__ import annotations
@@ -175,7 +177,9 @@ class _MaskRun:
     replaces members M by x ^ flip, which keeps the XOR of any two of them, so
     S changes by twice the cross sum of the images with the rest R less that
     of M: one gather of 2|M| rows against the members, the columns of M
-    zeroed.  S itself is summed once, for B, before the first move.
+    zeroed (`score`).  `commit` applies a scored move without touching S;
+    `move` scores, commits and records the step, carrying S in `s`, which is
+    summed in full for B before the first move unless the caller set it.
     IndexSets are built for the result and for the 50-digit recertification
     of a swap whose margin is below the floor.
     """
@@ -201,14 +205,15 @@ class _MaskRun:
     def result(self) -> IndexSet:
         return self.index_set() if self.trace.steps else self.B
 
-    def _delta(self, rows: np.ndarray, flip: int) -> tuple[float, list[np.ndarray]]:
-        """S after moving the members in `rows` less S before, and the images'
-        parts."""
+    def score(self, moved: list[int], flip: int) -> tuple[float, tuple]:
+        """S after replacing the members `moved` by x ^ flip less S before,
+        and the move for `commit`, holding the images' parts."""
+        rows = np.array([self.slot[x] for x in moved], dtype=np.intp)
         k = len(rows)
         left = []
         for p, (s, low) in zip(self.parts, self.cuts):
-            moved = p[rows]
-            left.append(np.concatenate((moved, moved ^ (flip >> s & low))))
+            moved_parts = p[rows]
+            left.append(np.concatenate((moved_parts, moved_parts ^ (flip >> s & low))))
         step = max(1, _BLOCK_BUDGET // (len(self.slot) * len(self.tables)))
         delta = 0.0
         for lo in range(0, 2 * k, step):
@@ -216,20 +221,24 @@ class _MaskRun:
             block[:, rows] = 0.0
             split = min(max(k - lo, 0), step)  # block rows of moved members, then images
             delta += float(block[split:].sum() - block[:split].sum())
-        return 2.0 * delta, [x[k:] for x in left]
+        return 2.0 * delta, (moved, flip, rows, [x[k:] for x in left])
 
-    def move(self, moved: list[int], flip: int, description: str, certify_dps: int | None = None) -> None:
-        """Replace the members `moved` by x ^ flip and record the step; a swap
-        (`certify_dps` given) also records whether S rose strictly."""
-        rows = np.array([self.slot[x] for x in moved], dtype=np.intp)
-        delta, images = self._delta(rows, flip)
-        strict = None if certify_dps is None else delta > 0.0
-        before = self.index_set() if strict is not None and abs(delta) < STRICT_MARGIN_FLOOR else None
-        # the images are absent, and lack a position every moved member has
+    def commit(self, move: tuple) -> None:
+        """Apply a move that `score` returned; S is the caller's to carry."""
+        moved, flip, rows, images = move
+        # the images are not members, so none overwrites a member still to move
         for x in moved:
             self.slot[x ^ flip] = self.slot.pop(x)
         for p, image in zip(self.parts, images):
             p[rows] = image
+
+    def move(self, moved: list[int], flip: int, description: str, certify_dps: int | None = None) -> None:
+        """Replace the members `moved` by x ^ flip and record the step; a swap
+        (`certify_dps` given) also records whether S rose strictly."""
+        delta, move = self.score(moved, flip)
+        strict = None if certify_dps is None else delta > 0.0
+        before = self.index_set() if strict is not None and abs(delta) < STRICT_MARGIN_FLOOR else None
+        self.commit(move)
         if before is not None:
             strict = (gcd_sum_mp(self.t, self.index_set(), dps=certify_dps)
                       > gcd_sum_mp(self.t, before, dps=certify_dps))
@@ -335,15 +344,15 @@ def completeness_step(
     i: int,
     j: int,
     certify_dps: int = 50,
-    margin_floor: float = STRICT_MARGIN_FLOOR,
     s_before: float | None = None,
 ) -> tuple[IndexSet, bool, float]:
     """Swap position j for i in every movable member; S strictly increases.
 
     Returns the new set, whether the increase was strict, and S(t, new set).
     `s_before`, when given, is taken as S(t, B) instead of summing B again.
-    When the double-precision margin falls below `margin_floor`, both sums
-    are recomputed at `certify_dps` digits and strictness is decided there.
+    When the double-precision margin falls below STRICT_MARGIN_FLOOR, both
+    sums are recomputed at `certify_dps` digits and strictness is decided
+    there.
     """
     members, ui, uj = _swap_members(B, i, j, "completeness_step")
     movable = _movable(members, ui, uj)
@@ -356,7 +365,7 @@ def completeness_step(
     if s_before is None:
         s_before = gcd_sum(t, B)
     s_after = gcd_sum(t, result)
-    if abs(s_after - s_before) >= margin_floor:
+    if abs(s_after - s_before) >= STRICT_MARGIN_FLOOR:
         return result, s_after > s_before, s_after
     strict = gcd_sum_mp(t, result, dps=certify_dps) > gcd_sum_mp(t, B, dps=certify_dps)
     return result, strict, s_after
@@ -365,7 +374,6 @@ def completeness_step(
 def normalize_to_complete(
     t: WeightSequence,
     B: IndexSet,
-    max_steps: int | None = None,
     certify_dps: int = 50,
 ) -> tuple[IndexSet, TransformTrace]:
     """Divisor-close B, then apply swaps until the set is complete.
@@ -387,9 +395,8 @@ def normalize_to_complete(
     top = min(len(B), len(universe) + 1)
     run = _MaskRun(t, B, tuple(sorted({*universe, *range(1, top + 1)})), trace)
     run.close()
-    if max_steps is None:
-        # twice the total weighted rank of the closed set
-        max_steps = 10 + 2 * sum(run.position(u) for x in run.slot for u in _units(x))
+    # twice the total weighted rank of the closed set
+    max_steps = 10 + 2 * sum(run.position(u) for x in run.slot for u in _units(x))
     steps = 0
     while (pair := _first_swap(run.slot)) is not None:
         if steps >= max_steps:

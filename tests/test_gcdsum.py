@@ -329,7 +329,8 @@ def test_divisor_path_matches_brute_force(B):
 
 @settings(max_examples=60)
 @given(index_sets(max_index=6, max_exponent=3, max_n=8), index_sets(max_index=8, max_exponent=2, max_n=8))
-def test_divisor_path_cross_sum_matches_brute_force(A, B):
+def test_exponent_sets_cross_sum_matches_brute_force(A, B):
+    # a cross sum takes the pair blocks whatever the cost models prefer
     with kernel_path("divisor"):
         forward = cross_sum(half, A, B)
         backward = cross_sum(half, B, A)
@@ -338,8 +339,8 @@ def test_divisor_path_cross_sum_matches_brute_force(A, B):
     assert backward == pytest.approx(expected, rel=1e-12)
 
 
-def test_divisor_path_cross_sum_decodes_no_member(monkeypatch):
-    # the union of A and B comes from their rows: no member is decoded
+def test_exponent_sets_cross_sum_decodes_no_member(monkeypatch):
+    # the pair blocks read the sets' rows: no member is decoded
     rng = random.Random(5)
     integers = [12, *rng.sample(range(1, 10**6), 40)], [12, *rng.sample(range(1, 10**6), 30)]
     expected = brute_cross_sum(half, *(index_set_from_integers(ns).members for ns in integers))

@@ -1,8 +1,7 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from oracles import (
@@ -30,8 +29,7 @@ from gcdsums import (
     is_divisor_closed,
     local_search,
 )
-from gcdsums import search
-from gcdsums.multiindex import from_mask
+from gcdsums import gcdsum, search, transforms
 
 half = PrimePowerWeights(0.5)
 zero = MultiIndex.zero()
@@ -182,8 +180,16 @@ def test_cube_construction_validation():
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
-@pytest.mark.parametrize("m", range(3, 10))
-def test_local_search_matches_reference(alpha, m):
+@pytest.mark.parametrize(
+    "m, slice_bits",
+    [*((m, None) for m in range(3, 10)), (8, 4), (9, 4)],
+    ids=[*map(str, range(3, 10)), "8-slices4", "9-slices4"],
+)
+def test_local_search_matches_reference(alpha, m, slice_bits, monkeypatch):
+    # slices of 4 positions give the run 2 product tables at m = 8 and 3 at
+    # m = 9; the reference is too slow where 16-position slices need two
+    if slice_bits is not None:
+        monkeypatch.setattr(gcdsum, "_TABLE_SLICE_BITS", slice_bits)
     t = PrimePowerWeights(alpha)
     for n in (m + 1, min(1 << m, 3 * m)):
         for seed in range(5):
@@ -205,8 +211,23 @@ def test_local_search_matches_reference_on_tied_weights(monkeypatch):
             ref = local_search_reference(t, n, m, seed=seed, iterations=200)
             assert got.to_dict(include_elapsed=False) == ref.to_dict(include_elapsed=False)
     # outside near ties a run sums in full twice (start and report), 30 in
-    # all; completeness steps sum inside transforms
+    # all; completeness steps do not sum
     assert len(calls) > 300
+
+
+def test_local_search_completeness_steps_sum_nothing(monkeypatch):
+    # a completeness swap is one move of the run: S is carried by its delta,
+    # with no full sum and no 50-digit recertification
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full sum in a completeness step")
+
+    monkeypatch.setattr(transforms, "gcd_sum", forbidden)
+    monkeypatch.setattr(transforms, "gcd_sum_mp", forbidden)
+    pairs, first_swap = [], search._first_swap
+    monkeypatch.setattr(search, "_first_swap", lambda masks: pairs.append(first_swap(masks)) or pairs[-1])
+    for seed in range(3):
+        local_search(half, 40, 8, seed=seed, iterations=200)
+    assert sum(pair is not None for pair in pairs) > 10
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -226,21 +247,57 @@ def test_extremal_sf_wide_tie_tolerance_matches_reference():
         assert got.to_dict(include_elapsed=False) == ref.to_dict(include_elapsed=False)
 
 
+@st.composite
+def mask_runs(draw):
+    """Weights, 1-24 positions below 61, and distinct masks over them (bit b
+    for the b-th position), with a member x, a non-member y and bits i <= j:
+    a swap of j for i, or dropping j when i == j.  Past 16 positions the run
+    needs two product tables."""
+    alpha = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
+    k = draw(st.integers(1, 24))
+    positions = tuple(sorted(draw(st.sets(st.integers(1, 60), min_size=k, max_size=k))))
+    masks = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1,
+                          max_size=min(1 << k, 40) - 1, unique=True))
+    x = draw(st.sampled_from(masks))
+    if k <= 10:
+        y = draw(st.sampled_from(sorted(set(range(1 << k)) - set(masks))))
+    else:
+        y = draw(st.integers(0, (1 << k) - 1).filter(lambda z: z not in masks))
+    j = draw(st.integers(0, k - 1))
+    return alpha, positions, masks, x, y, draw(st.integers(0, j)), j
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_swap_delta_matches_full_sums(data):
-    m = data.draw(st.integers(1, 7))
-    alpha = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
-    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1,
-                               max_size=min(1 << m, 40) - 1, unique=True))
-    x = data.draw(st.sampled_from(masks))
-    y = data.draw(st.sampled_from([z for z in range(1 << m) if z not in masks]))
+@given(mask_runs())
+@example((0.5, tuple(range(1, 21)), [0, 1, 2, 3, 1 << 19, 1 << 19 | 1], 3, 1 << 18 | 1, 2, 19))
+def test_swap_delta_matches_full_sums(case):
+    # the run's score of a single-member move (the search's swap) and of a
+    # batch move (a completeness swap or a closure drop) is S after less S
+    # before; committing the move gives the set that was scored
+    alpha, positions, masks, x, y, i, j = case
     t = PrimePowerWeights(alpha)
-    before = IndexSet(map(from_mask, masks))
-    after = IndexSet(map(from_mask, [z for z in masks if z != x] + [y]))
-    delta = search._swap_delta(search._table(t, m), np.array(masks, dtype=np.int64), x, y)
-    s_before, s_after = gcd_sum(t, before), gcd_sum(t, after)
-    assert abs(delta - (s_after - s_before)) <= 1e-12 * max(s_before, s_after)
+
+    def index_set(members):
+        return IndexSet.from_masks(
+            sum(1 << p - 1 for b, p in enumerate(positions) if z >> b & 1) for z in members)
+
+    B = index_set(masks)
+    ui, uj = 1 << i, 1 << j
+    if i < j:
+        batch, flip = transforms._movable(set(masks), ui, uj), ui | uj
+    else:
+        batch, flip = [z for z in masks if z & uj and z ^ uj not in masks], uj
+    for moved, flip in (([x], x ^ y), (batch, flip)):
+        if not moved:
+            continue
+        run = transforms._MaskRun(t, B, positions, transforms.TransformTrace(t.label(), B))
+        assert len(run.tables) == (1 if len(positions) <= 16 else 2)
+        delta, move = run.score(moved, flip)
+        after = index_set(set(masks) - set(moved) | {z ^ flip for z in moved})
+        s_before, s_after = gcd_sum(t, B), gcd_sum(t, after)
+        assert abs(delta - (s_after - s_before)) <= 1e-12 * max(s_before, s_after)
+        run.commit(move)
+        assert run.index_set() == after
 
 
 def test_frontier_matches_brute_force_after_every_move(monkeypatch):

@@ -32,6 +32,7 @@ from gcdsums import (
     normalize_to_complete,
     swap_partition,
 )
+from gcdsums import transforms
 from gcdsums.transforms import MONOTONE_TOL, first_active_swap
 
 half = PrimePowerWeights(0.5)
@@ -175,8 +176,10 @@ def test_completeness_step_matches_multiindex_swap(case):
             completeness_step(half, B, i, j)
         return
     expected = {m.with_unit_removed(j).with_unit_added(i) if m in movable else m for m in B}
-    # margin_floor 0 skips the high-precision recertification of the verdict
-    after, _, _ = completeness_step(half, B, i, j, margin_floor=0.0)
+    # a floor of 0 skips the high-precision recertification of the verdict
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "STRICT_MARGIN_FLOOR", 0.0)
+        after, _, _ = completeness_step(half, B, i, j)
     assert after.as_set() == expected
 
 
@@ -287,12 +290,13 @@ def test_completeness_step_requires_movable():
         completeness_step(half, IndexSet([zero, e1, e2, e1 + e2]), 1, 2)
 
 
-def test_completeness_step_certified_path_matches():
+def test_completeness_step_certified_path_matches(monkeypatch):
     # forcing every margin through the high-precision comparison must not
     # change any verdict
     B = IndexSet([zero, e2, e3, e2 + e3])
     fast, strict_fast, _ = completeness_step(half, B, 1, 2)
-    slow, strict_slow, _ = completeness_step(half, B, 1, 2, margin_floor=math.inf)
+    monkeypatch.setattr(transforms, "STRICT_MARGIN_FLOOR", math.inf)
+    slow, strict_slow, _ = completeness_step(half, B, 1, 2)
     assert fast == slow
     assert strict_fast == strict_slow is True
 
@@ -382,8 +386,6 @@ def test_completeness_step_reuses_given_sum():
 
 
 def test_normalize_sums_once_per_run(monkeypatch):
-    import gcdsums.transforms as transforms
-
     calls = []
     counted = transforms.gcd_sum
 
@@ -467,8 +469,6 @@ def test_wide_sets_take_sliced_tables():
 
 
 def test_recertified_swaps_keep_the_trace(monkeypatch):
-    import gcdsums.transforms as transforms
-
     sets = [random_index_set(random.Random(seed)) for seed in range(30)] + wide_sets(12, 2)
     plain = [normalize_to_complete(half, B) for B in sets]
     calls = []
@@ -494,8 +494,6 @@ def test_recertified_swaps_keep_the_trace(monkeypatch):
 
 
 def test_move_blocks_match_one_block(monkeypatch):
-    import gcdsums.transforms as transforms
-
     sets = [random_index_set(random.Random(seed)) for seed in range(20)] + wide_sets(13, 2)
     plain = [normalize_to_complete(half, B)[1].steps for B in sets]
     # a budget of one float cuts every move's gather into one-row blocks
