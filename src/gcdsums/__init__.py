@@ -14,7 +14,6 @@ from .multiindex import (
     from_integer,
     from_mask,
     is_square_free,
-    lcm,
     leq,
     parse_multiindex,
     support,
@@ -84,6 +83,7 @@ from .bounds import (
     lower_curve,
     squarefree_upper_curve,
     support_tail_bound,
+    support_tail_bounds,
     tail_sum,
 )
 

@@ -7,6 +7,13 @@ dominations, the completeness-driven bound on high support positions, and
 the tail-series comparison.  Steps that are exact inequalities are asserted
 (as boolean verdicts); steps that are only asymptotic are reported as
 measured ratios and never asserted.
+
+The certificate reads rows and masks only, from the parsed set to the
+report: the closure's sums and witness pairs come from `LcmClosure`, the
+support bound of every member from one pass over the rows
+(`support_tail_bounds`), the 50-digit recertification of a row from the
+exponent rows, and each record's `beta` from `IndexSet.member_strings`.  No
+`MultiIndex` is built.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DomainError
-from .gcdsum import IndexSet, LcmClosure, _distinct, gcd_sum
+from .gcdsum import IndexSet, LcmClosure, gcd_sum
 from .multiindex import MultiIndex
 from .transforms import is_complete
 from .weights import (
@@ -94,6 +101,28 @@ def support_tail_bound(
         raise DomainError("a nonempty qualifying support needs n >= 2")
     lhs = math.fsum(math.log(j) for j in qualifying) - len(qualifying) * loglog(n)
     slack = rhs - lhs
+    return slack >= -tol, slack
+
+
+def support_tail_bounds(
+    B: IndexSet, n: int | None = None, tol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray]:
+    """`support_tail_bound` for every member of B at once, in canonical
+    order: the verdicts and slacks as arrays, from one pass over the rows
+    (the positions >= log n / log 2 as columns, their logs summed by one
+    matrix product)."""
+    n = float(len(B) if n is None else n)
+    threshold = math.log(n) / math.log(2.0) if n > 1 else 0.0
+    rhs = 3.0 * math.log(n) if n > 1 else 0.0
+    universe = np.array(B.universe(), dtype=np.float64)
+    high = universe >= threshold
+    qualifying = B.exponent_matrix()[:, high] > 0
+    count = qualifying.sum(axis=1)
+    if not count.any():
+        return np.ones(len(B), dtype=bool), np.full(len(B), rhs)
+    if n < 2:
+        raise DomainError("a nonempty qualifying support needs n >= 2")
+    slack = rhs - (qualifying @ np.log(universe[high]) - count * loglog(n))
     return slack >= -tol, slack
 
 
@@ -211,23 +240,25 @@ class BoundChainReport:
 
 
 def _recertify_row(
-    t: WeightSequence, aux: AuxiliaryWeights, members, beta: MultiIndex, dps: int
+    t: WeightSequence, aux: AuxiliaryWeights, universe: tuple[int, ...], members: np.ndarray,
+    beta: np.ndarray, dps: int
 ) -> tuple:
     """inner, aux and ratio sums and the Euler product of one closure member,
     summed term by term at `dps` digits, with the Cauchy-Schwarz and Euler
-    verdicts decided at that precision."""
+    verdicts decided at that precision.  `members` are the set's rows and
+    `beta` the closure member's row, over the universe."""
+    support = np.flatnonzero(beta).tolist()
     with mp.workdps(dps):
-        tv = {j: t.weight_at_mp(j) for j, _ in beta.items}
-        wv = {j: aux.weight_at_mp(j) for j, _ in beta.items}
+        tv = [t.weight_at_mp(universe[c]) for c in support]
+        wv = [aux.weight_at_mp(universe[c]) for c in support]
         sums = [[], [], []]
-        for a in members:
-            if all(j in tv for j, _ in a.items):
-                rest = [j for j in tv if not a.exponent(j)]
-                sums[0].append(mp.fprod(tv[j] for j in rest))
-                sums[1].append(mp.fprod(wv[j] for j in rest))
-                sums[2].append(mp.fprod(tv[j] ** 2 / wv[j] for j in rest))
+        for a in members[~members[:, beta == 0].any(axis=1)][:, support].tolist():
+            rest = [q for q, e in enumerate(a) if not e]
+            sums[0].append(mp.fprod(tv[q] for q in rest))
+            sums[1].append(mp.fprod(wv[q] for q in rest))
+            sums[2].append(mp.fprod(tv[q] ** 2 / wv[q] for q in rest))
         inner, aux_sum, ratio = (mp.fsum(v) for v in sums)
-        euler = mp.fprod(1 + w for w in wv.values())
+        euler = mp.fprod(1 + w for w in wv)
         one_tol = 1 + mp.mpf(_VERDICT_TOL)
         cs_ok = inner * inner <= aux_sum * ratio * one_tol
         euler_ok = aux_sum <= euler * one_tol
@@ -287,7 +318,6 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     high_sum_cap = math.sqrt(6.0 * c) * shape
     sum_t_low = math.fsum(t.weight_at(i) for i in range(1, kfloor + 1))
 
-    members = B.members
     inner_sums, inner_by_member = masks.subset_sums([t_vals, w_vals, np.exp(log_tw)])
     witness = masks.witnesses()
 
@@ -309,7 +339,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     )
     for r in np.flatnonzero(near).tolist():
         (inner[r], aux_sum[r], ratio_sum[r], euler[r], cs_holds[r], euler_holds[r]) = (
-            _recertify_row(t, aux, members, closure.members[r], _CERTIFY_DPS)
+            _recertify_row(t, aux, universe, B.exponent_matrix(), masks.rows[r], _CERTIFY_DPS)
         )
     cs_ok = bool(cs_holds.all())
     euler_ok = bool(euler_holds.all())
@@ -320,7 +350,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
 
     records = [
         BetaRecord(
-            beta=str(beta),
+            beta=beta,
             support_size=size,
             low_size=low,
             high_size=size - low,
@@ -333,7 +363,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
             witness_l=wl,
         )
         for beta, size, low, i, a, q, e, h, (wk, wl) in zip(
-            closure.members,
+            closure.member_strings(),
             support_size.tolist(),
             low_size.tolist(),
             inner.tolist(),
@@ -345,9 +375,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
         )
     ]
 
-    witness_ok = all(
-        support_tail_bound(B, members[k], n)[0] for k in _distinct(witness.reshape(-1)).tolist()
-    )
+    witness_ok = bool(support_tail_bounds(B, n)[0][witness].all())
 
     majorant = float(math.fsum(inner * inner))
     majorant_ok = s_value <= majorant * (1.0 + _VERDICT_TOL)
@@ -372,15 +400,10 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
 
     tail = tail_sum(n)
     term_shape = math.sqrt(6.0 * c ** 3) * math.sqrt(logn * ll / lll)
-    high_term_ok = True
-    high_terms = []
-    for p in high_positions:
-        j = universe[p]
-        term = t_vals[p] ** 2 / w_vals[p]
-        cap = term_shape / (j * math.log(j) * (math.log(j) - ll))
-        if term > cap * (1.0 + _VERDICT_TOL):
-            high_term_ok = False
-        high_terms.append(term)
+    j = np.array(universe, dtype=np.float64)[high_positions]
+    high_terms = t_vals[high_positions] ** 2 / w_vals[high_positions]
+    cap = term_shape / (j * np.log(j) * (np.log(j) - ll))
+    high_term_ok = bool(np.all(high_terms <= cap * (1.0 + _VERDICT_TOL)))
     high_ratio_sum = float(math.fsum(high_terms))
     high_ratio_bound = term_shape * tail.value
     high_sum_ok = high_ratio_sum <= high_ratio_bound * (1.0 + _VERDICT_TOL) + 1e-300
@@ -388,18 +411,17 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     # each direct tail term is dominated by the integral over the unit
     # interval to its left (the summand decreases past log n), and by the
     # integral over the unit interval centred on it (the summand is convex),
-    # the inequality the midpoint remainder of tail_sum rests on
+    # the inequality the midpoint remainder of tail_sum rests on; for the 64
+    # terms j from j0 on, the antiderivative is read at the 130 points
+    # j0 - 1, j0 - 1/2, ..., j0 + 63 + 1/2
     j0 = kfloor + 1
-    a = ll
-    term_vs_integral_ok = term_vs_midpoint_ok = True
-    for j in range(j0, j0 + 64):
-        g = float(_tail_term(float(j), a))
-        left = _tail_antiderivative(float(j), a) - _tail_antiderivative(float(j - 1), a)
-        if g > left * (1.0 + _VERDICT_TOL):
-            term_vs_integral_ok = False
-        mid = _tail_antiderivative(j + 0.5, a) - _tail_antiderivative(j - 0.5, a)
-        if g > mid * (1.0 + _VERDICT_TOL):
-            term_vs_midpoint_ok = False
+    u = np.log(np.arange(2 * j0 - 2, 2 * j0 + 128) / 2.0)
+    antiderivative = np.log((u - ll) / u) / ll
+    g = _tail_term(np.arange(j0, j0 + 64, dtype=np.float64), ll)
+    left = antiderivative[2::2] - antiderivative[:-2:2]
+    mid = antiderivative[3::2] - antiderivative[1:-1:2]
+    term_vs_integral_ok = bool(np.all(g <= left * (1.0 + _VERDICT_TOL)))
+    term_vs_midpoint_ok = bool(np.all(g <= mid * (1.0 + _VERDICT_TOL)))
 
     exact = {
         "pair_sum_vs_majorant": majorant_ok,

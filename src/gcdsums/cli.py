@@ -350,12 +350,6 @@ def _cmd_cube(args) -> int:
     start = time.perf_counter()
     value = gcd_sum(t, cube)
     elapsed = (time.perf_counter() - start) * 1000.0
-    if args.k <= 12:
-        complete = is_complete(cube)
-        completeness_check = "verified"
-    else:
-        complete = True
-        completeness_check = "structural"
     payload = {
         "k": args.k,
         "n": len(cube),
@@ -364,8 +358,8 @@ def _cmd_cube(args) -> int:
         "closed_form": closed,
         # kept for the report schema: the sum is always computed by gcd_sum
         "method": "direct",
-        "complete": complete,
-        "completeness_check": completeness_check,
+        "complete": is_complete(cube),
+        "completeness_check": "verified",
     }
     if not config.deterministic:
         payload["elapsed_ms"] = elapsed

@@ -108,7 +108,8 @@ class IndexSet:
     the universe (`masks`) and the Python-int position masks
     (`position_masks`); for any set, the members as `MultiIndex` objects,
     decoded from the rows only when `members`, iteration, `in`, `as_set` or
-    `hash` asks for them.
+    `hash` asks for them.  `member_strings` formats the members' text form
+    from the rows, with no `MultiIndex`.
     """
 
     __slots__ = ("_universe", "_rows", "_square_free", "_words", "_position_masks",
@@ -258,6 +259,19 @@ class IndexSet:
                 members += [MultiIndex(pairs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
             self._members = tuple(members)
         return self._members
+
+    def member_strings(self) -> list[str]:
+        """`str` of each member, in canonical order, formatted from the rows
+        in one pass: a token ` j:e` per nonzero entry, joined per row."""
+        r, c = np.nonzero(self._rows)
+        if self._square_free:
+            tokens = [f" {j}:1" for j in self._universe]
+            entries = [tokens[x] for x in c.tolist()]
+        else:
+            u = np.array(self._universe, dtype=np.int64)
+            entries = [f" {j}:{e}" for j, e in zip(u[c].tolist(), self._rows[r, c].tolist())]
+        ends = np.cumsum(np.count_nonzero(self._rows, axis=1)).tolist()
+        return ["mi" + "".join(entries[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -802,11 +816,18 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
     """One comparable key per mask: its word, or the bytes of its words.  A
-    single word stays an integer, which np.isin sorts about four times faster
-    than bytes."""
+    single word stays an integer, which sorts about four times faster than
+    bytes."""
     if words.shape[-1] == 1:
         return words[..., 0]
     return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
+
+
+def _search(ranked: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each key of x, an index into the sorted keys `ranked` and whether
+    the key is there, at that index."""
+    at = np.minimum(np.searchsorted(ranked, x), len(ranked) - 1)
+    return at, ranked[at] == x
 
 
 class LcmClosure:
@@ -916,21 +937,32 @@ class LcmClosure:
         member to c iff c minus a_k is a member, and l is then the first
         member with a_k | a_l = c.  The empty member, first in canonical
         order, joins every member c with c itself; only closure members
-        outside the set are searched, in the blocks of `_pairs`.
+        outside the set are searched, in the blocks of `_pairs`.  Membership
+        is a lookup in a boolean table over the 2^m masks for m <=
+        `_XOR_TABLE_MAX_BITS`, and a search of the members' sorted keys
+        otherwise, so memory stays bounded in m.
         """
         E, F = self.B.masks(), self.closure.masks()
-        keys = _row_keys(E)
         if E[0].any():
             raise DomainError("witness pairs need a divisor-closed set")
-        index = dict(zip(keys.tolist(), range(len(keys))))
-        own = np.array([index.get(c, -1) for c in _row_keys(F).tolist()], dtype=np.int64)
+        keys = _row_keys(E)
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        at, found = _search(ranked, _row_keys(F))
+        own = np.where(found, order[at], -1)
+        m = self.rows.shape[1]
+        table = None
+        if m <= _XOR_TABLE_MAX_BITS:
+            table = np.zeros(1 << m, dtype=bool)
+            table[keys] = True
         out = np.zeros((len(own), 2), dtype=np.int64)
         out[:, 1] = own
         rest = np.flatnonzero(own < 0)
         for lo, hi, below in self._pairs(rest):
             target = F[rest[lo:hi]]
             # for a member a below c, c xor a is c minus a
-            hit = np.isin(_row_keys(target[:, None, :] ^ E[None, :, :]), keys)
+            x = _row_keys(target[:, None, :] ^ E[None, :, :])
+            hit = table[x] if table is not None else _search(ranked, x)[1]
             hit &= below
             if not hit.any(axis=1).all():
                 raise DomainError("closure member without a generating pair: B is not divisor closed")

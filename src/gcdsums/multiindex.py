@@ -130,15 +130,6 @@ def abs_diff(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return MultiIndex(m)
 
 
-def lcm(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    """Componentwise max (least common multiple of the encoded integers)."""
-    m = dict(a._map)
-    for j, e in b.items:
-        if e > m.get(j, 0):
-            m[j] = e
-    return MultiIndex(m)
-
-
 def leq(a: MultiIndex, b: MultiIndex) -> bool:
     """True iff a <= b componentwise (a's integer divides b's)."""
     return all(e <= b.exponent(j) for j, e in a.items)

@@ -12,9 +12,11 @@ DomainError on any other set.  Inside, members are Python-int masks, so with
 u_j the one-bit mask of position j, dropping j from member x is x ^ u_j and
 swapping j for i is x ^ u_j | u_i.  The tests and `completeness_step` read
 the sets' cached position masks (`IndexSet.position_masks`, bit j - 1 for
-position j).  `divisor_closure`, `normalize_to_complete` and the heuristic
-search (`search.local_search`) run on masks over the positions the run can
-reach (`_MaskRun`): each move is scored by its change in S over one product
+position j), except that `is_complete` checks a set on the subset lattice
+where `gcdsum._lattice_cheaper` holds: one boolean indicator of the 2^m
+masks, closed under deletions and adjacent shifts j -> j - 1.
+`divisor_closure`, `normalize_to_complete` and the heuristic search
+(`search.local_search`) run on masks over the positions the run can reach (`_MaskRun`): each move is scored by its change in S over one product
 table per slice of those positions, then committed, and S is carried from
 there.  The transforms build an IndexSet only for the result and for a
 50-digit recertification; results are built with `IndexSet.from_masks`.
@@ -35,6 +37,7 @@ from .errors import DomainError, TransformLimitError
 from .gcdsum import (
     _BLOCK_BUDGET,
     IndexSet,
+    _lattice_cheaper,
     _mask_words,
     _set_bits,
     _slice_tables,
@@ -157,13 +160,43 @@ def is_divisor_closed(B: IndexSet) -> bool:
     return _is_divisor_closed(_mask_set(B, "is_divisor_closed"))
 
 
+def _lattice_complete(B: IndexSet) -> bool:
+    """`is_complete` for a square-free set on the positions 1..m, over one
+    boolean indicator f of the 2^m masks: a divisor-closed set is complete
+    iff it is closed under the adjacent shifts j -> j - 1 (a swap j -> i is
+    a chain of them), so for each bit b, one numpy pass checks f(x) =>
+    f(x - b) for every x with b, and one checks f(x) => f(x - b + (b - 1))
+    for every x with b and not b - 1."""
+    m = len(B.universe())
+    f = np.zeros(1 << m, dtype=bool)
+    f[B.masks()[:, 0]] = True
+    for b in range(m):
+        split = f.reshape(-1, 2, 1 << b)  # [higher bits, bit b, lower bits]
+        if (split[:, 1] > split[:, 0]).any():
+            return False
+        if b:
+            split = f.reshape(-1, 2, 2, 1 << (b - 1))  # [higher, bit b, bit b - 1, lower]
+            if (split[:, 1, 0] > split[:, 0, 1]).any():
+                return False
+    return True
+
+
 def is_complete(B: IndexSet) -> bool:
     """Divisor closed, and for each member, supported position j, and free
-    position i < j, the j-to-i swap stays in the set.  Square-free sets only."""
-    if B.is_square_free() and B.max_index() >= len(B):
+    position i < j, the j-to-i swap stays in the set.  Square-free sets only.
+
+    On the subset lattice where `_lattice_cheaper` holds (`_lattice_complete`),
+    otherwise by the set-bit scans `_is_divisor_closed` and `_first_swap`."""
+    if not B.is_square_free():
+        raise DomainError("is_complete requires a square-free set")
+    if B.max_index() >= len(B):
         # a complete set using position j holds the empty member and {1}, ..., {j}
         return False
-    masks = _mask_set(B, "is_complete")
+    universe = B.universe()
+    if _lattice_cheaper(len(B), len(universe)):
+        # a complete set using position j uses every position below it too
+        return universe == tuple(range(1, len(universe) + 1)) and _lattice_complete(B)
+    masks = set(B.position_masks())
     return _is_divisor_closed(masks) and _first_swap(masks) is None
 
 

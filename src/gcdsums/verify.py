@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_chain_report, support_tail_bound, tail_sum
+from .bounds import bound_chain_report, support_tail_bounds, tail_sum
 from .errors import ConvergenceError, DomainError
 from .gcdsum import (IndexSet, cube_sum_closed_form, gcd_matrix, gcd_sum, gcd_sum_integers,
                      index_set_from_integers, lcm_closure_bound, min_eigenvalue, rayleigh_bounds)
@@ -80,9 +80,9 @@ def random_index_set(rng: random.Random, max_n=12, max_index=8, max_exponent=1) 
 
 
 def _support_bound_members(B: IndexSet) -> int:
-    for m in B:
-        if not support_tail_bound(B, m)[0]:
-            raise _Failed(f"support bound fails for {m} in {B!r}")
+    holds, _ = support_tail_bounds(B)
+    if not holds.all():
+        raise _Failed(f"support bound fails for {B.members[holds.argmin()]} in {B!r}")
     return len(B)
 
 

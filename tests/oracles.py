@@ -54,6 +54,17 @@ def brute_weighted_form(t, members, sizes) -> float:
     )
 
 
+def lcm(a, b):
+    """Componentwise max of two multi-indices (least common multiple of the
+    encoded integers), as a MultiIndex."""
+    from gcdsums import MultiIndex
+
+    d = {j: e for j, e in a.items}
+    for j, e in b.items:
+        d[j] = max(d.get(j, 0), e)
+    return MultiIndex(d)
+
+
 def brute_lcm_closure(members) -> set:
     """Every componentwise max of two members (a member with itself included),
     each as its sorted (position, exponent) tuple."""

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from gcdsums import (
     normalize_to_complete,
     squarefree_upper_curve,
     support_tail_bound,
+    support_tail_bounds,
     tail_sum,
 )
 import functools
@@ -26,6 +28,7 @@ import random
 
 from oracles import (
     brute_lcm_closure,
+    lcm,
     chain_rows_reference,
     tail_direct_sum,
     tail_series_reference,
@@ -240,8 +243,6 @@ def test_chain_report_high_branch():
 
 
 def test_chain_report_witnesses_are_generating_pairs():
-    from gcdsums import lcm
-
     B = high_branch_set()
     report = bound_chain_report(half, B, 1.0)
     closure_members = {str(r.beta): r for r in report.records}
@@ -477,3 +478,42 @@ def test_chain_report_recertifies_near_ties(monkeypatch, tol, holds):
     assert len(calls) == report.closure_size == 32
     assert report.exact["cauchy_schwarz"] is holds
     assert report.exact["euler_product_aux"] is holds
+
+
+def test_chain_report_builds_no_multiindex(monkeypatch):
+    # from the set's rows to the report's JSON, no member is decoded
+    sets = [cube_construction(10), random_complete_sets(5, 1, max_index=16)[0]]
+    sets[1] = IndexSet.from_masks(sets[1].position_masks())  # no cached members
+    assert len(sets[1]) >= 21
+    made = []
+    init = MultiIndex.__init__
+    monkeypatch.setattr(MultiIndex, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    for B in sets:
+        report = bound_chain_report(half, B, _decay(half, B))
+        assert report.all_exact_hold()
+        json.dumps(report.to_dict())
+    assert made == []
+
+
+@pytest.mark.parametrize("B", [exponent_set(), lcm_closure(exponent_set()), high_branch_set()]
+                         + [IndexSet.from_masks([0])] + [cube_construction(k) for k in (1, 5, 9)])
+def test_member_strings_match_multiindex_text(B):
+    assert IndexSet.from_rows(B.universe(), B.exponent_matrix()).member_strings() == [
+        str(m) for m in B.members
+    ]
+
+
+def test_support_tail_bounds_match_per_member_bound():
+    sets = random_complete_sets(31, 12, max_index=16) + [high_branch_set(), cube_construction(6)]
+    for B in sets:
+        for n in (None, 21, 1000, 10 ** 9):
+            holds, slack = support_tail_bounds(B, n)
+            ref = [support_tail_bound(B, m, n) for m in B.members]
+            assert holds.tolist() == [h for h, _ in ref]
+            assert slack == pytest.approx([s for _, s in ref], rel=1e-14, abs=1e-14)
+    # a failing member: {5, 7} against n = 2, where log 5 + log 7 - 2 loglog 2 > 3 log 2
+    B = IndexSet.from_masks([0, 1 << 4 | 1 << 6])
+    holds, _ = support_tail_bounds(B, 2)
+    assert holds.tolist() == [support_tail_bound(B, m, 2)[0] for m in B.members] == [True, False]
+    with pytest.raises(DomainError):
+        support_tail_bounds(B, 1)

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import multi_indices, square_free_indices
-from oracles import FIRST_PRIMES, primes_upto, trial_division
+from oracles import FIRST_PRIMES, lcm, primes_upto, trial_division
 
 from gcdsums import (
     DomainError,
@@ -17,7 +17,6 @@ from gcdsums import (
     from_integer,
     from_mask,
     is_square_free,
-    lcm,
     leq,
     parse_multiindex,
     support,

@@ -75,19 +75,21 @@ def completion(masks) -> IndexSet:
 
 
 @st.composite
-def near_complete_sets(draw):
-    """A completion of a few small supports reaching position 70, then maybe
-    one member removed or one member added."""
+def near_complete_sets(draw, top=70, max_shift=0):
+    """A completion of a few small supports reaching position `top`, every
+    position maybe raised by up to `max_shift` (so low positions go unused),
+    then maybe one member removed or one member added."""
     gens = draw(st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 69)).map(lambda p: 1 << p[0] | 1 << p[1]),
+        st.tuples(st.integers(0, 3), st.integers(0, top - 1)).map(lambda p: 1 << p[0] | 1 << p[1]),
         min_size=1, max_size=3,
     ))
-    members = list(completion(gens).members)
+    shift = draw(st.integers(0, max_shift))
+    members = [MultiIndex({j + shift: 1 for j, _ in m.items}) for m in completion(gens)]
     change = draw(st.sampled_from(("none", "drop", "add")))
     if change == "drop" and len(members) > 1:
         members.pop(draw(st.integers(0, len(members) - 1)))
     elif change == "add":
-        extra = MultiIndex({j: 1 for j in draw(st.frozensets(st.integers(1, 70), max_size=3))})
+        extra = MultiIndex({j: 1 for j in draw(st.frozensets(st.integers(1, top), max_size=3))})
         if extra not in members:
             members.append(extra)
     return IndexSet(members)
@@ -111,6 +113,34 @@ def test_is_complete_matches_multiindex_definition(B):
 @given(square_free_sets(max_index=6, max_n=12))
 def test_is_complete_matches_multiindex_definition_small(B):
     assert is_complete(B) == brute_is_complete(B.members)
+
+
+@settings(max_examples=200)
+@given(st.one_of(near_complete_sets(top=6, max_shift=2), square_free_sets(max_index=6, max_n=12)))
+def test_is_complete_on_both_paths_matches_multiindex_definition(B):
+    # the lattice indicator's adjacent shifts and the set-bit scan, each
+    # forced onto every set
+    expected = brute_is_complete(B.members)
+    for lattice in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transforms, "_lattice_cheaper", lambda n, m: lattice)
+            assert is_complete(B) == expected
+
+
+def test_is_complete_takes_the_lattice_on_cubes(monkeypatch):
+    from gcdsums.search import cube_construction
+
+    # the set-bit scan is not reached
+    monkeypatch.setattr(transforms, "_is_divisor_closed", None)
+    monkeypatch.setattr(transforms, "_first_swap", None)
+    for k in (1, 5, 12, 16):
+        assert is_complete(cube_construction(k))
+    # {10} gone: {1, 10} has no divisor
+    assert not is_complete(IndexSet.from_masks(x for x in range(1 << 10) if x != 1 << 9))
+    # the 8-cube with {9}, {10} and {1, 10}: divisor closed on positions 1..10,
+    # but {1, 10} has no shift to {1, 9}
+    assert not is_complete(IndexSet.from_masks([*range(1 << 8), 1 << 8, 1 << 9, 1 << 9 | 1]))
+    assert is_complete(IndexSet.from_masks([*range(1 << 8), 1 << 8, 1 << 9]))
 
 
 def test_is_complete_rejects_far_positions_at_once():
