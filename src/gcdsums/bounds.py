@@ -412,8 +412,8 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     # interval to its left (the summand decreases past log n), and by the
     # integral over the unit interval centred on it (the summand is convex),
     # the inequality the midpoint remainder of tail_sum rests on; for the 64
-    # terms j from j0 on, the antiderivative is read at the 130 points
-    # j0 - 1, j0 - 1/2, ..., j0 + 63 + 1/2
+    # terms j from j0 on, the antiderivative (`_tail_antiderivative`) is read
+    # at the 130 points j0 - 1, j0 - 1/2, ..., j0 + 63 + 1/2
     j0 = kfloor + 1
     u = np.log(np.arange(2 * j0 - 2, 2 * j0 + 128) / 2.0)
     antiderivative = np.log((u - ll) / u) / ll

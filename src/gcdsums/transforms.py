@@ -16,9 +16,9 @@ position j), except that `is_complete` checks a set on the subset lattice
 where `gcdsum._lattice_cheaper` holds: one boolean indicator of the 2^m
 masks, closed under deletions and adjacent shifts j -> j - 1.
 `divisor_closure`, `normalize_to_complete` and the heuristic search
-(`search.local_search`) run on masks over the positions the run can reach (`_MaskRun`): each move is scored by its change in S over one product
-table per slice of those positions, then committed, and S is carried from
-there.  The transforms build an IndexSet only for the result and for a
+(`search.local_search`) run on masks over the positions the run can reach
+(`_MaskRun`): each move is scored by its change in S over one product table
+per slice of those positions, then committed, and S is carried from there.  The transforms build an IndexSet only for the result and for a
 50-digit recertification; results are built with `IndexSet.from_masks`.
 `completeness_step` is the one-step swap on IndexSets, with full sums.
 """
