@@ -396,7 +396,7 @@ def _cmd_transform(args) -> int:
             line["strict"] = step.strict
         lines.append(json.dumps(line, sort_keys=True))
     lines.append(json.dumps(
-        {"final": [str(m) for m in result], "n": len(result),
+        {"final": result.member_strings(), "n": len(result),
          "s_value": trace.steps[-1].s_after if trace.steps else gcd_sum(t, result),
          "complete": is_complete(result)},
         sort_keys=True,

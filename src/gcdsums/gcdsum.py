@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
@@ -51,7 +52,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, DuplicateMemberError
-from .multiindex import MultiIndex, abs_diff, factors_in_scope, ranked_items
+from .multiindex import MultiIndex, factors_in_scope, ranked_items
 from .weights import WeightSequence
 
 _XOR_TABLE_MAX_BITS = 22  # the transform path's largest universe: arrays of 2^m floats
@@ -99,10 +100,10 @@ class IndexSet:
     Its state is its universe (the sorted positions its members use) and its
     read-only int16 exponent matrix over the universe, a row per member in
     canonical order, exponents at most 30 000; whether it is square-free is
-    read off the matrix.  `from_rows` and `from_masks` sort rows with one
+    read off the matrix.  Members given as `MultiIndex` objects are encoded
+    to rows by `_item_rows`.  Every constructor sorts rows with one
     `np.lexsort` (`_sort`), except that `from_masks` sorts short mask lists
-    in Python; `IndexSet(members)` sorts the members it is given (their
-    order is the canonical order) and encodes them to rows.
+    in Python.
 
     Cached on first use: for a square-free set, the uint64 mask words over
     the universe (`masks`) and the Python-int position masks
@@ -116,29 +117,9 @@ class IndexSet:
                  "_members", "_set")
 
     def __init__(self, members: Iterable[MultiIndex]):
-        # the members' own order is the canonical order, so they are sorted
-        # as they are and their rows written in that order
-        members = sorted(members)
-        if len(set(members)) != len(members):
-            raise DomainError("members must be pairwise distinct")
-        if not members:
-            raise DomainError("an index set must be nonempty")
-        universe = sorted({j for m in members for j, _ in m.items})
-        pos = {j: i for i, j in enumerate(universe)}
-        width = len(universe)
-        # flat cells and one numpy assignment: per-call numpy overhead, not
-        # the loop, is what a small set's encoding costs
-        cells, exponents = [], []
-        for r, m in enumerate(members):
-            for j, e in m.items:
-                cells.append(r * width + pos[j])
-                exponents.append(e)
-        top = max(exponents, default=0)
-        _check_exponent(top)
-        rows = np.zeros(len(members) * width, dtype=np.int16)
-        rows[cells] = exponents
-        self._store(tuple(universe), rows.reshape(len(members), width), top <= 1)
-        self._members = tuple(members)
+        members = list(members)
+        order = self._encode(*_item_rows(m.items for m in members))
+        self._members = tuple([members[i] for i in order.tolist()])
 
     def _store(self, universe: tuple[int, ...], rows: np.ndarray, square_free: bool) -> None:
         """Take canonical int16 rows over the universe as this set's state."""
@@ -354,6 +335,27 @@ def _first_repeat(order: np.ndarray, same: np.ndarray) -> tuple[int, int]:
 def _check_exponent(top: int) -> None:
     if top > _EXPONENT_CAP:
         raise DomainError(f"exponent {top} too large for the pair kernel")
+
+
+def _item_rows(items: Iterable[Sequence[tuple[int, int]]]) -> tuple[list[int], np.ndarray]:
+    """(universe, rows) of members given as (position, exponent) pairs: the
+    sorted positions and the int16 rows over them, in the order given.  The
+    cap is checked first, so an exponent too large for int16 is a DomainError."""
+    items = list(items)
+    universe = sorted({j for pairs in items for j, _ in pairs})
+    pos = {j: i for i, j in enumerate(universe)}
+    width = len(universe)
+    # flat cells and one numpy assignment: per-call numpy overhead, not the
+    # loop, is what a small set's encoding costs
+    cells, exponents = [], []
+    for r, pairs in enumerate(items):
+        for j, e in pairs:
+            cells.append(r * width + pos[j])
+            exponents.append(e)
+    _check_exponent(max(exponents, default=0))
+    rows = np.zeros(len(items) * width, dtype=np.int16)
+    rows[cells] = exponents
+    return universe, rows.reshape(len(items), width)
 
 
 def _set_bits(x: int) -> list[int]:
@@ -697,19 +699,21 @@ def cross_sum(t: WeightSequence, A: IndexSet, B: IndexSet) -> float:
 
 
 def gcd_sum_mp(t: WeightSequence, B: IndexSet, dps: int = 50) -> mp.mpf:
-    """S(t, B) recomputed termwise at `dps` decimal digits."""
-    members = B.members
+    """S(t, B) recomputed termwise at `dps` decimal digits: the rows of
+    |a - b| counted, one numpy pass per member row, and one `mp.fsum` of each
+    distinct row's power of t times its count, multiplied exactly."""
+    E = B.exponent_matrix()
+    counts = Counter()
+    for row in E:
+        counts.update(map(bytes, np.abs(E - row)))
     with mp.workdps(dps):
-        cache: dict[MultiIndex, mp.mpf] = {}
+        weights = [t.weight_at_mp(j) for j in B.universe()]
         terms = []
-        for a in members:
-            for b in members:
-                d = abs_diff(a, b)
-                v = cache.get(d)
-                if v is None:
-                    v = t.pow_mp(d)
-                    cache[d] = v
-                terms.append(v)
+        for key, count in counts.items():
+            d = np.frombuffer(key, dtype=E.dtype)
+            at = np.flatnonzero(d)
+            power = mp.fprod([weights[c] ** e for c, e in zip(at.tolist(), d[at].tolist())])
+            terms.append(mp.fmul(power, count, exact=True))
         return mp.fsum(terms)
 
 
@@ -1219,4 +1223,4 @@ def rayleigh_bounds(t: WeightSequence, B: IndexSet, tol: float = 1e-13) -> Rayle
 
 def index_set_from_integers(ns: Sequence[int]) -> IndexSet:
     """The set of the integers ns as multi-indices, their primes ranked together."""
-    return IndexSet(map(MultiIndex, ranked_items(map(factors_in_scope, ns))))
+    return IndexSet.from_rows(*_item_rows(ranked_items(map(factors_in_scope, ns))))

@@ -59,14 +59,8 @@ class MultiIndex:
         """Largest supported position; 0 for the zero multi-index."""
         return self._items[-1][0] if self._items else 0
 
-    def is_zero(self) -> bool:
-        return not self._items
-
     def is_square_free(self) -> bool:
         return all(e <= 1 for _, e in self._items)
-
-    def degree(self) -> int:
-        return sum(e for _, e in self._items)
 
     def with_unit_added(self, j: int) -> "MultiIndex":
         m = dict(self._map)

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError
-from .gcdsum import IndexSet, _power_table, gcd_sum
+from .gcdsum import IndexSet, _power_table, _set_bits, gcd_sum
 from .transforms import TransformTrace, _first_swap, _MaskRun, _movable
 from .weights import WeightSequence
 
@@ -136,7 +136,7 @@ class SearchReport:
     iterations: int | None = None
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
-        out = {**vars(self), "maximizers": [[str(m) for m in s] for s in self.maximizers]}
+        out = {**vars(self), "maximizers": [s.member_strings() for s in self.maximizers]}
         if not include_elapsed:
             del out["elapsed_ms"]
         for key in ("seed", "iterations"):
@@ -169,8 +169,10 @@ def extremal_sf(
             near.append((s, masks))
     sums = [(gcd_sum(t, B), B) for B in (IndexSet.from_masks(masks) for _, masks in near)]
     best = max(v for v, _ in sums)
+    # canonical order of the ties: their members in turn, each by its positions
     maximizers = tuple(
-        sorted((B for v, B in sums if v >= best * (1.0 - tie_tol)), key=lambda s: s.members)
+        sorted((B for v, B in sums if v >= best * (1.0 - tie_tol)),
+               key=lambda s: [_set_bits(x) for x in s.position_masks()])
     )
     elapsed = (time.perf_counter() - start) * 1000.0
     return SearchReport(

@@ -10,17 +10,21 @@ supported position by any smaller one.
 The functions take and return IndexSets of square-free members and raise
 DomainError on any other set.  Inside, members are Python-int masks, so with
 u_j the one-bit mask of position j, dropping j from member x is x ^ u_j and
-swapping j for i is x ^ u_j | u_i.  The tests and `completeness_step` read
-the sets' cached position masks (`IndexSet.position_masks`, bit j - 1 for
-position j), except that `is_complete` checks a set on the subset lattice
-where `gcdsum._lattice_cheaper` holds: one boolean indicator of the 2^m
-masks, closed under deletions and adjacent shifts j -> j - 1.
+swapping j for i is x ^ u_j | u_i.  The predicates, `swap_partition` and
+`completeness_step` read the sets' cached position masks
+(`IndexSet.position_masks`, bit j - 1 for position j), except that
+`is_complete` checks a set on the subset lattice where
+`gcdsum._lattice_cheaper` holds: one boolean indicator of the 2^m masks,
+closed under deletions and adjacent shifts j -> j - 1.
+
 `divisor_closure`, `normalize_to_complete` and the heuristic search
 (`search.local_search`) run on masks over the positions the run can reach
 (`_MaskRun`): each move is scored by its change in S over one product table
-per slice of those positions, then committed, and S is carried from there.  The transforms build an IndexSet only for the result and for a
-50-digit recertification; results are built with `IndexSet.from_masks`.
-`completeness_step` is the one-step swap on IndexSets, with full sums.
+per slice of those positions, then committed, and S is carried from there.
+The transforms build an IndexSet only for the result and for a 50-digit
+recertification, with `IndexSet.from_masks`; reports format members from
+the rows (`IndexSet.member_strings`).  `completeness_step` is the one-step
+swap on IndexSets, with full sums.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ class TransformTrace:
     def to_dict(self) -> dict:
         return {
             **vars(self),
-            "initial": [str(m) for m in self.initial],
-            "final": [str(m) for m in self.final] if self.final is not None else None,
+            "initial": self.initial.member_strings(),
+            "final": self.final.member_strings() if self.final is not None else None,
             "steps": [vars(s).copy() for s in self.steps],
         }
 

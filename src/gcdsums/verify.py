@@ -14,9 +14,9 @@ import numpy as np
 
 from .bounds import bound_chain_report, support_tail_bounds, tail_sum
 from .errors import ConvergenceError, DomainError
-from .gcdsum import (IndexSet, cube_sum_closed_form, gcd_matrix, gcd_sum, gcd_sum_integers,
-                     index_set_from_integers, lcm_closure_bound, min_eigenvalue, rayleigh_bounds)
-from .multiindex import MultiIndex
+from .gcdsum import (IndexSet, _item_rows, cube_sum_closed_form, gcd_matrix, gcd_sum,
+                     gcd_sum_integers, index_set_from_integers, lcm_closure_bound, min_eigenvalue,
+                     rayleigh_bounds)
 from .search import cube_construction, extremal_sf
 from .transforms import MONOTONE_TOL, STRICT_MARGIN_FLOOR, is_complete, normalize_to_complete
 from .weights import PrimePowerWeights, WeightSequence, count_above_half, doubled_weights
@@ -72,17 +72,17 @@ def random_index_set(rng: random.Random, max_n=12, max_index=8, max_exponent=1) 
             positions = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_index, 6)))
             masks.add(sum(1 << (j - 1) for j in positions))
         return IndexSet.from_masks(masks)
-    members: set[MultiIndex] = set()
+    members: set[tuple[tuple[int, int], ...]] = set()
     while len(members) < n:
         positions = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_index, 6)))
-        members.add(MultiIndex({j: rng.randint(1, max_exponent) for j in positions}))
-    return IndexSet(members)
+        members.add(tuple(sorted({j: rng.randint(1, max_exponent) for j in positions}.items())))
+    return IndexSet.from_rows(*_item_rows(members))
 
 
 def _support_bound_members(B: IndexSet) -> int:
     holds, _ = support_tail_bounds(B)
     if not holds.all():
-        raise _Failed(f"support bound fails for {B.members[holds.argmin()]} in {B!r}")
+        raise _Failed(f"support bound fails for {B.member_strings()[holds.argmin()]} in {B!r}")
     return len(B)
 
 

@@ -49,12 +49,6 @@ class WeightSequence:
             out *= self.weight_at(j) ** e
         return out
 
-    def pow_mp(self, a: MultiIndex) -> mp.mpf:
-        out = mp.mpf(1)
-        for j, e in a.items:
-            out *= self.weight_at_mp(j) ** e
-        return out
-
     def weights_for(self, indices) -> np.ndarray:
         return np.array([self.weight_at(int(j)) for j in indices], dtype=np.float64)
 

@@ -34,6 +34,21 @@ def brute_pair_sum(t, members) -> float:
     return math.fsum(total)
 
 
+def brute_pair_sum_mp(t, members, dps: int = 50):
+    """S(t, members) termwise at `dps` digits: per ordered pair, the product of
+    t's `weight_at_mp` powers over the positions of |a - b| ascending, then
+    one mpmath fsum over the pairs in order."""
+    with mpmath.workdps(dps):
+        terms = []
+        for a in members:
+            for b in members:
+                term = mpmath.mpf(1)
+                for j, e in sorted(dict_abs_diff(a, b).items()):
+                    term *= t.weight_at_mp(j) ** e
+                terms.append(term)
+        return mpmath.fsum(terms)
+
+
 def brute_cross_sum(t, left, right) -> float:
     return math.fsum(
         pow_from_scratch(t, dict_abs_diff(a, b)) for a in left for b in right

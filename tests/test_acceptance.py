@@ -7,9 +7,13 @@ import functools
 import random
 import time
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
 import gcdsums.gcdsum as gcdsum_module
-from gcdsums import (IndexSet, MultiIndex, PrimePowerWeights, cube_construction, cube_sum_closed_form,
-                     gcd_sum, verify)
+from gcdsums import (DomainError, IndexSet, MultiIndex, PrimePowerWeights, cube_construction,
+                     cube_sum_closed_form, from_integer, gcd_sum, index_set_from_integers, verify)
 
 CRITERIA = {  # test name: (check, seed)
     "01_cube_product_identity": (verify.check_cube_identity, 0),
@@ -74,21 +78,33 @@ def test_rayleigh_quick_seed_812():
     assert verify.check_rayleigh(812, quick=True).ok
 
 
-def _random_index_set_of_members(rng, max_n=12, max_index=8):
-    # the square-free draw as MultiIndex members, the construction the masks replaced
+def _random_index_set_of_members(rng, max_n=12, max_index=8, max_exponent=1):
+    # the draw as MultiIndex members, the construction that masks and rows replaced
     n = rng.randint(1, max_n)
     members = set()
     while len(members) < n:
         positions = rng.sample(range(1, max_index + 1), rng.randint(0, min(max_index, 6)))
-        members.add(MultiIndex({j: 1 for j in positions}))
+        members.add(MultiIndex({j: rng.randint(1, max_exponent) if max_exponent > 1 else 1
+                                for j in positions}))
     return IndexSet(members)
 
 
 def test_random_index_set_masks_match_members():
     # same sets, and the same draws from rng, as the MultiIndex construction
+    shapes = [{}, {"max_n": 40, "max_index": 9}, {"max_exponent": 2},
+              {"max_n": 40, "max_index": 9, "max_exponent": 3}]
     for seed in range(5):
         rng, ref = random.Random(seed), random.Random(seed)
         for i in range(40):
-            kwargs = {"max_n": 40, "max_index": 9} if i % 2 else {}
+            kwargs = shapes[i % len(shapes)]
             assert verify.random_index_set(rng, **kwargs) == _random_index_set_of_members(ref, **kwargs)
             assert rng.getstate() == ref.getstate()
+
+
+@given(st.lists(st.integers(1, 10**7), min_size=1, max_size=12), st.data())
+def test_index_set_from_integers_matches_members(ns, data):
+    ns = list(dict.fromkeys(ns))
+    assert index_set_from_integers(ns) == IndexSet(map(from_integer, ns))
+    repeated = ns + [data.draw(st.sampled_from(ns))]
+    with pytest.raises(DomainError, match="distinct"):
+        index_set_from_integers(data.draw(st.permutations(repeated)))

@@ -151,15 +151,35 @@ def multiindex_count(monkeypatch):
 
 
 def test_square_free_jobs_build_no_multiindex(tmp_path, capsys, multiindex_count):
-    # sum, matrix and cube read rows and masks only; members are decoded on demand
-    lines = [" ".join(["mi"] + [f"{j + 1}:1" for j in range(10) if x >> j & 1]) for x in range(300)]
-    path = write(tmp_path, "set.txt", "\n".join(lines) + "\n")
-    for argv in (["sum", path], ["matrix", path, "--stat", "both"], ["cube", "--k", "12"]):
-        code, _, err = run(capsys, argv + ["--alpha", "0.5", "--deterministic"])
-        assert code == 0, err
-    assert multiindex_count() == 0
-    # the count sees members that are asked for: transform prints them
-    assert run(capsys, ["transform", path, "--deterministic"])[0] == 0
+    # every subcommand reads rows and masks only, and reports from the rows
+    def mi_lines(masks):
+        return "".join(" ".join(["mi"] + [f"{j + 1}:1" for j in range(10) if x >> j & 1]) + "\n"
+                       for x in masks)
+
+    path = write(tmp_path, "set.txt", mi_lines(range(300)))
+    cube = write(tmp_path, "cube.txt", mi_lines(range(64)))
+    integers = write(tmp_path, "ints.txt", "".join(f"{n}\n" for n in range(1, 41)))
+    common = ["--alpha", "0.5", "--deterministic"]
+    for argv in (
+        ["sum", path, *common],
+        ["sum", integers, *common],
+        ["matrix", path, "--stat", "both", *common],
+        ["cube", "--k", "12", *common],
+        ["transform", path, "--mode", "closure", *common],
+        ["transform", path, "--mode", "complete", *common],
+        ["search", "--n", "6", "--max-index", "5", *common],
+        ["search", "--n", "12", "--max-index", "6", "--mode", "heuristic", "--seed", "2",
+         "--iterations", "50", *common],
+        ["certify", cube, *common],
+        ["bounds", "--curve", "lower", "--n-from", "100", "--n-to", "1000", "--points", "3",
+         "--constant", "1.0"],
+        ["verify", "--suite", "quick", "--deterministic"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        assert multiindex_count() == 0, argv
+    # the count sees members that are asked for
+    assert len(parse_set_file(path).members) == 300
     assert multiindex_count() >= 300
 
 

@@ -17,6 +17,7 @@ from oracles import (
     brute_lcm_closure,
     brute_pair_matrix,
     brute_pair_sum,
+    brute_pair_sum_mp,
     brute_weighted_form,
     eager_index_set,
 )
@@ -212,6 +213,8 @@ def test_from_masks_rejects_bad_input():
         IndexSet.from_rows((1, 2), np.array([[0, 1], [1, 0], [0, 1]]))
     with pytest.raises(DomainError, match="too large"):
         IndexSet([MultiIndex({1: 30_001})])
+    with pytest.raises(DomainError, match="too large"):  # checked before any int16 array
+        IndexSet([zero, MultiIndex({2: 10**20})])
 
 
 @pytest.mark.parametrize("rows, repeat", [
@@ -468,6 +471,38 @@ def test_gcd_sum_at_least_n():
 def test_gcd_sum_mp_agrees():
     B = IndexSet([zero, e1, e2, e1 + e2])
     assert float(gcd_sum_mp(half, B, dps=40)) == pytest.approx(gcd_sum(half, B), rel=1e-13)
+
+
+@settings(max_examples=60)
+@given(index_sets())
+@example(IndexSet([zero]))
+@example(IndexSet([MultiIndex({3: 2})]))
+@example(IndexSet([zero, e1, e2, e1 + e2]))
+def test_gcd_sum_mp_matches_termwise_oracle(B):
+    # same products, and the counted terms multiplied exactly: equal, not close
+    for t in (half, ExplicitWeights([0.9, 0.5, 0.3])):  # a constant tail from position 3
+        assert gcd_sum_mp(t, B) == brute_pair_sum_mp(t, B.members)
+    assert gcd_sum_mp(half, B, dps=30) == brute_pair_sum_mp(half, B.members, dps=30)
+
+
+@pytest.mark.parametrize("t", [half, PrimePowerWeights(1.0), ExplicitWeights([0.9, 0.5])])
+def test_gcd_sum_mp_at_the_exponent_cap(t):
+    B = IndexSet([zero, MultiIndex({1: 30_000}), MultiIndex({2: 29_999}), MultiIndex({1: 2, 2: 1}),
+                  MultiIndex({1: 30_000, 3: 30_000})])
+    assert gcd_sum_mp(t, B) == brute_pair_sum_mp(t, B.members)
+
+
+def test_gcd_sum_mp_decodes_no_member(monkeypatch):
+    def sets():
+        return [cube_construction(5), index_set_from_integers([1, 2, 12, 45, 360, 7**5])]
+
+    expected = [brute_pair_sum_mp(half, B.members) for B in sets()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gcd_sum_mp built a MultiIndex")
+
+    monkeypatch.setattr(MultiIndex, "__init__", forbidden)
+    assert [gcd_sum_mp(half, B) for B in sets()] == expected
 
 
 def test_gcd_sum_integers_examples():
