@@ -23,7 +23,9 @@ operator for M, chosen by `_operator` from the input alone; its `form` and
   most `_TABLE_SLICE_BITS` positions of a mask word, any number of positions),
   exponent-matrix blocks for any other set.
 A cross sum takes `_Pairs` of one set against the other; dense matrices read
-the pair blocks.  Sums are combined
+the pair blocks.  On a set closed under divisors T is square, and the lowest
+eigenvalue comes from M^-1 = T^-T diag(1/c) T^-1 (`_inverse`): over the
+(member, divisor) entries of T^-1 or on the subset lattice.  Sums are combined
 with compensated summation in a fixed order, so results are deterministic.
 
 The lcm closure of a square-free set takes the subset lattice when
@@ -75,7 +77,23 @@ _TRANSFORM_COST = 4
 # (median about 400).  A fixed cost of about 0.4 ms also favours the pairs on
 # fewer than about 40 random integers.
 _DIVISOR_COST = 150
-_DENSE_CAP = 4096  # dense storage, dense matvec and dense eigvalsh up to this n
+# Dense storage and dense matvec up to this n.  The lowest eigenvalue takes
+# the dense solve up to here too, unless the set is closed under divisors and
+# `_inverse` finds Lanczos on M^-1 cheaper.
+_DENSE_CAP = 4096
+# Costs of the lowest eigenvalue's paths in ns, on a 2-vCPU x86 VM (numpy 2.4,
+# OpenBLAS, best of 5).  Dense eigvalsh took 0.15-0.2 ns n^3 for n = 250-300,
+# 0.11 at n = 500 and 0.06 from n = 700 on (its 8-40 ms for n = 80-200 is an
+# OpenBLAS threading stall, left out).  Lanczos on M^-1 converged in 20-30
+# steps on every set closed under divisors tried.  Closure test, build and
+# solve took about 1 ms plus 250-320 ns per (member, divisor) entry on random
+# downsets of 150-8000 members, and 1 ms plus 100-400 ns per element of
+# m 2^m on the lattice, on cubes and downsets of 8-15 positions.
+_EIGVALSH_NS = 0.1  # per n^3
+_INVERSE_NS = 1_000_000
+_INVERSE_ENTRY_NS = 300
+_INVERSE_LATTICE_NS = 250
+_INVERSE_WORDS = 8  # words per entry live while `_InverseDivisors` builds them
 # Floats per pair block: 512 KB an array, so the two or three arrays a block
 # keeps live fit a 2 MB L2 cache.  On a 2-vCPU x86 VM (numpy 2.4) 2^15 and
 # 2^17 were no faster, and at 2^17 exponent blocks ran three times slower.
@@ -587,6 +605,147 @@ class _Divisors:
         return np.bincount(self.owner, weights=self.value * y[self.label], minlength=self.n)
 
 
+def _smith_scale(w: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """c(a) = prod over the support of a of (1 - t_j^2), per row a of E,
+    from its nonzeros alone."""
+    members, cols = np.nonzero(E)
+    out = np.ones(len(E))
+    np.multiply.at(out, members, (1.0 - w[cols]) * (1.0 + w[cols]))
+    return out
+
+
+def _divisor_links(E: np.ndarray) -> np.ndarray | None:
+    """Per nonzero E[r, j] in row-major order (`np.nonzero`), the row of E
+    equal to row r less one at j; None when some such row is missing, as
+    the rows are then not closed under divisors, or when the rows are too
+    wide to key within `_DIVISOR_WORDS`.  Rows are keyed as one int64 each,
+    column j in the bit width of its largest exponent, when the widths fit
+    in 63 bits, so that lowering exponent j by one subtracts 2^offset_j; else
+    by their bytes, one lowered copy per nonzero."""
+    members, cols = np.nonzero(E)
+    widths = np.array([int(e).bit_length() for e in E.max(axis=0, initial=0)], dtype=np.int64)
+    if widths.sum() <= 63:
+        unit = np.left_shift(1, np.cumsum(widths) - widths)
+        key = E @ unit
+        probe = key[members] - unit[cols]
+    elif len(members) * E.shape[1] <= 4 * _DIVISOR_WORDS:  # int16 entries
+        lowered = E[members]
+        lowered[np.arange(len(members)), cols] -= 1
+        row = np.dtype((np.void, E.itemsize * E.shape[1]))
+        key, probe = np.ascontiguousarray(E).view(row)[:, 0], lowered.view(row)[:, 0]
+    else:
+        return None
+    order = np.argsort(key)
+    at, found = _search(key[order], probe)
+    return order[at] if found.all() else None
+
+
+class _InverseDivisors:
+    """M^-1 of a set closed under divisors, over its (member, divisor) entries.
+
+    The divisors of a member are members, so `_Divisors`'s T is square and
+    unit triangular, and M^-1 = T^-T diag(1/c) T^-1.  Per position, T is
+    [t^(x - y)] over y <= x, whose inverse has 1 on the diagonal and -t below
+    it; so T^-1[a, e] = (-t)^(a - e) when e = a - s for a subset s of a's
+    support, and 0 otherwise: sum_a 2^|supp a| entries.  Every term of
+    M^-1[a, b] = sum_e T^-1[a, e] T^-1[b, e] / c(e) has the sign
+    (-1)^(|a| + |b|), so |T^-T| diag(1/c) |T^-1| is |M^-1| entrywise and the
+    apply is as accurate as a product with M^-1 itself.
+    """
+
+    def __init__(self, t: WeightSequence, B: IndexSet, links: np.ndarray):
+        E = B.exponent_matrix()
+        w = t.weights_for(B.universe())
+        self.n = n = len(E)
+        self.scale = _smith_scale(w, E)
+        members, cols = np.nonzero(E)
+        support = np.bincount(members, minlength=n)
+        start = np.cumsum(support) - support  # each row's first nonzero
+        owners, values, labels = [], [], []
+        # per support size k, a (members, 2^k) block of entries, doubled a
+        # position at a time: the divisors without it, then those with it
+        # lowered by one.  Last position first, so that a divisor still
+        # holds a's earlier positions as its own first nonzeros.
+        for k in range(int(support.max(initial=0)) + 1):
+            rows = np.flatnonzero(support == k)
+            if not len(rows):
+                continue
+            value, label = np.ones((len(rows), 1)), rows[:, None]
+            for s in reversed(range(k)):
+                value = np.hstack([value, value * -w[cols[start[rows] + s], None]])
+                label = np.hstack([label, links[start[label] + s]])
+            owners.append(np.repeat(rows, 1 << k))
+            values.append(value.reshape(-1))
+            labels.append(label.reshape(-1))
+        self.owner = np.concatenate(owners)
+        self.value = np.concatenate(values)  # T^-1[owner, label]
+        self.label = np.concatenate(labels)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M^-1 v"""
+        y = np.bincount(self.owner, weights=self.value * v[self.label], minlength=self.n)
+        y /= self.scale
+        return np.bincount(self.label, weights=self.value * y[self.owner], minlength=self.n)
+
+
+class _InverseLattice:
+    """M^-1 of a square-free set closed under divisors, on the subset lattice
+    of its m positions.  T^-1 (`_InverseDivisors`) is the weighted subset
+    zeta transform with weights -t_j, and T^-T its superset transform.  Over
+    the whole lattice the first pass is also nonzero off the set, where the
+    second must not read it; the scaling by 1/c zeroes it there."""
+
+    def __init__(self, t: WeightSequence, B: IndexSet):
+        w = t.weights_for(B.universe())
+        self.masks = B.masks()[:, 0]
+        self.negated = -w
+        self.scale = _smith_scale(w, B.exponent_matrix())
+        self.inverse_scale = np.zeros(1 << len(w))
+        self.inverse_scale[self.masks] = 1.0 / self.scale
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M^-1 v"""
+        x = np.zeros(len(self.inverse_scale))
+        x[self.masks] = v
+        _subset_zeta(x, self.negated)
+        x *= self.inverse_scale
+        _subset_zeta(x, self.negated, superset=True)
+        return x[self.masks]
+
+
+def _inverse(t: WeightSequence, B: IndexSet) -> _InverseDivisors | _InverseLattice | None:
+    """B's M^-1 for the lowest eigenvalue, when B is closed under divisors and
+    the cost model prefers Lanczos on it, else None.
+
+    The rival is the dense solve below `_DENSE_CAP`, about _EIGVALSH_NS n^3.
+    Above the cap it is Lanczos on M, which is never cheaper: one apply of
+    M^-1 costs about one of M (at most n(n + 1)/2 entries, since each entry
+    pairs two members, or the transform's lattice), and the bottom of M took
+    994 steps on the 13-cube where the top of M^-1 takes 30.  The inverse
+    costs _INVERSE_NS plus its entries or, for a square-free set on at most
+    `_XOR_TABLE_MAX_BITS` positions, its lattice, whichever is cheaper; every
+    member has an entry, so a small set is turned down before any pass over
+    its rows, and the closure test runs last."""
+    n = len(B)
+    rival = _EIGVALSH_NS * n ** 3 if n <= _DENSE_CAP else math.inf
+    if rival <= _INVERSE_NS + _INVERSE_ENTRY_NS * n:
+        return None
+    E = B.exponent_matrix()
+    m = E.shape[1]
+    # supports past 63 positions would overflow and hold too many entries anyway
+    entries = float(np.exp2(np.minimum(np.count_nonzero(E, axis=1), 63)).sum())
+    by_entries = _INVERSE_ENTRY_NS * entries if entries * _INVERSE_WORDS <= _DIVISOR_WORDS else math.inf
+    by_lattice = math.inf
+    if B.is_square_free() and m <= _XOR_TABLE_MAX_BITS:
+        by_lattice = _INVERSE_LATTICE_NS * m * 2.0 ** m
+    if not _INVERSE_NS + min(by_entries, by_lattice) < rival:
+        return None
+    links = _divisor_links(E)
+    if links is None:
+        return None
+    return _InverseLattice(t, B) if by_lattice <= by_entries else _InverseDivisors(t, B, links)
+
+
 def _divisors_cheaper(entries: float, width: int, pairs: int, m: int) -> bool:
     """Cost model of the divisor factorization with `entries` (member, divisor)
     entries and members on at most `width` positions, against `pairs`
@@ -997,6 +1156,8 @@ class GcdMatrix:
     Up to n = _DENSE_CAP the matrix is stored densely (built lazily) and
     matvec multiplies it; above, matvec applies B's one operator, chosen by
     `_operator`: the transform, the divisor factorization or the pair blocks.
+    `min_eigenvalue` reads neither when B is closed under divisors and
+    `_inverse` applies M^-1 instead.
     """
 
     def __init__(self, t: WeightSequence, B: IndexSet):
@@ -1141,7 +1302,22 @@ def spectral_norm(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_00
 
 
 def min_eigenvalue(M: GcdMatrix, tol: float = 1e-13, max_iterations: int = 100_000) -> float:
-    """Smallest eigenvalue: dense symmetric solve up to _DENSE_CAP, else `_lanczos`."""
+    """Smallest eigenvalue, by one of three paths.
+
+    - A set closed under divisors, where `_inverse` prefers it: 1/mu for mu
+      the largest eigenvalue of M^-1 by `_lanczos`, within tol relative.
+    - Otherwise, up to _DENSE_CAP, a dense symmetric solve, within about
+      n eps lambda_max absolute: tol does not reach it.
+    - Otherwise `_lanczos` on M for its lowest end, within tol relative.
+    """
+    inverse = _inverse(M.t, M.B)
+    if inverse is not None:
+        try:
+            return 1.0 / _lanczos(inverse.apply, M.n, tol, max_iterations, lowest=False)
+        except ConvergenceError as exc:
+            if exc.estimate:  # to first order, an error r in mu is r / mu^2 in 1/mu
+                exc.estimate, exc.residual = 1.0 / exc.estimate, exc.residual / exc.estimate ** 2
+            raise
     if M.n <= _DENSE_CAP:
         return float(np.linalg.eigvalsh(M.dense())[0])
     return _lanczos(M.matvec, M.n, tol, max_iterations, lowest=True)

@@ -213,27 +213,32 @@ def spectrum_interval(t: WeightSequence, B: IndexSet) -> tuple[float, float]:
 
 @_check("rayleigh_sandwich")
 def check_rayleigh(seed: int, quick: bool):
-    """Criterion 7: S/N <= lambda_max <= max row sum; on cubes lambda_max = prod(1 + t_j).
-    Both ends of the spectrum lie in `spectrum_interval`."""
+    """Criterion 7: S/N <= lambda_max <= max row sum; on cubes lambda_max = prod(1 + t_j)
+    and lambda_min = prod(1 - t_j).  Both ends of the spectrum lie in `spectrum_interval`."""
     def sandwiched(B):
         rb = rayleigh_bounds(HALF, B)
         lo, hi = spectrum_interval(HALF, B)
         lowest = min_eigenvalue(gcd_matrix(HALF, B))
-        return rb, (rb.lower <= rb.spectral * (1 + 1e-10) and rb.spectral <= rb.upper * (1 + 1e-10)
-                    and lo * (1 - 1e-10) <= lowest and rb.spectral <= hi * (1 + 1e-10))
+        return rb, lowest, (rb.lower <= rb.spectral * (1 + 1e-10) and rb.spectral <= rb.upper * (1 + 1e-10)
+                            and lo * (1 - 1e-10) <= lowest and rb.spectral <= hi * (1 + 1e-10))
     k_max, max_n = (6, 30) if quick else (12, 200)
-    worst = 0.0
+    worst = worst_lowest = 0.0
     for k in range(1, k_max + 1):
-        rb, ok = sandwiched(cube_construction(k))
-        closed = math.prod(1 + HALF.weight_at(j) for j in range(1, k + 1))
+        rb, lowest, ok = sandwiched(cube_construction(k))
+        ts = [HALF.weight_at(j) for j in range(1, k + 1)]
+        closed = math.prod(1 + x for x in ts)
         worst = max(worst, abs(rb.spectral - closed) / closed)
-        _require(ok and worst <= 1e-8, f"cube k={k}, spectral gap {worst:.3e}")
+        floor = math.prod(1 - x for x in ts)
+        worst_lowest = max(worst_lowest, abs(lowest - floor) / floor)
+        _require(ok and worst <= 1e-8 and worst_lowest <= 1e-12,
+                 f"cube k={k}, spectral gap {worst:.3e}, lowest gap {worst_lowest:.3e}")
     rng = random.Random(seed)
     for _ in range(10):
         B = random_index_set(rng, max_n=max_n, max_index=10, max_exponent=2)
-        if not sandwiched(B)[1]:
+        if not sandwiched(B)[2]:
             raise _Failed(f"random set {B!r}")
-    return f"cubes k<={k_max} (spectral worst rel {worst:.2e}), 10 sets of <= {max_n} members"
+    return (f"cubes k<={k_max} (spectral worst rel {worst:.2e}, lowest {worst_lowest:.2e}), "
+            f"10 sets of <= {max_n} members")
 
 
 @_check("bound_sandwich")

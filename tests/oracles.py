@@ -439,7 +439,7 @@ def addable_reference(chosen: set, m: int) -> list:
             if x not in chosen and all(p in chosen for p in _preds_reference(x, m))]
 
 
-def _random_downset_reference(rng, n: int, m: int) -> set:
+def random_downset_reference(rng, n: int, m: int) -> set:
     chosen = {0}
     while len(chosen) < n:
         chosen.add(rng.choice(addable_reference(chosen, m)))
@@ -465,7 +465,7 @@ def local_search_reference(t, n: int, m: int, seed: int = 0, iterations: int = 1
     from gcdsums.search import SearchReport
 
     rng = random.Random(seed)
-    chosen = _random_downset_reference(rng, n, m)
+    chosen = random_downset_reference(rng, n, m)
     current = IndexSet(map(from_mask, chosen))
     s_current = gcd_sum(t, current)
     best_set, best_value = current, s_current

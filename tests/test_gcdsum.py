@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 import random
 import tempfile
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -14,12 +16,14 @@ from conftest import index_sets, multi_indices, square_free_sets
 from oracles import (
     brute_closure_majorant,
     brute_cross_sum,
+    brute_is_divisor_closed,
     brute_lcm_closure,
     brute_pair_matrix,
     brute_pair_sum,
     brute_pair_sum_mp,
     brute_weighted_form,
     eager_index_set,
+    random_downset_reference,
 )
 
 import gcdsums.gcdsum as gcdsum_module
@@ -820,37 +824,205 @@ def test_ritz_pair_matches_dense_eigensolver():
 
 def test_near_degenerate_spectrum(monkeypatch):
     # t_1 = t_2 = a: eigenvalues 1 - a^2 and 1 + a^2/2 -+ sqrt(2 a^2 + a^4/4),
-    # all three within 1.5e-6 of 1
+    # all three within 1.5e-6 of 1.  For {0, e1, e2}, closed under divisors,
+    # the lowest by Lanczos on M^-1; for its translate by XOR with e1 + e2,
+    # the same matrix up to order, on M
     a = 1e-6
     t = ExplicitWeights([a])
-    B = IndexSet([zero, e1, e2])
     spread = math.sqrt(2 * a * a + a ** 4 / 4)
     monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", 1)
-    M = gcd_matrix(t, B)
-    assert spectral_norm(M) == pytest.approx(1 + a * a / 2 + spread, rel=1e-14)
-    assert min_eigenvalue(M) == pytest.approx(1 + a * a / 2 - spread, rel=1e-14)
+    translate = IndexSet([e1, e2, MultiIndex({1: 1, 2: 1})])
+    for B, closed in ((IndexSet([zero, e1, e2]), True), (translate, False)):
+        assert (gcdsum_module._inverse(t, B) is not None) == closed
+        M = gcd_matrix(t, B)
+        assert spectral_norm(M) == pytest.approx(1 + a * a / 2 + spread, rel=1e-14)
+        assert min_eigenvalue(M) == pytest.approx(1 + a * a / 2 - spread, rel=1e-14)
 
 
 @pytest.mark.parametrize("k, cap", [(8, None), (9, None), (10, None), (8, 100), (9, 100)],
                          ids=["8", "9", "10", "8-cap100", "9-cap100"])
 def test_cube_spectrum_closed_forms(k, cap, monkeypatch):
+    B = cube_construction(k)
+    # the cube without its empty member is not closed under divisors
+    opened = IndexSet.from_rows(B.universe(), B.exponent_matrix()[1:])
+    reference = float(np.linalg.eigvalsh(gcd_matrix(half, opened).dense())[0])
     if cap is not None:
-        # both ends by Lanczos on the transform matvec
+        # the top end by Lanczos on the transform matvec, the bottom by
+        # Lanczos on M^-1 for the cube and on M for the opened cube
         monkeypatch.setattr(gcdsum_module, "_DENSE_CAP", cap)
-    M = gcd_matrix(half, cube_construction(k))
+    assert isinstance(gcdsum_module._inverse(half, B), gcdsum_module._InverseLattice)
+    M = gcd_matrix(half, B)
     ts = [half.weight_at(j) for j in range(1, k + 1)]
     assert spectral_norm(M) == pytest.approx(math.prod(1 + x for x in ts), rel=1e-10)
     assert min_eigenvalue(M) == pytest.approx(math.prod(1 - x for x in ts), rel=1e-10)
+    assert gcdsum_module._inverse(half, opened) is None
+    assert min_eigenvalue(gcd_matrix(half, opened)) == pytest.approx(reference, rel=1e-10)
+
+
+def _cli_min_eigenvalue(B, path, capsys) -> tuple[float, float]:
+    """(`matrix --stat mineig` on B in process, its time in seconds)."""
+    path.write_text("\n".join(B.member_strings()) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["matrix", str(path), "--stat", "mineig"]) == 0
+    elapsed = time.perf_counter() - start
+    return json.loads(capsys.readouterr().out)["min_eigenvalue"], elapsed
+
+
+@pytest.mark.parametrize("k", [10, 11, 12, 14])
+def test_cube_min_eigenvalue_within_tol(k, tmp_path, capsys):
+    # Lanczos on M^-1 meets min_eigenvalue's default tol of 1e-13 relative,
+    # where the dense solve missed it on the 12-cube (3.6e-13)
+    B = cube_construction(k)
+    closed = math.prod(1 - half.weight_at(j) for j in range(1, k + 1))
+    if k < 13:
+        lowest = min_eigenvalue(gcd_matrix(half, B))
+    else:
+        lowest, elapsed = _cli_min_eigenvalue(B, tmp_path / "cube.txt", capsys)
+        assert elapsed < 5.0
+    assert abs(lowest - closed) <= 1e-13 * closed
 
 
 def test_cube_13_min_eigenvalue_above_dense_cap(tmp_path, capsys):
     B = cube_construction(13)
     assert len(B) > gcdsum_module._DENSE_CAP
-    path = tmp_path / "cube13.txt"
-    path.write_text("".join(f"{m}\n" for m in B.members), encoding="utf-8")
-    assert main(["matrix", str(path), "--stat", "mineig"]) == 0
-    closed = math.prod(1 - half.weight_at(j) for j in range(1, 14))
-    assert json.loads(capsys.readouterr().out)["min_eigenvalue"] == pytest.approx(closed, rel=1e-10)
+    lowest, elapsed = _cli_min_eigenvalue(B, tmp_path / "cube13.txt", capsys)
+    assert elapsed < 5.0
+    ts = [half.weight_at(j) for j in range(1, 14)]
+    closed = math.prod(1 - x for x in ts)
+    assert abs(lowest - closed) <= 1e-13 * closed
+    # without its empty member the cube is not closed under divisors and its
+    # lowest end takes Lanczos on M; its matrix is a principal submatrix of
+    # the cube's, so by Cauchy interlacing that end lies between the cube's
+    # two lowest eigenvalues, the second with t_13's factor 1 + t_13
+    opened = IndexSet.from_rows(B.universe(), B.exponent_matrix()[1:])
+    assert gcdsum_module._inverse(half, opened) is None
+    lowest, _ = _cli_min_eigenvalue(opened, tmp_path / "open13.txt", capsys)
+    second = closed * (1 + ts[-1]) / (1 - ts[-1])
+    assert closed * (1 - 1e-12) <= lowest <= second * (1 + 1e-12)
+
+
+@st.composite
+def square_free_downsets(draw, max_m: int = 7):
+    """`random_downset_reference` sets: 1 to 2^m members on m <= max_m positions."""
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, 1 << m))
+    return IndexSet.from_masks(random_downset_reference(random.Random(draw(st.integers(0, 2 ** 32))), n, m))
+
+
+@st.composite
+def exponent_downsets(draw):
+    """Every divisor of up to three members with exponents <= 2 on 4 positions."""
+    tops = draw(st.lists(multi_indices(max_index=4, max_exponent=2), min_size=1, max_size=3))
+    universe = sorted({j for top in tops for j in top.support()})
+    rows = {divisor for top in tops
+            for divisor in itertools.product(*(range(top.exponent(j) + 1) for j in universe))}
+    return IndexSet.from_rows(universe, np.array(sorted(rows), dtype=np.int16).reshape(len(rows), -1))
+
+
+INVERSE_PATHS = {"lattice": (gcdsum_module._InverseLattice, {"_INVERSE_LATTICE_NS": 0}),
+                 "entries": (gcdsum_module._InverseDivisors, {"_XOR_TABLE_MAX_BITS": -1}),
+                 "chosen": ((gcdsum_module._InverseLattice, gcdsum_module._InverseDivisors), {})}
+
+
+def check_inverse_path(t, B, path):
+    """On the inverse path's representation `path` (the cost model's choice
+    for "chosen"), min_eigenvalue matches eigvalsh of the brute-force
+    matrix, M (M^-1 v) = v, and the scale's logs sum to log det M (Smith's
+    determinant)."""
+    operator, forced = INVERSE_PATHS[path]
+    reference = np.array(brute_pair_matrix(t, B.members))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcdsum_module, "_DENSE_CAP", 0)  # every closed set takes the inverse
+        for attr, value in forced.items():
+            mp.setattr(gcdsum_module, attr, value)
+        inverse = gcdsum_module._inverse(t, B)
+        lowest = min_eigenvalue(gcd_matrix(t, B))
+    assert isinstance(inverse, operator)
+    assert lowest == pytest.approx(float(np.linalg.eigvalsh(reference)[0]), rel=1e-10)
+    v = np.cos(np.arange(len(B)))
+    assert np.linalg.norm(reference @ inverse.apply(v) - v) <= 1e-12 * np.linalg.norm(v)
+    sign, logdet = np.linalg.slogdet(reference)
+    assert sign == 1
+    assert math.fsum(np.log(inverse.scale)) == pytest.approx(logdet, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("path", list(INVERSE_PATHS))
+@settings(max_examples=40)
+@given(B=square_free_downsets(), t=st.sampled_from([half, PrimePowerWeights(1.0)]))
+def test_inverse_path_on_square_free_downsets(path, B, t):
+    check_inverse_path(t, B, path)
+
+
+@settings(max_examples=40)
+@given(B=exponent_downsets(), t=st.sampled_from([half, PrimePowerWeights(1.0)]))
+def test_inverse_path_on_exponent_downsets(B, t):
+    check_inverse_path(t, B, "entries")
+
+
+@given(B=st.one_of(square_free_sets(max_index=6, max_n=12), index_sets(max_index=4, max_exponent=2),
+                   square_free_downsets(max_m=5), exponent_downsets()))
+def test_inverse_taken_iff_closed_under_divisors(B):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcdsum_module, "_DENSE_CAP", 0)
+        inverse = gcdsum_module._inverse(half, B)
+    assert (inverse is not None) == brute_is_divisor_closed(B.members)
+
+
+def test_inverse_path_keys_wide_rows_by_bytes():
+    # 1..300 over its 62 primes, and the star {0, {1}, ..., {400}}, need more
+    # than 63 bits as packed keys; without 1, or the empty member, neither is
+    # closed under divisors
+    star = IndexSet.from_masks([0, *(1 << b for b in range(400))])
+    for B in (index_set_from_integers(range(1, 301)), star):
+        E = B.exponent_matrix()
+        assert sum(int(e).bit_length() for e in E.max(axis=0)) > 63
+        inverse = gcdsum_module._inverse(half, B)
+        assert isinstance(inverse, gcdsum_module._InverseDivisors)
+        M = gcd_matrix(half, B)
+        v = np.cos(np.arange(len(B)))
+        assert np.linalg.norm(M.dense() @ inverse.apply(v) - v) <= 1e-12 * np.linalg.norm(v)
+        reference = float(np.linalg.eigvalsh(M.dense())[0])
+        assert min_eigenvalue(M) == pytest.approx(reference, rel=1e-10)
+        assert gcdsum_module._divisor_links(E[1:]) is None
+
+
+def test_small_sets_skip_the_closure_test(monkeypatch):
+    # the cost rule turns the cubes up to k = 7 down on their size alone
+    def refuse(E):
+        raise AssertionError("closure test on a small set")
+
+    monkeypatch.setattr(gcdsum_module, "_divisor_links", refuse)
+    for k in range(1, 8):
+        closed = math.prod(1 - half.weight_at(j) for j in range(1, k + 1))
+        assert min_eigenvalue(gcd_matrix(half, cube_construction(k))) == pytest.approx(closed, rel=1e-12)
+
+
+def test_cost_rule_on_both_sides_of_the_crossover():
+    # the subsets of random 6-position masks of the 12-cube: the dense solve
+    # for 2 masks (at most 127 members), Lanczos on M^-1 over entries for 8
+    # (over 200 members, as in the benchmark's sf_dense)
+    rng = random.Random(4)
+    for tops, operator in ((2, type(None)), (8, gcdsum_module._InverseDivisors)):
+        masks = {0}
+        for top in (sum(1 << b for b in rng.sample(range(12), 6)) for _ in range(tops)):
+            sub = top
+            while sub:  # every nonempty subset of top, in decreasing order
+                masks.add(sub)
+                sub = (sub - 1) & top
+        B = IndexSet.from_masks(masks)
+        M = gcd_matrix(half, B)
+        assert isinstance(gcdsum_module._inverse(half, B), operator)
+        reference = float(np.linalg.eigvalsh(M.dense())[0])
+        assert min_eigenvalue(M) == pytest.approx(reference, rel=1e-10)
+
+
+def test_inverse_path_failure_reports_the_lowest_end():
+    # a Ritz value mu of M^-1 lies below its top, so 1/mu lies above lambda_min
+    with pytest.raises(ConvergenceError) as err:
+        min_eigenvalue(gcd_matrix(half, cube_construction(8)), tol=1e-30, max_iterations=2)
+    closed = math.prod(1 - half.weight_at(j) for j in range(1, 9))
+    assert closed < err.value.estimate < 1.0
+    assert err.value.residual > 0 and err.value.iterations == 2
 
 
 @pytest.mark.parametrize("cap", [None, 1])
@@ -858,7 +1030,8 @@ def test_cube_13_min_eigenvalue_above_dense_cap(tmp_path, capsys):
 @given(B=square_free_sets(max_index=8, max_n=12))
 def test_spectrum_within_interlacing_bounds(cap, B):
     # the pair matrix is a principal submatrix of the Kronecker product of
-    # [[1, t_j], [t_j, 1]] over the universe; cap 1 sends both ends to Lanczos
+    # [[1, t_j], [t_j, 1]] over the universe; cap 1 sends both ends to
+    # Lanczos, the lowest on M^-1 for a set closed under divisors, else on M
     lo, hi = spectrum_interval(half, B)
     assert lo == pytest.approx(math.prod(1 - half.weight_at(j) for j in B.universe()))
     with pytest.MonkeyPatch.context() as mp:

@@ -119,21 +119,22 @@ def test_is_complete_matches_multiindex_definition_small(B):
 @given(st.one_of(near_complete_sets(top=6, max_shift=2), square_free_sets(max_index=6, max_n=12)))
 def test_is_complete_on_both_paths_matches_multiindex_definition(B):
     # the lattice indicator's adjacent shifts and the set-bit scan, each
-    # forced onto every set
+    # forced onto every set, whatever its size
     expected = brute_is_complete(B.members)
     for lattice in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transforms, "_lattice_cheaper", lambda n, m: lattice)
+            patch.setattr(transforms, "_LATTICE_MIN_MEMBERS", 0)
             assert is_complete(B) == expected
 
 
 def test_is_complete_takes_the_lattice_on_cubes(monkeypatch):
     from gcdsums.search import cube_construction
 
-    # the set-bit scan is not reached
+    # the set-bit scan is not reached from the 5-cube's 32 members on
     monkeypatch.setattr(transforms, "_is_divisor_closed", None)
     monkeypatch.setattr(transforms, "_first_swap", None)
-    for k in (1, 5, 12, 16):
+    for k in (5, 12, 16):
         assert is_complete(cube_construction(k))
     # {10} gone: {1, 10} has no divisor
     assert not is_complete(IndexSet.from_masks(x for x in range(1 << 10) if x != 1 << 9))
@@ -141,6 +142,17 @@ def test_is_complete_takes_the_lattice_on_cubes(monkeypatch):
     # but {1, 10} has no shift to {1, 9}
     assert not is_complete(IndexSet.from_masks([*range(1 << 8), 1 << 8, 1 << 9, 1 << 9 | 1]))
     assert is_complete(IndexSet.from_masks([*range(1 << 8), 1 << 8, 1 << 9]))
+
+
+def test_is_complete_keeps_the_scans_below_the_floor(monkeypatch):
+    from gcdsums.search import cube_construction
+
+    # below 32 members the lattice is not reached, though its cost model holds
+    monkeypatch.setattr(transforms, "_lattice_complete", None)
+    for k in (1, 2, 3, 4):
+        assert transforms._lattice_cheaper(1 << k, k)
+        assert is_complete(cube_construction(k))
+    assert not is_complete(IndexSet.from_masks([0, 1, 2, 4, 5, 6]))  # {1, 3} without its shift {1, 2}
 
 
 def test_is_complete_rejects_far_positions_at_once():
