@@ -174,8 +174,8 @@ def ranked_items(
     factors: Iterable[Mapping[int, int]], table: PrimeTable = DEFAULT_TABLE
 ) -> list[tuple[tuple[int, int], ...]]:
     """Each factorization's (position, exponent) pairs, ascending: the primes
-    of all of them ranked by one `table.ranks` call, so that a counting pass
-    serves them together."""
+    of all of them ranked by one `table.ranks` call, so that primes between
+    the same two marks share one window."""
     factors = list(factors)
     primes = sorted({p for f in factors for p in f})
     rank = dict(zip(primes, table.ranks(primes)))

@@ -1,17 +1,20 @@
 """Prime ranks and integer factorization.
 
 A `PrimeTable` holds a dense int32 prefix of the ascending primes, grown on
-demand by rank, and ranks the primes above it by counting: one pass over the
-odd numbers up to the largest prime asked for keeps only the primes asked
-for, plus a cumulative count every `_MARK` odd numbers, so that a later rank
-inside the counted range sieves one short window.  The prefix, the pass and
-the windows all run one cache-blocked wheel sieve, `_odd_blocks`.  Integers
-factor by trial division, Miller-Rabin and Pollard-Brent."""
+demand by rank, and ranks the primes above it from shipped counts: the data
+file `prime_counts.npy` holds the number of primes in every interval of
+`_MARK` odd numbers below 2^31 (16 384 uint16 entries, 32 KB), so a rank is
+the count at the interval's start plus one sieved window of at most `_MARK`
+odd numbers.  `scripts/prime_counts.py` writes the file and checks it.  The
+prefix and the windows run one cache-blocked wheel sieve, `_odd_blocks`.
+Integers factor by trial division, Miller-Rabin and Pollard-Brent."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from functools import cache
+from importlib import resources
+from itertools import groupby
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,10 +29,23 @@ _WHEEL = (3, 5, 7, 11, 13)
 # 2^17, where per-prime slicing dominates, 0.22 s with 2^20 and 0.29 s with
 # 2^22, which spill out of L2.
 _BLOCK = 1 << 20
-# Odd numbers between the cumulative counts (marks) a counting pass records:
-# about 1.5k marks up to 10^8, and a later rank inside the counted range
-# sieves at most this many odd numbers.
+# Odd numbers per entry of prime_counts.npy, which fixes it: entry k counts
+# the primes in (2^17 k, 2^17 (k + 1)], and a rank above the prefix sieves at
+# most this many odd numbers.
 _MARK = 1 << 16
+
+
+@cache
+def _marks() -> np.ndarray:
+    """marks[k], the number of primes below the odd number 2 k _MARK + 1, for
+    0 <= k <= 16 384 (2^31 = 2 * 16 384 _MARK): the cumulative sums of the
+    shipped counts, as read-only int64."""
+    with resources.files(__package__).joinpath("prime_counts.npy").open("rb") as f:
+        counts = np.load(f, allow_pickle=False)
+    marks = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=marks[1:])
+    marks.flags.writeable = False
+    return marks
 
 
 def _wheel_pattern() -> np.ndarray:
@@ -56,7 +72,8 @@ def _count_bound(lo: int, hi: int) -> int:
     return min(odd, int(upper - lower) + 2)
 
 
-def _odd_blocks(first: int, last: int) -> Iterator[tuple[int, np.ndarray]]:
+def _odd_blocks(first: int, last: int,
+                primes: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, flags) per block of at most _BLOCK odd numbers 2i + 1 with
     first <= i <= last (first <= last), in order: flags[k] is whether
     2 (lo + k) + 1 is prime.  Every block is a view of one buffer, read
@@ -65,8 +82,14 @@ def _odd_blocks(first: int, last: int) -> Iterator[tuple[int, np.ndarray]]:
     Each block starts as the wheel pattern repeated (no multiple of 3, 5, 7,
     11 or 13), and every base prime from 17 to isqrt(2 last + 1) strikes its
     odd multiples from its square on, its next multiple carried from block to
-    block."""
-    base = sieve_range(17, math.isqrt(2 * last + 1)).astype(np.int64)
+    block.  The base primes come from `primes`, ascending and holding every
+    prime up to isqrt(2 last + 1), or else from a fresh sieve."""
+    root = math.isqrt(2 * last + 1)
+    if primes is None:
+        base = sieve_range(17, root).astype(np.int64)
+    else:  # int32 needles, as in `PrimeTable.ranks`
+        lo, hi = primes.searchsorted(np.int32(17)), primes.searchsorted(np.int32(root), "right")
+        base = primes[lo:hi].astype(np.int64)
     # each base prime's next odd multiple to strike, as an index: from its
     # square or the first in range on
     start = np.maximum(base * base, -(-(2 * first + 1) // base) * base)
@@ -136,14 +159,13 @@ class PrimeTable:
 
     A dense int32 prefix holds every prime up to `limit`; `prime(j)` and
     `first(count)` grow it by rank, and `ranks` by doubling when a prime asked
-    for lies within twice its limit.  `ranks` ranks larger primes by counting
-    and keeps only those, in a map between rank and prime that `prime(j)`
-    reads before it grows the prefix.  A counting pass runs from the highest
-    counted bound to the largest prime asked for and records a mark, the
-    count of primes below an odd number, every _MARK odd numbers and at its
-    end; a rank below the highest counted bound sieves one window from the
-    mark below it.  Marks are exact counts, so a longer prefix leaves them
-    valid.
+    for lies within twice its limit.  `ranks` ranks larger primes from the
+    shipped counts and keeps only those, in a map between rank and prime that
+    `prime(j)` reads before it grows the prefix.  A mark, the count of primes
+    below the odd number 2 k _MARK + 1, is read off the counts; a rank sieves
+    one window from the mark below it, or from the prefix's end if that is
+    higher, with base primes from the prefix: it reaches min(2^16, ceiling)
+    from the start, past isqrt(2^31) = 46 340.
     """
 
     def __init__(self, initial_limit: int = _DEFAULT_INITIAL, ceiling: int = _DEFAULT_CEILING):
@@ -152,14 +174,10 @@ class PrimeTable:
         self._ceiling = int(ceiling)
         self._limit = 0
         self._primes = np.zeros(0, dtype=np.int32)
-        self._rank: dict[int, int] = {}  # prime -> rank, for the primes ranked by counting
+        self._rank: dict[int, int] = {}  # prime -> rank, for the primes ranked by windows
         self._prime: dict[int, int] = {}  # rank -> prime, the same pairs
-        # _counts[k] primes lie below the odd number 2 _marks[k] + 1; ascending
-        self._marks: list[int] = []
-        self._counts: list[int] = []
-        self._passes = 0
         self._windows = 0
-        self._grow(min(int(initial_limit), self._ceiling))
+        self._grow(max(min(int(initial_limit), self._ceiling), 1))
 
     def __len__(self) -> int:
         """The number of primes in the dense prefix."""
@@ -176,19 +194,9 @@ class PrimeTable:
         return self._ceiling
 
     @property
-    def counting_passes(self) -> int:
-        """How many counting passes `ranks` has run."""
-        return self._passes
-
-    @property
     def windows_sieved(self) -> int:
-        """How many windows inside the counted range `ranks` has sieved."""
+        """How many windows above the prefix `ranks` has sieved."""
         return self._windows
-
-    @property
-    def counted_limit(self) -> int:
-        """The largest odd number a counting pass has reached; 0 before the first."""
-        return 2 * self._marks[-1] - 1 if self._marks else 0
 
     def _grow(self, limit: int) -> None:
         if limit <= self._limit:
@@ -239,11 +247,11 @@ class PrimeTable:
 
         PrimeRangeError if one lies above the ceiling, else DomainError if
         one is not prime.  A prime within twice `limit` grows the prefix
-        first, by doubling as `prime(j)` does: that sieves about as many
-        numbers as counting up to it would, and later ranks below the new
-        limit are lookups (about a microsecond, where a window costs
-        0.1-0.3 ms).  A rank up to `limit` is read off the prefix; the
-        others are counted together (`_count`) and kept."""
+        first, by doubling as `prime(j)` does, so that later ranks below the
+        new limit are lookups (about a microsecond, where a window costs
+        0.2-1.3 ms).  A rank up to `limit` is read off the prefix; the
+        others are ranked together from the shipped counts (`_count`) and
+        kept."""
         ps = [int(p) for p in ps]
         for p in ps:
             if p > self._ceiling:
@@ -270,66 +278,34 @@ class PrimeTable:
             out.append(rank)
         return out
 
-    def _known(self, i: int) -> tuple[int, int]:
-        """(g, count) for the highest g <= i with count, the number of primes
-        below the odd number 2g + 1, known: from the prefix or a mark."""
-        g, count = (self._limit + 1) // 2, len(self)
-        k = bisect_right(self._marks, i) - 1
-        if k >= 0 and self._marks[k] > g:
-            g, count = self._marks[k], self._counts[k]
-        return g, count
-
     def _keep(self, p: int, rank: int) -> None:
         self._rank[p] = rank
         self._prime[rank] = p
 
     def _count(self, pending: list[int]) -> None:
         """Rank those of the odd numbers `pending` (ascending, above the
-        prefix, none ranked yet) that are prime: each below the highest
-        counted bound by a window from the mark below it, the others by one
-        counting pass."""
-        top = max((self._limit + 1) // 2, self._marks[-1] if self._marks else 0)
-        beyond = []
-        for p in pending:
-            i = p // 2  # p = 2i + 1
-            if i >= top:
-                beyond.append(i)
-                continue
-            g, count = self._known(i)
-            for _, block in _odd_blocks(g, i):
-                count += int(np.count_nonzero(block))
-            if block[-1]:  # the last block ends at p
-                self._keep(p, count)
+        prefix, none ranked yet) that are prime: one window per interval of
+        _MARK odd numbers they fall in, from its mark or the prefix's end,
+        whichever is higher, up to the largest of them there."""
+        start = (self._limit + 1) // 2  # len(self) primes lie below 2 start + 1
+        marks = _marks()
+        for k, group in groupby((p // 2 for p in pending), key=lambda i: i // _MARK):
+            group = list(group)  # odd numbers 2i + 1, ascending
+            g, count = k * _MARK, int(marks[k])
+            if g < start:
+                g, count = start, len(self)
+            q = 0
+            for lo, block in _odd_blocks(g, group[-1], self._primes):
+                at = lo
+                while q < len(group) and group[q] < lo + len(block):
+                    i = group[q]
+                    count += int(np.count_nonzero(block[at - lo : i + 1 - lo]))
+                    at = i + 1
+                    if block[i - lo]:
+                        self._keep(2 * i + 1, count)
+                    q += 1
+                count += int(np.count_nonzero(block[at - lo :]))
             self._windows += 1
-        if beyond:
-            self._pass(top, beyond)
-
-    def _pass(self, g: int, queries: list[int]) -> None:
-        """Count the primes from the odd number 2g + 1, the highest counted
-        bound, up to 2 queries[-1] + 1 (queries ascending, none below g):
-        keep each odd number 2i + 1 of queries that is prime with its rank,
-        and record a mark at every multiple of _MARK and at the end."""
-        count = self._known(g)[1]
-        end = queries[-1] + 1
-        q = 0
-        for lo, block in _odd_blocks(g, end - 1):
-            hi = lo + len(block)
-            # counts are taken at the marks and after each query, in order
-            cuts = {*range(-(-(lo + 1) // _MARK) * _MARK, hi + 1, _MARK), hi}
-            asked = set()
-            while q < len(queries) and queries[q] < hi:
-                asked.add(queries[q] + 1)
-                q += 1
-            at = lo
-            for cut in sorted(cuts | asked):
-                count += int(np.count_nonzero(block[at - lo : cut - lo]))
-                at = cut
-                if cut in asked and block[cut - 1 - lo]:
-                    self._keep(2 * cut - 1, count)
-                if cut % _MARK == 0 or cut == end:
-                    self._marks.append(cut)
-                    self._counts.append(count)
-        self._passes += 1
 
 
 DEFAULT_TABLE = PrimeTable()

@@ -265,7 +265,7 @@ def test_out_of_range_member_fails_fast(tmp_path, capsys):
     from gcdsums.primes import DEFAULT_TABLE
 
     path = write(tmp_path, "big.txt", f"2\n{1_000_000_007 * 1_000_000_009}\n3\n")
-    limit, passes = DEFAULT_TABLE.limit, DEFAULT_TABLE.counting_passes
+    limit, windows = DEFAULT_TABLE.limit, DEFAULT_TABLE.windows_sieved
     start = time.perf_counter()
     code, out, err = run(capsys, ["sum", path, "--alpha", "0.5"])
     assert time.perf_counter() - start < 1.0
@@ -273,7 +273,7 @@ def test_out_of_range_member_fails_fast(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "line 2" in err and "ceiling" in err
     assert DEFAULT_TABLE.limit == limit
-    assert DEFAULT_TABLE.counting_passes == passes
+    assert DEFAULT_TABLE.windows_sieved == windows
 
 
 def test_sum_json_matches_library(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from oracles import FIRST_PRIMES, primes_upto, trial_division
 
 import gcdsums.primes as primes_module
 from gcdsums import DomainError, PrimeRangeError, PrimeTable, from_integer, to_integer
-from gcdsums.primes import DEFAULT_TABLE, factorize, is_prime, sieve_range, sieve_upto
+from gcdsums.primes import (DEFAULT_TABLE, _MARK, _marks, _odd_blocks, factorize, is_prime,
+                            sieve_range, sieve_upto)
 
 
 def is_prime_slow(n):
@@ -40,6 +42,14 @@ def test_index_of_inverse():
     table = PrimeTable(initial_limit=16)
     for j in (1, 5, 25, 168, 1000):
         assert table.index_of(table.prime(j)) == j
+
+
+def test_empty_initial_prefix_still_ranks_from_two():
+    # the prefix starts at 2^16 whatever the initial limit, so a window
+    # above it has its base primes and 2 is counted
+    table = PrimeTable(initial_limit=0)
+    assert table.limit == 1 << 16
+    assert table.ranks([3, 1_000_003]) == [2, 78_499]
 
 
 def test_index_of_rejects_composites():
@@ -84,8 +94,9 @@ def test_int32_table_ranks_near_1e8():
     for n in (99_999_989, 2 * 99_999_989, 99_999_989 * 99_999_971, 3 ** 5 * 7 * 99_999_959,
               99_999_931 * 99_999_847, 2 ** 3 * 99_999_941 ** 2):
         assert to_integer(from_integer(n, table), table) == n
-    # one counting pass and windows below its bound; the prefix never grew
-    assert table.counting_passes == 1 and table.windows_sieved == 5
+    # one window per call (99 999 931 and 99 999 847 share one); the prefix
+    # never grew
+    assert table.windows_sieved == 5
     assert table.limit == 1 << 16
 
 
@@ -116,34 +127,40 @@ def test_ranks_pi_of_powers_of_ten():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 99 991 lies within twice the 2^16 prefix, which doubles; one counting
-    # pass above it, a 1 MB block of flags at a time: no table to 10^8
-    assert peak < 4 << 20
-    assert (table.counting_passes, table.windows_sieved) == (1, 0)
-    assert table.counted_limit == 99_999_989
+    # 99 991 lies within twice the 2^16 prefix, which doubles; one window
+    # each above it, from the shipped counts: no table to 10^8
+    assert peak < 1 << 20
+    assert table.windows_sieved == 3
     assert table.limit == 1 << 17
-    # the ranked primes are kept: no second pass, and prime() reads them
+    # the ranked primes are kept: no more windows, and prime() reads them
     assert table.ranks(primes[::-1]) == [r for _, r in _PI_POWERS[::-1]]
     assert [table.prime(r) for _, r in _PI_POWERS] == primes
-    assert (table.counting_passes, table.windows_sieved) == (1, 0)
+    assert table.windows_sieved == 3
     assert table.limit == 1 << 17
 
 
 def test_ranks_within_twice_the_prefix_double_it():
     table = PrimeTable()
     assert table.ranks([131_071, 3]) == reference_ranks([131_071, 3])  # 2^17 - 1
-    assert table.limit == 1 << 17 and table.counting_passes == 0
+    assert table.limit == 1 << 17 and table.windows_sieved == 0
     # only what lies within twice the prefix at the call counts, once
     assert table.ranks([262_139, 1_000_003]) == reference_ranks([262_139, 1_000_003])
-    assert table.limit == 1 << 18 and table.counting_passes == 1
+    assert table.limit == 1 << 18 and table.windows_sieved == 1
 
 
 def test_rank_of_the_largest_prime_below_the_ceiling():
     table = PrimeTable()
-    assert table.ranks([999_999_937]) == [50_847_534]  # pi(10^9)
+    tracemalloc.start()
+    try:
+        assert table.ranks([999_999_937]) == [50_847_534]  # pi(10^9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one window of at most 2^16 odd numbers, not a sieve up to 10^9
+    assert peak < 1 << 20
     assert table.prime(50_847_534) == 999_999_937
     assert table.index_of(999_999_937) == 50_847_534
-    assert (table.counting_passes, table.limit) == (1, 1 << 16)
+    assert (table.windows_sieved, table.limit) == (1, 1 << 16)
 
 
 def _near_marks(mark, top):
@@ -157,36 +174,48 @@ def _near_marks(mark, top):
     return sorted(p for p in out if 1 << 17 < p <= top)
 
 
-@pytest.mark.parametrize("block, mark", [(777, 1 << 10), (1000, 1 << 12), (4096, 1 << 12),
-                                         (1 << 20, 1 << 16)])
-def test_ranks_by_passes_and_windows_match_the_sieve(monkeypatch, block, mark):
+def _intervals(ps):
+    """How many intervals of _MARK odd numbers the numbers ps fall in: one
+    window each."""
+    return len({p // 2 // _MARK for p in ps})
+
+
+def test_ranks_near_every_mark_match_the_sieve():
+    near = _near_marks(_MARK, 1 << 22)
+    # together: a window per interval, from its mark to the last one there
+    table = PrimeTable()
+    assert table.ranks(near) == reference_ranks(near)
+    assert table.windows_sieved == _intervals(near)
+    # one at a time: a window from the mark just below, or the whole interval
+    table = PrimeTable()
+    assert [table.index_of(p) for p in near] == reference_ranks(near)
+    assert (table.windows_sieved, table.limit) == (len(near), 1 << 16)
+
+
+@pytest.mark.parametrize("block", [777, 1000, 4096, 1 << 20])
+def test_ranks_by_windows_match_the_sieve(monkeypatch, block):
     # blocks of 777 and 1000 odd numbers put marks inside blocks and block
-    # edges between marks; no prime asked for lies within twice the 2^16
-    # prefix, so every rank is counted
+    # edges inside windows; no prime asked for lies within twice the 2^16
+    # prefix, so every rank is a window
     monkeypatch.setattr(primes_module, "_BLOCK", block)
-    monkeypatch.setattr(primes_module, "_MARK", mark)
     rng = random.Random(block)
     table = PrimeTable()
     above = [int(p) for p in _REFERENCE[(_REFERENCE > 1 << 17) & (_REFERENCE < 2_000_000)]]
     first = sorted(rng.sample(above, 20))
     assert table.ranks(first) == reference_ranks(first)
-    assert (table.counting_passes, table.windows_sieved) == (1, 0)
-    assert table.counted_limit == first[-1]
-    # below the counted bound: one window each, none longer than a mark
-    inside = rng.sample([p for p in _near_marks(mark, first[-1]) if p not in first], 24)
+    assert table.windows_sieved == _intervals(first)
+    inside = rng.sample([p for p in _near_marks(_MARK, first[-1]) if p not in first], 24)
     inside += rng.sample([p for p in above if p < first[-1] and p not in inside + first], 24)
+    windows = table.windows_sieved
     assert table.ranks(inside) == reference_ranks(inside)
-    assert (table.counting_passes, table.windows_sieved) == (1, len(inside))
-    # windows and a second pass in one call, the pass from the highest mark
-    counted, windows = table.counted_limit, table.windows_sieved
+    assert table.windows_sieved - windows == _intervals(inside)
+    # ranked and new primes in one call: windows only for the new ones
+    windows = table.windows_sieved
     later = [int(p) for p in _REFERENCE[(_REFERENCE > 2_000_000) & (_REFERENCE < 4_000_000)]]
     mixed = rng.sample(later, 10) + rng.sample(above, 10)
     assert table.ranks(mixed) == reference_ranks(mixed)
-    assert table.counting_passes == 2
-    assert table.counted_limit == max(mixed)
-    assert table.windows_sieved - windows == len({p for p in mixed if p < counted} - {*first, *inside})
-    # composites and even numbers, inside the counted range and beyond it
-    assert min(2003 * 2099, 2 * 2_100_001) > table.counted_limit
+    assert table.windows_sieved - windows == _intervals(set(mixed) - {*first, *inside})
+    # odd composites take a window; even numbers are refused without one
     for n in (1009 * 1013, 2 * 1_000_003, 2003 * 2099, 2 * 2_100_001):
         with pytest.raises(DomainError, match=f"{n} is not prime"):
             table.ranks([first[0], n])
@@ -196,17 +225,34 @@ def test_ranks_by_passes_and_windows_match_the_sieve(monkeypatch, block, mark):
     assert table.limit == 1 << 16
 
 
-def test_ranks_after_the_prefix_grows_past_the_marks():
+def test_ranks_after_the_prefix_grows_past_the_marks(monkeypatch):
     table = PrimeTable()
     low = [300_007, 400_009]
     assert table.ranks(low) == reference_ranks(low)
-    # growing the prefix by rank leaves the counts valid; a later pass starts
-    # where the prefix ends
+    assert table.windows_sieved == 2
+    # growing the prefix by rank leaves the counts valid
     assert table.prime(100_000) == 1_299_709
-    assert table.limit > 1_299_709 > table.counted_limit
-    high = [3_000_017, 4_000_037]
-    assert table.ranks(high + low) == reference_ranks(high + low)
-    assert table.counting_passes == 2 and table.counted_limit == 4_000_037
+    limit = table.limit
+    assert limit > 1_299_709
+    # a prime within twice the prefix doubles it; a prime past that, in the
+    # interval that holds the new limit, sieves from the prefix's end, which
+    # lies above the interval's mark
+    end = (2 * limit + 1) // 2
+    assert end % _MARK
+    beyond = int(_REFERENCE[np.searchsorted(_REFERENCE, 2 * limit, side="right")])
+    assert beyond // 2 // _MARK == end // _MARK
+    starts = []  # the first odd number of each window, which alone passes the prefix
+
+    def recorded(first, last, primes=None, sieve=primes_module._odd_blocks):
+        if primes is not None:
+            starts.append(first)
+        return sieve(first, last, primes)
+
+    monkeypatch.setattr(primes_module, "_odd_blocks", recorded)
+    asked = [2_000_003, beyond] + low
+    assert table.ranks(asked) == reference_ranks(asked)
+    assert table.limit == 2 * limit
+    assert (starts, table.windows_sieved) == ([end], 3)
 
 
 def test_ranks_refuse_primes_above_the_ceiling_and_non_primes():
@@ -217,8 +263,40 @@ def test_ranks_refuse_primes_above_the_ceiling_and_non_primes():
         with pytest.raises(DomainError, match=f"{n} is not prime"):
             table.ranks([n])
     assert table.ranks([]) == []
-    # only 999 999, odd and beyond twice the prefix, was counted: composite
-    assert (table.counting_passes, table.counted_limit) == (1, 999_999)
+    # only 999 999, odd and beyond twice the prefix, took a window: composite
+    assert table.windows_sieved == 1
+
+
+def test_shipped_counts_are_packaged():
+    with resources.files("gcdsums").joinpath("prime_counts.npy").open("rb") as f:
+        counts = np.load(f, allow_pickle=False)
+    assert counts.dtype == np.uint16
+    assert counts.shape == (16_384,)
+    assert int(counts.sum(dtype=np.int64)) == 105_097_565  # pi(2^31)
+
+
+def test_shipped_counts_match_a_full_recount_to_1e8():
+    intervals = -(-10 ** 8 // (2 * _MARK))
+    counted = [1]  # the prime 2, then the odd primes interval by interval
+    for _, block in _odd_blocks(0, intervals * _MARK - 1):
+        counted += np.count_nonzero(block.reshape(-1, _MARK), axis=1).tolist()
+    assert np.array_equal(_marks()[1 : intervals + 1], np.cumsum(counted)[1:])
+
+
+def test_shipped_counts_match_random_intervals_above_1e8():
+    counts = np.diff(_marks())
+    rng = random.Random(27)
+    first = -(-10 ** 8 // (2 * _MARK))
+    for k in rng.sample(range(first, len(counts)), 256):
+        span = 2 * _MARK
+        assert len(sieve_range(k * span + 1, (k + 1) * span)) == counts[k], k
+
+
+def test_ranks_up_to_2_31():
+    table = PrimeTable(ceiling=2 ** 31 - 1)
+    # pi(10^9) and pi(2^31), 2^31 - 1 a Mersenne prime
+    assert table.ranks([999_999_937, 2_147_483_647]) == [50_847_534, 105_097_565]
+    assert (table.windows_sieved, table.limit) == (2, 1 << 16)
 
 
 @pytest.mark.parametrize("lo, hi", [

@@ -8,6 +8,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -36,3 +37,15 @@ def test_extremal_tables_maximizers_are_complete(capsys, monkeypatch):
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [1, 2, 3, 4]
     assert all(r["all_complete"] and r["maximizers"] for r in rows)
+
+
+def test_prime_counts_match_the_shipped_prefix(tmp_path, capsys, monkeypatch):
+    limit = str(1 << 22)
+    table = tmp_path / "counts.npy"
+    run_script("prime_counts.py", ["--limit", limit, "--table", str(table)], capsys, monkeypatch)
+    counts = np.load(table, allow_pickle=False)
+    shipped = np.load(SCRIPTS.parent / "src" / "gcdsums" / "prime_counts.npy")
+    assert counts.dtype == np.uint16 and len(counts) == 32
+    assert np.array_equal(counts, shipped[:32])
+    out = run_script("prime_counts.py", ["--check", "--limit", limit], capsys, monkeypatch)
+    assert "32 of 32 entries match, 295947 primes below 4194304" in out
