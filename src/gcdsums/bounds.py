@@ -53,8 +53,8 @@ _CERTIFY_DPS = 50
 
 def _require_n(n: float) -> float:
     n = float(n)
-    if n < _MIN_N:
-        raise DomainError(f"n must be >= {_MIN_N} so the triple log is positive, got {n}")
+    if not (math.isfinite(n) and n >= _MIN_N):
+        raise DomainError(f"n must be finite and >= {_MIN_N} so the triple log is positive, got {n}")
     return n
 
 
@@ -67,8 +67,8 @@ def general_upper_curve(n: float, a: float) -> float:
 def squarefree_upper_curve(n: float, c: float, kappa: float) -> float:
     """exp(kappa * sqrt(c) * sqrt(log n * logloglog n / loglog n))."""
     n = _require_n(n)
-    if c < 0:
-        raise DomainError(f"c must be >= 0, got {c}")
+    if not (math.isfinite(c) and c >= 0):
+        raise DomainError(f"c must be finite and >= 0, got {c}")
     return math.exp(kappa * math.sqrt(c) * math.sqrt(math.log(n) * logloglog(n) / loglog(n)))
 
 
@@ -282,6 +282,8 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     within max(1e-12, 4 x that bound) of its threshold is summed again at
     50 digits, and its verdicts and fields come from that sum.
     """
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
     n = len(B)
     if n < _MIN_N:
         raise DomainError(f"precondition failed: |B| >= {_MIN_N} (got {n})")

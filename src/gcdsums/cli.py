@@ -433,6 +433,9 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = _config_from(args, "bounds")
+    for flag in ("n_from", "n_to", "constant", "c_decay"):
+        if not math.isfinite(getattr(args, flag)):
+            raise DomainError(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}")
     if args.n_from < 21 or args.n_to < args.n_from:
         raise DomainError("need 21 <= n-from <= n-to")
     if args.points < 1:

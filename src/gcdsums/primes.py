@@ -1,13 +1,14 @@
 """Prime ranks and integer factorization.
 
-A `PrimeTable` holds a dense int32 prefix of the ascending primes, grown on
-demand by rank, and ranks the primes above it from shipped counts: the data
-file `prime_counts.npy` holds the number of primes in every interval of
-`_MARK` odd numbers below 2^31 (16 384 uint16 entries, 32 KB), so a rank is
-the count at the interval's start plus one sieved window of at most `_MARK`
-odd numbers.  `scripts/prime_counts.py` writes the file and checks it.  The
-prefix and the windows run one cache-blocked wheel sieve, `_odd_blocks`.
-Integers factor by trial division, Miller-Rabin and Pollard-Brent."""
+A `PrimeTable` holds a fixed int32 prefix, the primes up to 2^17, and
+answers every question above it from shipped counts: the data file
+`prime_counts.npy` holds the number of primes in every interval of `_MARK`
+odd numbers below 2^31 (16 384 uint16 entries, 32 KB), so the rank of a
+prime, or the prime of a rank, is the count at its interval's start plus one
+sieved window of at most `_MARK` odd numbers.  `scripts/prime_counts.py`
+writes the file and checks it.  The prefix and the windows run one
+cache-blocked wheel sieve, `_odd_blocks`.  Integers factor by trial
+division, Miller-Rabin and Pollard-Brent."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError, PrimeRangeError
 
-_DEFAULT_INITIAL = 1 << 16
 _DEFAULT_CEILING = 10 ** 9
 _WHEEL = (3, 5, 7, 11, 13)
 # Odd numbers per sieve block: 2^20 one-byte flags stay in a 2 MB L2 cache.
@@ -33,6 +33,8 @@ _BLOCK = 1 << 20
 # the primes in (2^17 k, 2^17 (k + 1)], and a rank above the prefix sieves at
 # most this many odd numbers.
 _MARK = 1 << 16
+# The prefix: interval 0 of the counts, the primes up to 2 _MARK = 2^17.
+_PREFIX = 2 * _MARK
 
 
 @cache
@@ -118,20 +120,21 @@ def _odd_blocks(first: int, last: int,
         yield lo_i, block
 
 
-def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """head followed by the primes p with lo <= p <= hi (lo > head[-1]), in
-    one preallocated int32 array, read off the blocks of `_odd_blocks`."""
-    lo = max(lo, 2)
+def sieve_range(lo: int, hi: int) -> np.ndarray:
+    """All primes p with lo <= p <= hi, ascending, as int32: the table's
+    ceiling lies below 2^31, and half-width storage halves the prefix's
+    memory.  Empty when hi < lo.  One preallocated array, read off the blocks
+    of `_odd_blocks`."""
+    lo, hi = max(int(lo), 2), int(hi)
     if hi < lo:
-        return head
+        return np.zeros(0, dtype=np.int32)
     if hi >= 1 << 31:
         raise DomainError(f"primes above 2^31 do not fit int32 storage (hi = {hi})")
-    out = np.empty(len(head) + _count_bound(lo, hi), dtype=np.int32)
-    out[: len(head)] = head
-    end = len(head)
+    out = np.empty(_count_bound(lo, hi), dtype=np.int32)
+    end = 0
     if lo == 2:
-        out[end] = 2
-        end += 1
+        out[0] = 2
+        end = 1
     first, last = lo // 2, (hi - 1) // 2  # odd numbers 2i + 1 with lo <= 2i + 1 <= hi
     if first > last:
         return out[:end]
@@ -142,50 +145,47 @@ def _sieve_into(head: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return out[:end]
 
 
-def sieve_range(lo: int, hi: int) -> np.ndarray:
-    """All primes p with lo <= p <= hi, ascending, as int32: the table's
-    ceiling, 10^9, lies below 2^31, and half-width storage halves the table's
-    memory.  Empty when hi < lo."""
-    return _sieve_into(np.zeros(0, dtype=np.int32), int(lo), int(hi))
-
-
 def sieve_upto(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as int32."""
     return sieve_range(2, limit)
 
 
 class PrimeTable:
-    """The ascending primes p_1 = 2, p_2 = 3, ... and their ranks.
+    """The ascending primes p_1 = 2, p_2 = 3, ... up to a ceiling, and their
+    ranks.
 
-    A dense int32 prefix holds every prime up to `limit`; `prime(j)` and
-    `first(count)` grow it by rank, and `ranks` by doubling when a prime asked
-    for lies within twice its limit.  `ranks` ranks larger primes from the
-    shipped counts and keeps only those, in a map between rank and prime that
-    `prime(j)` reads before it grows the prefix.  A mark, the count of primes
-    below the odd number 2 k _MARK + 1, is read off the counts; a rank sieves
-    one window from the mark below it, or from the prefix's end if that is
-    higher, with base primes from the prefix: it reaches min(2^16, ceiling)
-    from the start, past isqrt(2^31) = 46 340.
+    A fixed int32 prefix holds the primes up to min(2^17, ceiling), interval
+    0 of the shipped counts (12 251 primes at the default ceiling); ranks and
+    primes there are reads.  Above it every question, prime to rank
+    (`ranks`, `index_of`) or rank to prime (`prime`, `primes`), sieves one
+    window per interval of _MARK odd numbers that it touches, from the
+    interval's mark: the count of primes below its first odd number
+    2 k _MARK + 1, read off the counts.  The windows take their base primes
+    from the prefix, which reaches past isqrt(2^31) = 46 340 whenever a
+    window can be asked for.  `ranks` and `prime` keep what they find in a
+    map between rank and prime, so asking again is a lookup; `primes` reads
+    that map and keeps nothing, so a batch over a long run of ranks costs no
+    memory per rank.
     """
 
-    def __init__(self, initial_limit: int = _DEFAULT_INITIAL, ceiling: int = _DEFAULT_CEILING):
+    def __init__(self, *, ceiling: int = _DEFAULT_CEILING):
         if not 0 < int(ceiling) < 1 << 31:
             raise DomainError(f"ceiling must lie in [1, 2^31) for int32 storage, got {ceiling}")
         self._ceiling = int(ceiling)
-        self._limit = 0
-        self._primes = np.zeros(0, dtype=np.int32)
-        self._rank: dict[int, int] = {}  # prime -> rank, for the primes ranked by windows
+        self._limit = min(_PREFIX, self._ceiling)
+        self._primes = sieve_upto(self._limit)
+        self._primes.flags.writeable = False
+        self._rank: dict[int, int] = {}  # prime -> rank, for the primes found by windows
         self._prime: dict[int, int] = {}  # rank -> prime, the same pairs
         self._windows = 0
-        self._grow(max(min(int(initial_limit), self._ceiling), 1))
 
     def __len__(self) -> int:
-        """The number of primes in the dense prefix."""
+        """The number of primes in the prefix."""
         return int(self._primes.size)
 
     @property
     def limit(self) -> int:
-        """The dense prefix holds every prime up to this bound."""
+        """The prefix holds every prime up to this bound, min(2^17, ceiling)."""
         return self._limit
 
     @property
@@ -195,48 +195,61 @@ class PrimeTable:
 
     @property
     def windows_sieved(self) -> int:
-        """How many windows above the prefix `ranks` has sieved."""
+        """How many windows above the prefix the table has sieved."""
         return self._windows
-
-    def _grow(self, limit: int) -> None:
-        if limit <= self._limit:
-            return
-        if limit > self._ceiling:
-            raise PrimeRangeError(
-                f"prime table ceiling {self._ceiling} exceeded (requested {limit})"
-            )
-        # Geometric growth amortizes repeated small extensions.
-        target = min(max(limit, 2 * self._limit, _DEFAULT_INITIAL), self._ceiling)
-        self._primes = _sieve_into(self._primes, self._limit + 1, target)
-        self._primes.flags.writeable = False
-        self._limit = target
-
-    def _ensure_count(self, count: int) -> None:
-        while len(self) < count:
-            if count < 6:
-                guess = 16
-            else:
-                # p_n < n (ln n + ln ln n) for n >= 6
-                guess = int(count * (math.log(count) + math.log(math.log(count)))) + 16
-            self._grow(max(guess, 2 * self._limit))
 
     def prime(self, j: int) -> int:
         """The j-th prime, 1-based (prime(1) == 2)."""
-        if j < 1:
-            raise DomainError(f"prime index must be >= 1, got {j}")
-        if j > len(self):
-            p = self._prime.get(j)
-            if p is not None:
-                return p
-            self._ensure_count(j)
-        return int(self._primes[j - 1])
+        if 1 <= j <= len(self):
+            return int(self._primes[j - 1])
+        p = self._prime.get(j)
+        if p is None:
+            p = int(self.primes([j])[0])
+            self._keep(p, int(j))
+        return p
 
-    def first(self, count: int) -> np.ndarray:
-        """The first `count` primes as a read-only int32 view of the prefix."""
-        if count < 0:
-            raise DomainError("count must be >= 0")
-        self._ensure_count(count)
-        return self._primes[:count]
+    def primes(self, ranks) -> np.ndarray:
+        """The primes of the 1-based `ranks`, in order, as int64.
+
+        DomainError for a rank below 1, PrimeRangeError for one past the
+        ceiling.  Ranks in the prefix are one gather.  The others are grouped
+        by the interval of the counts they fall in, and read from the map
+        when all of a group is there, else from one window of the interval;
+        nothing is kept."""
+        js = np.asarray(ranks, dtype=np.int64)
+        if not js.size:
+            return np.zeros(0, dtype=np.int64)
+        if js.min() < 1:
+            raise DomainError(f"prime index must be >= 1, got {int(js.min())}")
+        if js.max() <= len(self):
+            return self._primes[js - 1].astype(np.int64)
+        marks = _marks()
+        # ks[i] = k with marks[k] < js[i] <= marks[k + 1]; 16 384 past pi(2^31)
+        ks = (np.searchsorted(marks, js) - 1).astype(np.int16)
+        order = np.argsort(ks, kind="stable")
+        counts = np.bincount(ks)
+        stops = np.cumsum(counts)
+        out = np.empty(len(js), dtype=np.int64)
+        for k in np.flatnonzero(counts).tolist():
+            at = order[stops[k] - counts[k] : stops[k]]
+            group = js[at]
+            if k == 0:  # the prefix, capped by a ceiling below 2^17
+                primes, offsets = self._primes, group - 1
+            else:
+                known = [self._prime.get(j) for j in group.tolist()]
+                if None not in known:
+                    out[at] = known
+                    continue
+                first = k * _MARK
+                last = min(first + _MARK, (self._ceiling + 1) // 2) - 1
+                flags = self._window(k, last) if first <= last else np.zeros(0, dtype=bool)
+                primes = 2 * (np.flatnonzero(flags) + first) + 1
+                offsets = group - (marks[k] + 1)
+            if offsets.max() >= len(primes):
+                raise PrimeRangeError(f"prime table ceiling {self._ceiling} exceeded "
+                                      f"(requested rank {int(group.max())})")
+            out[at] = primes[offsets]
+        return out
 
     def index_of(self, p: int) -> int:
         """1-based rank of the prime p; DomainError if p is not prime."""
@@ -246,19 +259,15 @@ class PrimeTable:
         """The 1-based rank of each of the primes ps, in order.
 
         PrimeRangeError if one lies above the ceiling, else DomainError if
-        one is not prime.  A prime within twice `limit` grows the prefix
-        first, by doubling as `prime(j)` does, so that later ranks below the
-        new limit are lookups (about a microsecond, where a window costs
-        0.2-1.3 ms).  A rank up to `limit` is read off the prefix; the
+        one is not prime.  A rank up to `limit` is read off the prefix; the
         others are ranked together from the shipped counts (`_count`) and
-        kept."""
+        kept, so a later rank of the same prime is a lookup."""
         ps = [int(p) for p in ps]
         for p in ps:
             if p > self._ceiling:
                 raise PrimeRangeError(
                     f"prime table ceiling {self._ceiling} exceeded (requested {p})"
                 )
-        self._grow(max((p for p in ps if p <= 2 * self._limit), default=0))
         pending = sorted({p for p in ps if p > self._limit and p % 2 and p not in self._rank})
         if pending:
             self._count(pending)
@@ -285,27 +294,29 @@ class PrimeTable:
     def _count(self, pending: list[int]) -> None:
         """Rank those of the odd numbers `pending` (ascending, above the
         prefix, none ranked yet) that are prime: one window per interval of
-        _MARK odd numbers they fall in, from its mark or the prefix's end,
-        whichever is higher, up to the largest of them there."""
-        start = (self._limit + 1) // 2  # len(self) primes lie below 2 start + 1
+        _MARK odd numbers they fall in, from its mark up to the largest of
+        them there."""
         marks = _marks()
         for k, group in groupby((p // 2 for p in pending), key=lambda i: i // _MARK):
             group = list(group)  # odd numbers 2i + 1, ascending
-            g, count = k * _MARK, int(marks[k])
-            if g < start:
-                g, count = start, len(self)
-            q = 0
-            for lo, block in _odd_blocks(g, group[-1], self._primes):
-                at = lo
-                while q < len(group) and group[q] < lo + len(block):
-                    i = group[q]
-                    count += int(np.count_nonzero(block[at - lo : i + 1 - lo]))
-                    at = i + 1
-                    if block[i - lo]:
-                        self._keep(2 * i + 1, count)
-                    q += 1
-                count += int(np.count_nonzero(block[at - lo :]))
-            self._windows += 1
+            start = k * _MARK
+            flags = self._window(k, group[-1])
+            count, at = int(marks[k]), 0
+            for i in (i - start for i in group):
+                count += int(np.count_nonzero(flags[at : i + 1]))
+                at = i + 1
+                if flags[i]:
+                    self._keep(2 * (start + i) + 1, count)
+
+    def _window(self, k: int, last: int) -> np.ndarray:
+        """Whether 2i + 1 is prime, for k _MARK <= i <= last (k >= 1):
+        interval k of the counts, sieved with base primes from the prefix."""
+        self._windows += 1
+        first = k * _MARK
+        flags = np.empty(last + 1 - first, dtype=bool)
+        for lo, block in _odd_blocks(first, last, self._primes):
+            flags[lo - first : lo - first + len(block)] = block
+        return flags
 
 
 DEFAULT_TABLE = PrimeTable()

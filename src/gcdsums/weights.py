@@ -72,8 +72,8 @@ class PrimePowerWeights(WeightSequence):
 
     def __init__(self, alpha: float, table: PrimeTable = DEFAULT_TABLE):
         alpha = float(alpha)
-        if not alpha > 0:
-            raise DomainError(f"alpha must be positive, got {alpha}")
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise DomainError(f"alpha must be positive and finite, got {alpha}")
         self.alpha = alpha
         self.table = table
 
@@ -86,30 +86,10 @@ class PrimePowerWeights(WeightSequence):
         return mp.power(self.table.prime(j), -mp.mpf(self.alpha))
 
     def weights_for(self, indices) -> np.ndarray:
+        """The weights at `indices` from one `PrimeTable.primes` call: a
+        single gather when they all lie in the table's prefix."""
         idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if idx.min() < 1:
-            # a position below 1 would index the table from its end
-            raise DomainError(f"prime index must be >= 1, got {int(idx.min())}")
-        table = self.table
-        top = int(idx.max())
-        # Positions past the dense prefix, from the highest down: the table
-        # answers those it ranked by counting without growing, and the first
-        # it cannot answer grows the prefix past every position below it.
-        past: dict[int, int] = {}
-        while top > len(table):
-            past[top] = table.prime(top)
-            below = idx[idx < top]
-            top = int(below.max()) if below.size else 0
-        if not past:
-            primes = table.first(top)[idx - 1].astype(np.float64)
-        else:
-            inside = idx <= len(table)
-            primes = np.empty(idx.shape, dtype=np.float64)
-            primes[inside] = table.first(len(table))[idx[inside] - 1]
-            primes[~inside] = [past[j] for j in idx[~inside].tolist()]
-        return primes ** (-self.alpha)
+        return self.table.primes(idx).astype(np.float64) ** (-self.alpha)
 
     def count_above_half(self) -> int:
         return self._leading_above_half()
@@ -152,6 +132,8 @@ class ExplicitWeights(WeightSequence):
         return self.values[-1] * self.tail_ratio ** (j - n)
 
     def weight_at_mp(self, j: int) -> mp.mpf:
+        if j < 1:
+            raise DomainError(f"position must be >= 1, got {j}")
         n = len(self.values)
         if j <= n:
             return mp.mpf(self.values[j - 1])

@@ -517,3 +517,16 @@ def test_support_tail_bounds_match_per_member_bound():
     assert holds.tolist() == [support_tail_bound(B, m, 2)[0] for m in B.members] == [True, False]
     with pytest.raises(DomainError):
         support_tail_bounds(B, 1)
+
+
+def test_non_finite_arguments_are_refused():
+    for n in (math.inf, math.nan):
+        for curve in (lambda: general_upper_curve(n, 1.0), lambda: squarefree_upper_curve(n, 1.0, 1.0),
+                      lambda: lower_curve(n, 1.0), lambda: tail_sum(n)):
+            with pytest.raises(DomainError):
+                curve()
+    for c in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            squarefree_upper_curve(100.0, c, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            bound_chain_report(PrimePowerWeights(0.5), cube_construction(5), c)

@@ -788,3 +788,22 @@ def test_matrix_deterministic_output_is_byte_identical(tmp_path, capsys, monkeyp
     outputs = [run(capsys, ["matrix", path, "--stat", "both", "--deterministic"]) for _ in range(2)]
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
+
+
+_BOUNDS = ["bounds", "--curve", "theorem2", "--n-from", "100", "--n-to", "1000", "--constant", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_BOUNDS, "--n-to", "inf"],
+    [*_BOUNDS, "--n-from", "nan"],
+    [*_BOUNDS, "--constant", "nan"],
+    [*_BOUNDS, "--c-decay", "inf"],
+    ["certify", "--cube", "5", "--c-decay", "inf"],
+    ["certify", "--cube", "5", "--alpha", "inf"],
+], ids=["n-to", "n-from", "constant", "bounds-c-decay", "certify-c-decay", "alpha"])
+def test_non_finite_numbers_fail_fast(capsys, argv):
+    # NaN and Infinity are not JSON: refused before any report is written
+    code, out, err = run(capsys, argv)
+    assert_one_line_error(code, err)
+    assert out == ""
+    assert "finite" in err

@@ -34,22 +34,27 @@ def test_sieve_matches_trial_division():
 
 
 def test_first_primes():
-    table = PrimeTable(initial_limit=16)
+    table = PrimeTable()
     assert [table.prime(j) for j in range(1, 31)] == list(FIRST_PRIMES)
+    assert table.primes(range(1, 31)).tolist() == list(FIRST_PRIMES)
 
 
 def test_index_of_inverse():
-    table = PrimeTable(initial_limit=16)
-    for j in (1, 5, 25, 168, 1000):
+    table = PrimeTable()
+    for j in (1, 5, 25, 168, 1000, 12_251, 12_252, 100_000):
         assert table.index_of(table.prime(j)) == j
 
 
-def test_empty_initial_prefix_still_ranks_from_two():
-    # the prefix starts at 2^16 whatever the initial limit, so a window
-    # above it has its base primes and 2 is counted
-    table = PrimeTable(initial_limit=0)
-    assert table.limit == 1 << 16
+def test_prefix_is_interval_zero_of_the_counts():
+    # the primes up to 2^17, whatever is asked later; windows above it have
+    # their base primes and count 2
+    table = PrimeTable()
+    assert (table.limit, len(table)) == (1 << 17, _marks()[1]) == (1 << 17, 12_251)
     assert table.ranks([3, 1_000_003]) == [2, 78_499]
+    assert table.prime(100_000) == 1_299_709
+    assert (table.limit, len(table), table.windows_sieved) == (1 << 17, 12_251, 2)
+    # a ceiling below 2^17 caps the prefix
+    assert len(PrimeTable(ceiling=10_000)) == 1229
 
 
 def test_index_of_rejects_composites():
@@ -60,16 +65,22 @@ def test_index_of_rejects_composites():
 
 
 def test_lazy_growth():
-    table = PrimeTable(initial_limit=16)
+    # a rank past the prefix is one window, kept: asking again is a lookup
+    table = PrimeTable()
     assert table.prime(100_000) == 1_299_709
+    assert table.prime(100_000) == 1_299_709
+    assert table.index_of(1_299_709) == 100_000
+    assert table.windows_sieved == 1
 
 
 def test_segmented_growth_matches_dense():
-    # a table past 2^24 spans sixteen sieve blocks of 2^20 odd numbers
-    table = PrimeTable(initial_limit=(1 << 24) + 5000)
-    dense = sieve_upto(100_000)
-    assert list(table.first(len(dense))) == list(dense)
-    assert table.index_of(16_777_259) >= 1  # first prime past 2^24
+    # past 2^24, sixteen sieve blocks of 2^20 odd numbers and part of a
+    # seventeenth; the table's windows give the same primes by rank
+    dense = sieve_upto((1 << 24) + 5000)
+    table = PrimeTable()
+    ranks = np.r_[1:100, 12_240:12_260, len(dense) - 100 : len(dense) + 1]
+    assert np.array_equal(table.primes(ranks), dense[ranks - 1])
+    assert table.index_of(16_777_259) == np.searchsorted(dense, 16_777_259) + 1  # past 2^24
 
 
 def test_table_stored_as_int32_matches_int64_sieve():
@@ -81,8 +92,7 @@ def test_table_stored_as_int32_matches_int64_sieve():
         if flags[p]:
             flags[p * p :: p] = False
     reference = np.flatnonzero(flags).astype(np.int64)
-    table = PrimeTable(initial_limit=limit)
-    primes = table.first(len(reference))
+    primes = sieve_upto(limit)
     assert sieve_upto(1000).dtype == primes.dtype == np.int32
     assert np.array_equal(primes.astype(np.int64), reference)
 
@@ -94,10 +104,9 @@ def test_int32_table_ranks_near_1e8():
     for n in (99_999_989, 2 * 99_999_989, 99_999_989 * 99_999_971, 3 ** 5 * 7 * 99_999_959,
               99_999_931 * 99_999_847, 2 ** 3 * 99_999_941 ** 2):
         assert to_integer(from_integer(n, table), table) == n
-    # one window per call (99 999 931 and 99 999 847 share one); the prefix
-    # never grew
+    # one window per call (99 999 931 and 99 999 847 share one); prime()
+    # reads the rank that index_of found
     assert table.windows_sieved == 5
-    assert table.limit == 1 << 16
 
 
 _REFERENCE_LIMIT = (1 << 22) + 5000
@@ -127,25 +136,27 @@ def test_ranks_pi_of_powers_of_ten():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 99 991 lies within twice the 2^16 prefix, which doubles; one window
-    # each above it, from the shipped counts: no table to 10^8
+    # 99 991 lies in the 2^17 prefix; one window each above it, from the
+    # shipped counts: no table to 10^8
     assert peak < 1 << 20
     assert table.windows_sieved == 3
-    assert table.limit == 1 << 17
-    # the ranked primes are kept: no more windows, and prime() reads them
+    # the ranked primes are kept: no more windows, and prime() and primes()
+    # read them
     assert table.ranks(primes[::-1]) == [r for _, r in _PI_POWERS[::-1]]
     assert [table.prime(r) for _, r in _PI_POWERS] == primes
+    assert table.primes([r for _, r in _PI_POWERS]).tolist() == primes
     assert table.windows_sieved == 3
-    assert table.limit == 1 << 17
 
 
-def test_ranks_within_twice_the_prefix_double_it():
+def test_ranks_above_the_prefix_never_grow_it():
     table = PrimeTable()
     assert table.ranks([131_071, 3]) == reference_ranks([131_071, 3])  # 2^17 - 1
-    assert table.limit == 1 << 17 and table.windows_sieved == 0
-    # only what lies within twice the prefix at the call counts, once
-    assert table.ranks([262_139, 1_000_003]) == reference_ranks([262_139, 1_000_003])
-    assert table.limit == 1 << 18 and table.windows_sieved == 1
+    assert table.windows_sieved == 0
+    # the first prime past the prefix takes a window like any other; it
+    # shares interval 1 with 262 139
+    asked = [131_101, 262_139, 1_000_003]
+    assert table.ranks(asked) == reference_ranks(asked)
+    assert (table.limit, table.windows_sieved) == (1 << 17, 2)
 
 
 def test_rank_of_the_largest_prime_below_the_ceiling():
@@ -160,7 +171,7 @@ def test_rank_of_the_largest_prime_below_the_ceiling():
     assert peak < 1 << 20
     assert table.prime(50_847_534) == 999_999_937
     assert table.index_of(999_999_937) == 50_847_534
-    assert (table.windows_sieved, table.limit) == (1, 1 << 16)
+    assert (table.windows_sieved, table.limit) == (1, 1 << 17)
 
 
 def _near_marks(mark, top):
@@ -189,14 +200,35 @@ def test_ranks_near_every_mark_match_the_sieve():
     # one at a time: a window from the mark just below, or the whole interval
     table = PrimeTable()
     assert [table.index_of(p) for p in near] == reference_ranks(near)
-    assert (table.windows_sieved, table.limit) == (len(near), 1 << 16)
+    assert (table.windows_sieved, table.limit) == (len(near), 1 << 17)
+
+
+def test_primes_near_every_mark_match_the_sieve():
+    # rank to prime: the last prime below each mark up to 2^22, the first
+    # above it and the last of its interval, all within the reference
+    marks = _marks()
+    ranks = sorted({int(j) for k in range(1, 33) for j in (marks[k], marks[k] + 1, marks[k + 1])
+                    if j <= len(_REFERENCE)})
+    expected = _REFERENCE[np.array(ranks) - 1]
+    intervals = {int(np.searchsorted(marks, j)) - 1 for j in ranks if j > marks[1]}
+    # together: a window per interval
+    table = PrimeTable()
+    assert np.array_equal(table.primes(ranks), expected)
+    assert table.windows_sieved == len(intervals) == 32
+    # one at a time: a window per rank past the prefix, which prime() keeps
+    table = PrimeTable()
+    assert [int(table.primes([j])[0]) for j in ranks] == expected.tolist()
+    assert [table.prime(j) for j in ranks] == expected.tolist()
+    assert table.windows_sieved == 2 * sum(j > marks[1] for j in ranks)
+    assert table.ranks(expected.tolist()) == ranks
+    assert table.windows_sieved == 2 * sum(j > marks[1] for j in ranks)
 
 
 @pytest.mark.parametrize("block", [777, 1000, 4096, 1 << 20])
 def test_ranks_by_windows_match_the_sieve(monkeypatch, block):
     # blocks of 777 and 1000 odd numbers put marks inside blocks and block
-    # edges inside windows; no prime asked for lies within twice the 2^16
-    # prefix, so every rank is a window
+    # edges inside windows; every prime asked for lies above the 2^17 prefix,
+    # so every rank is a window
     monkeypatch.setattr(primes_module, "_BLOCK", block)
     rng = random.Random(block)
     table = PrimeTable()
@@ -222,37 +254,29 @@ def test_ranks_by_windows_match_the_sieve(monkeypatch, block):
     # every prime the map keeps reads back by rank
     for p in first + inside + mixed:
         assert table.prime(table.index_of(p)) == p
-    assert table.limit == 1 << 16
+    assert table.limit == 1 << 17
 
 
-def test_ranks_after_the_prefix_grows_past_the_marks(monkeypatch):
-    table = PrimeTable()
-    low = [300_007, 400_009]
-    assert table.ranks(low) == reference_ranks(low)
-    assert table.windows_sieved == 2
-    # growing the prefix by rank leaves the counts valid
-    assert table.prime(100_000) == 1_299_709
-    limit = table.limit
-    assert limit > 1_299_709
-    # a prime within twice the prefix doubles it; a prime past that, in the
-    # interval that holds the new limit, sieves from the prefix's end, which
-    # lies above the interval's mark
-    end = (2 * limit + 1) // 2
-    assert end % _MARK
-    beyond = int(_REFERENCE[np.searchsorted(_REFERENCE, 2 * limit, side="right")])
-    assert beyond // 2 // _MARK == end // _MARK
-    starts = []  # the first odd number of each window, which alone passes the prefix
+def test_windows_start_at_their_own_mark(monkeypatch):
+    # in both directions every window starts at its interval's mark, the odd
+    # number 2 k _MARK + 1, whatever was asked before
+    starts = []
 
     def recorded(first, last, primes=None, sieve=primes_module._odd_blocks):
-        if primes is not None:
+        if primes is not None:  # a window, not the prefix
             starts.append(first)
         return sieve(first, last, primes)
 
     monkeypatch.setattr(primes_module, "_odd_blocks", recorded)
-    asked = [2_000_003, beyond] + low
-    assert table.ranks(asked) == reference_ranks(asked)
-    assert table.limit == 2 * limit
-    assert (starts, table.windows_sieved) == ([end], 3)
+    table = PrimeTable()
+    low = [300_007, 400_009]
+    assert table.ranks(low) == reference_ranks(low)
+    assert table.prime(100_000) == 1_299_709
+    ranks = reference_ranks([2_000_003, 2_090_003, 4_000_037])
+    assert table.primes(ranks).tolist() == [2_000_003, 2_090_003, 4_000_037]
+    # 2 000 003 and 2 090 003 share interval 15
+    assert starts == [k * _MARK for k in (2, 3, 9, 15, 30)]
+    assert table.windows_sieved == 5
 
 
 def test_ranks_refuse_primes_above_the_ceiling_and_non_primes():
@@ -263,7 +287,7 @@ def test_ranks_refuse_primes_above_the_ceiling_and_non_primes():
         with pytest.raises(DomainError, match=f"{n} is not prime"):
             table.ranks([n])
     assert table.ranks([]) == []
-    # only 999 999, odd and beyond twice the prefix, took a window: composite
+    # only 999 999, odd and above the prefix, took a window: composite
     assert table.windows_sieved == 1
 
 
@@ -296,7 +320,7 @@ def test_ranks_up_to_2_31():
     table = PrimeTable(ceiling=2 ** 31 - 1)
     # pi(10^9) and pi(2^31), 2^31 - 1 a Mersenne prime
     assert table.ranks([999_999_937, 2_147_483_647]) == [50_847_534, 105_097_565]
-    assert (table.windows_sieved, table.limit) == (2, 1 << 16)
+    assert (table.windows_sieved, table.limit) == (2, 1 << 17)
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -341,16 +365,16 @@ def test_sieve_range_refuses_primes_past_int32():
 
 
 def test_stored_table_is_read_only():
-    table = PrimeTable(initial_limit=100)
-    for view in (table.first(5), DEFAULT_TABLE.first(5)):
-        assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[0] = 4
-    table.prime(50_000)  # growth keeps the table read-only
-    with pytest.raises(ValueError):
-        table.first(5)[0] = 4
+    # the prefix cannot be written; primes() hands out copies of it
+    table = PrimeTable()
     for t in (table, DEFAULT_TABLE):
+        assert not t._primes.flags.writeable
+        with pytest.raises(ValueError):
+            t._primes[0] = 4
+        copy = t.primes([1, 2, 100_000])
+        copy[:] = 4
         assert t.prime(1) == 2 and t.index_of(3) == 2
+        assert t.primes([1, 2, 100_000]).tolist() == [2, 3, 1_299_709]
 
 
 def test_ceiling_must_fit_int32():
@@ -359,9 +383,19 @@ def test_ceiling_must_fit_int32():
 
 
 def test_ceiling_enforced():
-    table = PrimeTable(initial_limit=100, ceiling=10_000)
-    with pytest.raises(PrimeRangeError):
-        table.prime(10_000)
+    # the last rank below the ceiling reads back; the next one is refused,
+    # alone or in a batch, without a window past the ceiling
+    for ceiling, pi, last in ((10_000, 1229, 9973), (2 ** 31 - 1, 105_097_565, 2 ** 31 - 1)):
+        table = PrimeTable(ceiling=ceiling)
+        assert table.prime(pi) == last
+        windows = table.windows_sieved
+        for ask in (lambda: table.prime(pi + 1), lambda: table.primes([1, pi, pi + 1]),
+                    lambda: table.prime(ceiling)):
+            with pytest.raises(PrimeRangeError):
+                ask()
+        assert table.windows_sieved == windows
+        with pytest.raises(DomainError):
+            table.primes([3, 0])
 
 
 def test_is_prime_matches_sieve():
@@ -392,7 +426,7 @@ _PSI_13 = 1_287_836_182_261 * 2_575_672_364_521
 def test_probable_prime_above_exact_bound_only_raises():
     # a composite reported prime is a "factor" above the ceiling
     with pytest.raises(PrimeRangeError):
-        from_integer(_PSI_13, PrimeTable(initial_limit=100, ceiling=10_000))
+        from_integer(_PSI_13, PrimeTable(ceiling=10_000))
 
 
 @given(st.integers(1, 10**12))

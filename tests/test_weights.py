@@ -21,6 +21,7 @@ from gcdsums import (
     doubled_weights,
     verify_decay,
 )
+from gcdsums.primes import sieve_upto
 
 half = PrimePowerWeights(0.5)
 
@@ -39,10 +40,11 @@ def test_weights_decreasing():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
 def test_weights_for_matches_prime_by_prime(alpha):
-    # a table holding the 25 primes below 100 must grow to reach position 400
-    t = PrimePowerWeights(alpha, table=PrimeTable(initial_limit=100))
-    idx = [3, 1, 25, 26, 400, 1, 97, 26]
-    oracle = PrimeTable(initial_limit=100)
+    # positions in the prefix of 12 251 primes and past it, in two intervals
+    # of the counts
+    t = PrimePowerWeights(alpha, table=PrimeTable())
+    idx = [3, 1, 25, 12_251, 12_252, 400, 1, 97, 100_000, 12_252]
+    oracle = PrimeTable()
     expected = np.array([oracle.prime(j) for j in idx], float) ** -alpha
     got = t.weights_for(idx)
     assert got.dtype == np.float64
@@ -58,8 +60,22 @@ def test_weights_for_rejects_position_zero():
 
 
 def test_alpha_must_be_positive():
-    with pytest.raises(DomainError):
-        PrimePowerWeights(0.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            PrimePowerWeights(alpha)
+
+
+def test_weight_at_mp_rejects_positions_below_one_like_weight_at():
+    # a position below 1 would index an explicit list from its end
+    kinds = [half, ExplicitWeights([0.5, 0.4]), ExplicitWeights([0.5, 0.4], tail_ratio=0.5),
+             doubled_weights(ExplicitWeights([0.5, 0.4])), doubled_weights(half),
+             AuxiliaryWeights(ExplicitWeights([0.5, 0.4]), 10**6, 1.0)]
+    for t in kinds:
+        for j in (0, -1):
+            for at in (t.weight_at, t.weight_at_mp):
+                with pytest.raises(DomainError):
+                    at(j)
+        assert float(t.weight_at_mp(1)) == pytest.approx(t.weight_at(1), rel=1e-15)
 
 
 def test_pow_examples():
@@ -177,32 +193,35 @@ def test_verify_decay_prime_half():
 
 def test_weights_for_reads_counted_ranks_without_growing():
     table = PrimeTable()
-    top = table.index_of(999_983)  # past the prefix: ranked by counting
-    size = len(table)
+    top = table.index_of(999_983)  # past the prefix: ranked by a window
+    size, windows = len(table), table.windows_sieved
     got = PrimePowerWeights(0.5, table).weights_for([top, 1, top, 6542])
-    assert len(table) == size
-    dense = PrimeTable(initial_limit=1_000_000)
-    assert got.tolist() == PrimePowerWeights(0.5, dense).weights_for([top, 1, top, 6542]).tolist()
+    # the ranked position is a lookup
+    assert (len(table), table.windows_sieved) == (size, windows)
+    dense = sieve_upto(1_000_000).astype(np.float64)
+    assert got.tolist() == (dense[[top - 1, 0, top - 1, 6541]] ** -0.5).tolist()
 
 
-def test_verify_decay_past_counted_ranks_reads_the_prefix(monkeypatch):
-    # positions 2..j past the prefix, j ranked by counting and none below
-    # it: one lookup answers j, one grows the prefix past the rest, which
-    # are read from it as numpy arrays, not one Python int each
+def test_verify_decay_past_counted_ranks_reads_the_prefix():
+    # positions 2..j past the prefix, j ranked by a window and none below
+    # it: one `primes` call reads the prefix and sieves one window per
+    # interval of the counts, keeping nothing per position
     table = PrimeTable()
     j = table.index_of(999_983)
-    calls = []
-    prime = table.prime
-    monkeypatch.setattr(table, "prime", lambda k: calls.append(k) or prime(k))
+    windows = table.windows_sieved
     tracemalloc.start()
     try:
         got = verify_decay(PrimePowerWeights(0.5, table), j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [j, j - 1]
+    # intervals 1 to 7 of 2^17 numbers each; the one holding j as well,
+    # since the map does not hold all of its positions
+    assert table.windows_sieved - windows == 999_983 // (1 << 17)
     assert peak < 80 * j  # the per-position lists took about 110 bytes a position
-    assert got == verify_decay(PrimePowerWeights(0.5, PrimeTable(initial_limit=1_000_000)), j)
+    js = np.arange(2, j + 1, dtype=np.float64)
+    oracle = sieve_upto(999_983)[1:].astype(np.float64) ** -0.5
+    assert got == float(np.max(oracle * np.sqrt(js * np.log(js))))
 
 
 def test_verify_decay_prime_one():
