@@ -19,8 +19,8 @@ exponent rows, and each record's `beta` from `IndexSet.member_strings`.  No
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -146,6 +146,31 @@ def _tail_term(j, a: float):
     return 1.0 / (j * u * (u - a))
 
 
+def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
+    """The correctly rounded sum of the finite float64 arrays, as `math.fsum`
+    gives it, with no Python float per term.
+
+    A term is its integer mantissa, below 2^53, times 2^(e - 53) for its
+    `np.frexp` exponent e.  A run of terms with one exponent sums its
+    mantissas exactly as int64 halves of 26 and 27 bits; the runs' sums add
+    exactly as Python ints over the lowest exponent so far, and the total is
+    rounded once, by a correctly rounded int-to-float conversion or integer
+    division.  Positive decreasing terms, like the tail series', come in a
+    few long runs."""
+    total, base = 0, 0  # the sum so far is total * 2^base
+    for x in chunks:
+        fraction, exponent = np.frexp(x)
+        mantissa = (fraction * 2.0 ** 53).astype(np.int64)
+        starts = np.flatnonzero(np.diff(exponent, prepend=exponent[:1] - 1))  # each run's first
+        high = np.add.reduceat(mantissa >> 26, starts).tolist()
+        low = np.add.reduceat(mantissa & (1 << 26) - 1, starts).tolist()
+        for h, l, e in zip(high, low, (exponent[starts] - 53).tolist()):
+            if e < base:
+                total, base = total << base - e, e
+            total += ((h << 26) + l) << e - base
+    return float(total << base) if base >= 0 else total / (1 << -base)
+
+
 def tail_sum(n: float) -> TailEstimate:
     """Series sum_{j > log n / log 2} 1 / (j log j (log j - loglog n)).
 
@@ -164,14 +189,13 @@ def tail_sum(n: float) -> TailEstimate:
 def _tail_sum(n: float) -> TailEstimate:
     a = loglog(n)
     j0 = math.floor(math.log(n) / math.log(2.0)) + 1
-    # one correctly rounded fsum over every term, fed a chunk at a time so
+    # one correctly rounded sum over every term, fed a chunk at a time so
     # no array of all 2^17 terms is ever built; the chunk length is a
     # multiple of any SIMD width, so each term is computed as in one array
-    direct = math.fsum(itertools.chain.from_iterable(
-        _tail_term(np.arange(lo, min(lo + _TAIL_CHUNK, _TAIL_DIRECT_END), dtype=np.float64),
-                   a).tolist()
+    direct = _exact_sum(
+        _tail_term(np.arange(lo, min(lo + _TAIL_CHUNK, _TAIL_DIRECT_END), dtype=np.float64), a)
         for lo in range(j0, _TAIL_DIRECT_END, _TAIL_CHUNK)
-    ))
+    )
     end = float(_TAIL_DIRECT_END)
     # the antiderivative vanishes at infinity
     value = direct - _tail_antiderivative(end - 0.5, a)
@@ -379,13 +403,13 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
 
     witness_ok = bool(support_tail_bounds(B, n)[0][witness].all())
 
-    majorant = float(math.fsum(inner * inner))
+    majorant = float(math.fsum((inner * inner).tolist()))
     majorant_ok = s_value <= majorant * (1.0 + _VERDICT_TOL)
 
     # summation-order exchange: the per-closure-member ratio sums against the
     # per-member sums over closure elements above them
-    sum_by_beta = math.fsum(ratio_sum)
-    sum_by_member = math.fsum(inner_by_member)
+    sum_by_beta = math.fsum(ratio_sum.tolist())
+    sum_by_member = math.fsum(inner_by_member.tolist())
     exchange_ok = abs(sum_by_beta - sum_by_member) <= _VERDICT_TOL * max(
         sum_by_beta, 1.0
     )
@@ -406,7 +430,7 @@ def bound_chain_report(t: WeightSequence, B: IndexSet, c: float) -> BoundChainRe
     high_terms = t_vals[high_positions] ** 2 / w_vals[high_positions]
     cap = term_shape / (j * np.log(j) * (np.log(j) - ll))
     high_term_ok = bool(np.all(high_terms <= cap * (1.0 + _VERDICT_TOL)))
-    high_ratio_sum = float(math.fsum(high_terms))
+    high_ratio_sum = float(math.fsum(high_terms.tolist()))
     high_ratio_bound = term_shape * tail.value
     high_sum_ok = high_ratio_sum <= high_ratio_bound * (1.0 + _VERDICT_TOL) + 1e-300
 

@@ -38,7 +38,6 @@ from .gcdsum import (
     IndexSet,
     cube_sum_closed_form,
     gcd_matrix,
-    gcd_row_sums,
     gcd_sum,
     min_eigenvalue,
     spectral_norm,
@@ -412,7 +411,7 @@ def _cmd_matrix(args) -> int:
     t = load_weights(config)
     B = parse_set_file(args.set_file)
     M = gcd_matrix(t, B)
-    rows = gcd_row_sums(t, B)
+    rows = M.row_sums()
     s_value = float(math.fsum(rows))
     payload: dict = {
         "n": len(B),

@@ -10,7 +10,7 @@ members are decoded from the rows only when a caller asks for them.
 The central quantity is S(t, B) = sum over all ordered pairs (a, b) of B of
 t^|a-b|, the form 1 . M 1 of the pair matrix M[a, b] = t^|a-b|.  A set has one
 operator for M, chosen by `_operator` from the input alone; its `form` and
-`apply` give the sum, row sums, weighted form and large-matrix matvec:
+`apply` give the sum, row sums and weighted form:
 - `_Transform`, the Walsh-Hadamard transform of a square-free set on at most
   `_XOR_TABLE_MAX_BITS` positions, in O(m 2^m) instead of O(N^2), when the
   cost model `_transform_cheaper` prefers it;
@@ -22,11 +22,15 @@ operator for M, chosen by `_operator` from the input alone; its `form` and
   of lookups in XOR-indexed tables for square-free sets (one per slice of at
   most `_TABLE_SLICE_BITS` positions of a mask word, any number of positions),
   exponent-matrix blocks for any other set.
-A cross sum takes `_Pairs` of one set against the other; dense matrices read
-the pair blocks.  On a set closed under divisors T is square, and the lowest
-eigenvalue comes from M^-1 = T^-T diag(1/c) T^-1 (`_inverse`): over the
-(member, divisor) entries of T^-1 or on the subset lattice.  Sums are combined
-with compensated summation in a fixed order, so results are deterministic.
+A cross sum takes `_Pairs` of one set against the other.  `GcdMatrix`
+applies M for the spectrum through the operator or the dense matrix that
+`_applier` finds cheapest for about one Lanczos solve; dense matrices read
+the pair blocks.  On a set closed under divisors T is square, its entries
+follow the links from each member to its divisors (`_divisor_entries`), and
+the lowest eigenvalue comes from M^-1 = T^-T diag(1/c) T^-1 (`_inverse`):
+over the (member, divisor) entries of T^-1 or on the subset lattice.  Sums
+are combined with compensated summation in a fixed order, so results are
+deterministic.
 
 The lcm closure of a square-free set takes the subset lattice when
 `_lattice_cheaper` prefers it (zeta and Moebius transforms over the 2^m
@@ -77,10 +81,34 @@ _TRANSFORM_COST = 4
 # (median about 400).  A fixed cost of about 0.4 ms also favours the pairs on
 # fewer than about 40 random integers.
 _DIVISOR_COST = 150
-# Dense storage and dense matvec up to this n.  The lowest eigenvalue takes
-# the dense solve up to here too, unless the set is closed under divisors and
-# `_inverse` finds Lanczos on M^-1 cheaper.
+# The largest matrix stored densely (134 MB).  `GcdMatrix` stores one only
+# where `_applier` finds it cheaper than an operator, or for the dense solve
+# of the lowest eigenvalue, which `_inverse` prices against M^-1.
 _DENSE_CAP = 4096
+# Costs of applying the pair matrix in ns, for `_applier`, on a 2-vCPU x86 VM
+# (numpy 2.4, best of 3-7).  A spectral solve takes 25-30 Lanczos steps on
+# the benchmark's sets and on cubes, one matvec each.  The pair blocks built
+# the dense matrix at 3.0-3.6 ns per pair and table slice (5.5 at n = 200)
+# and 1.0-2.1 per pair and position on exponent rows (the most on 12
+# positions, the least on 500-600 of random integers); a stored matrix
+# multiplied at 0.15-0.25 ns per entry for n = 200-4096.  A transform apply
+# took 4.2-7.6 ns per element of m 2^m for m = 12-16, and 90 us at m = 8,
+# 10 us a level; `_Divisors.apply` 7-9 ns per entry.  `_Divisors` on a set
+# closed under divisors, the closure test included, built in about 0.2 ms
+# plus 60-90 ns per entry (random downsets of 100-4000 members and the
+# 12-cube), and by its lexsort in 550-1300 ns per entry on members on up to
+# 6-15 positions.  An operator's fixed cost, its build and 30 numpy-bound
+# applies, is about 0.3 ms.
+_APPLIES = 30
+_SLICE_NS = 3  # per pair and table slice of mask words
+_POSITION_NS = 1.5  # per pair and position of exponent rows
+_DENSE_NS = 0.2  # per stored entry
+_TRANSFORM_NS = 5  # per element of m (2^m + _TRANSFORM_LEVEL), the last term a level's numpy calls
+_TRANSFORM_LEVEL = 2048
+_ENTRY_NS = 8  # per (member, divisor) entry and apply
+_LINKED_NS = 85  # per entry built along the links
+_KEYED_NS = 100  # per entry and position of the widest member, built by the lexsort
+_OPERATOR_NS = 300_000
 # Costs of the lowest eigenvalue's paths in ns, on a 2-vCPU x86 VM (numpy 2.4,
 # OpenBLAS, best of 5).  Dense eigvalsh took 0.15-0.2 ns n^3 for n = 250-300,
 # 0.11 at n = 500 and 0.06 from n = 700 on (its 8-40 ms for n = 80-200 is an
@@ -93,12 +121,12 @@ _EIGVALSH_NS = 0.1  # per n^3
 _INVERSE_NS = 1_000_000
 _INVERSE_ENTRY_NS = 300
 _INVERSE_LATTICE_NS = 250
-_INVERSE_WORDS = 8  # words per entry live while `_InverseDivisors` builds them
 # Floats per pair block: 512 KB an array, so the two or three arrays a block
 # keeps live fit a 2 MB L2 cache.  On a 2-vCPU x86 VM (numpy 2.4) 2^15 and
 # 2^17 were no faster, and at 2^17 exponent blocks ran three times slower.
 _BLOCK_BUDGET = 1 << 16
 _DIVISOR_WORDS = 8_000_000  # words the divisor factorization's arrays may hold
+_LINKED_WORDS = 8  # words per entry live while `_divisor_entries` builds them
 _BASIS_ROWS = 64  # Lanczos basis vectors per block
 # Largest Lanczos tridiagonal T_k solved densely (np.linalg.eigh), which up to
 # here takes 0.1 ms against 0.2 ms for `_ritz`.  On a 2-vCPU x86 VM (numpy 2.4,
@@ -512,7 +540,7 @@ class _Transform:
         x = self._transformed(v)
         x *= x
         x *= self.spectrum
-        return math.fsum(x) / len(x)
+        return math.fsum(x.tolist()) / len(x)
 
     def apply(self, v=None) -> np.ndarray:
         """M v, v all-ones by default"""
@@ -535,6 +563,15 @@ class _Divisors:
     O(sum_a prod_j (a_j + 1)) instead of O(N^2 m).  Every entry of T and c lies
     in [0, 1], so exponents up to the matrix's cap of 30 000 cannot overflow.
 
+    Given the `_divisor_links` of a set closed under divisors, the divisors
+    are its members, and `_divisor_entries` follows the links to them;
+    otherwise the divisors are decoded per member and labelled by one
+    `np.lexsort` of their (position, exponent) keys.  Both give each
+    member's entries together, members in order, and multiply every value
+    and c(e) in the same order, so T^T v and the form agree to the last bit;
+    only the order of a member's own entries, and so the last bits of M v,
+    may differ.
+
     With w the largest support of a member, form(1) lies within
     (10 w + 2 N + 1) 2^-53 relative of the exact sum over the double weights:
     an entry of T takes w powers and multiplies, c(e) w factors
@@ -542,10 +579,15 @@ class _Divisors:
     `math.fsum`.
     """
 
-    def __init__(self, t: WeightSequence, B: IndexSet):
+    def __init__(self, t: WeightSequence, B: IndexSet, links: np.ndarray | None = None):
         E = B.exponent_matrix()
         w = t.weights_for(B.universe())
         self.n = n = len(E)
+        if links is not None:
+            # closed under divisors: every divisor is a member, reached by the links
+            self.owner, self.label, self.value = _divisor_entries(w, E, links)
+            self.scale = _smith_scale(w, E)
+            return
         # member r's s-th position (ascending) and its exponent there; slots
         # past a member's support hold exponent 0, and so one divisor
         members, cols = np.nonzero(E)
@@ -596,7 +638,7 @@ class _Divisors:
     def form(self, v=None) -> float:
         """v . M v, v all-ones by default"""
         y = self._columns(v)
-        return math.fsum(self.scale * y * y)
+        return math.fsum((self.scale * y * y).tolist())
 
     def apply(self, v=None) -> np.ndarray:
         """M v, v all-ones by default"""
@@ -607,10 +649,11 @@ class _Divisors:
 
 def _smith_scale(w: np.ndarray, E: np.ndarray) -> np.ndarray:
     """c(a) = prod over the support of a of (1 - t_j^2), per row a of E,
-    from its nonzeros alone."""
+    from its nonzeros alone, multiplied from the last position down as
+    `_Divisors` multiplies them."""
     members, cols = np.nonzero(E)
     out = np.ones(len(E))
-    np.multiply.at(out, members, (1.0 - w[cols]) * (1.0 + w[cols]))
+    np.multiply.at(out, members[::-1], ((1.0 - w) * (1.0 + w))[cols[::-1]])
     return out
 
 
@@ -618,10 +661,13 @@ def _divisor_links(E: np.ndarray) -> np.ndarray | None:
     """Per nonzero E[r, j] in row-major order (`np.nonzero`), the row of E
     equal to row r less one at j; None when some such row is missing, as
     the rows are then not closed under divisors, or when the rows are too
-    wide to key within `_DIVISOR_WORDS`.  Rows are keyed as one int64 each,
-    column j in the bit width of its largest exponent, when the widths fit
-    in 63 bits, so that lowering exponent j by one subtracts 2^offset_j; else
-    by their bytes, one lowered copy per nonzero."""
+    wide to key within `_DIVISOR_WORDS`.  The rows are in canonical order,
+    so a closed set's first row is its zero row.  Rows are keyed as one
+    int64 each, column j in the bit width of its largest exponent, when the
+    widths fit in 63 bits, so that lowering exponent j by one subtracts
+    2^offset_j; else by their bytes, one lowered copy per nonzero."""
+    if E[0].any():
+        return None
     members, cols = np.nonzero(E)
     widths = np.array([int(e).bit_length() for e in E.max(axis=0, initial=0)], dtype=np.int64)
     if widths.sum() <= 63:
@@ -640,6 +686,46 @@ def _divisor_links(E: np.ndarray) -> np.ndarray | None:
     return order[at] if found.all() else None
 
 
+def _divisor_entries(w: np.ndarray, E: np.ndarray, links: np.ndarray,
+                     inverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, label, value) per nonzero entry of T, or of T^-1 when
+    `inverse`, for rows E closed under divisors with their `_divisor_links`:
+    value = T[owner, label], labels being rows of E.
+
+    T[a, e] = t^(a - e) for every e <= a, prod_j (a_j + 1) entries a row, and
+    T^-1[a, e] = (-t)^(a - e) for e = a - s, s a subset of a's support,
+    2^|supp a| entries (`_InverseDivisors`).  Every member starts as one
+    entry, itself, and its positions are taken last first: each entry
+    becomes one copy per exponent it lowers there, in place, so the entries
+    stay grouped by owner in member order.  Copy c is copy c - 1 lowered by
+    one more along its link; as the positions before the one taken are still
+    the owner's, a divisor's s-th nonzero is the owner's.  A value is
+    multiplied in the same order as in `_Divisors`."""
+    members, cols = np.nonzero(E)
+    exponents = E[members, cols]
+    support = np.bincount(members, minlength=len(E))
+    first = np.cumsum(support) - support  # each row's first nonzero
+    owner = label = np.arange(len(E))
+    value = np.ones(len(E))
+    for s in reversed(range(int(support.max(initial=0)))):
+        has = support[owner] > s
+        slot = first[owner[has]] + s
+        reps = np.ones(len(owner), dtype=np.intp)
+        reps[has] = 2 if inverse else exponents[slot] + 1
+        starts = (np.cumsum(reps) - reps)[has]  # each lowered entry's first copy
+        owner, label, value = (np.repeat(x, reps) for x in (owner, label, value))
+        factor = -w[cols[slot]] if inverse else w[cols[slot]]
+        reps = reps[has]
+        for c in range(1, int(reps.max(initial=1))):
+            more = reps > c
+            at = starts[more] + c
+            label[at] = links[first[label[at - 1]] + s]
+            # an array of exponents, so that numpy calls pow as `_Divisors`
+            # does, with none of its shortcuts for a scalar exponent
+            value[at] *= factor[more] ** np.full(len(at), c)
+    return owner, label, value
+
+
 class _InverseDivisors:
     """M^-1 of a set closed under divisors, over its (member, divisor) entries.
 
@@ -656,30 +742,9 @@ class _InverseDivisors:
     def __init__(self, t: WeightSequence, B: IndexSet, links: np.ndarray):
         E = B.exponent_matrix()
         w = t.weights_for(B.universe())
-        self.n = n = len(E)
+        self.n = len(E)
         self.scale = _smith_scale(w, E)
-        members, cols = np.nonzero(E)
-        support = np.bincount(members, minlength=n)
-        start = np.cumsum(support) - support  # each row's first nonzero
-        owners, values, labels = [], [], []
-        # per support size k, a (members, 2^k) block of entries, doubled a
-        # position at a time: the divisors without it, then those with it
-        # lowered by one.  Last position first, so that a divisor still
-        # holds a's earlier positions as its own first nonzeros.
-        for k in range(int(support.max(initial=0)) + 1):
-            rows = np.flatnonzero(support == k)
-            if not len(rows):
-                continue
-            value, label = np.ones((len(rows), 1)), rows[:, None]
-            for s in reversed(range(k)):
-                value = np.hstack([value, value * -w[cols[start[rows] + s], None]])
-                label = np.hstack([label, links[start[label] + s]])
-            owners.append(np.repeat(rows, 1 << k))
-            values.append(value.reshape(-1))
-            labels.append(label.reshape(-1))
-        self.owner = np.concatenate(owners)
-        self.value = np.concatenate(values)  # T^-1[owner, label]
-        self.label = np.concatenate(labels)
+        self.owner, self.label, self.value = _divisor_entries(w, E, links, inverse=True)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M^-1 v"""
@@ -734,7 +799,7 @@ def _inverse(t: WeightSequence, B: IndexSet) -> _InverseDivisors | _InverseLatti
     m = E.shape[1]
     # supports past 63 positions would overflow and hold too many entries anyway
     entries = float(np.exp2(np.minimum(np.count_nonzero(E, axis=1), 63)).sum())
-    by_entries = _INVERSE_ENTRY_NS * entries if entries * _INVERSE_WORDS <= _DIVISOR_WORDS else math.inf
+    by_entries = _INVERSE_ENTRY_NS * entries if entries * _LINKED_WORDS <= _DIVISOR_WORDS else math.inf
     by_lattice = math.inf
     if B.is_square_free() and m <= _XOR_TABLE_MAX_BITS:
         by_lattice = _INVERSE_LATTICE_NS * m * 2.0 ** m
@@ -822,7 +887,7 @@ class _Pairs:
     def form(self, v=None) -> float:
         """v . M v, v all-ones by default (for A and B apart, 1_A . M 1_B)"""
         rows = self.apply(v)
-        return math.fsum(rows if v is None else v * rows)
+        return math.fsum((rows if v is None else v * rows).tolist())
 
 
 def _operator(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | _Pairs:
@@ -836,8 +901,44 @@ def _operator(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | _Pairs
             return _Transform(t, B)
         cost = len(_slices(m))  # a mask-word pair costs one gather per slice
     if _divisors_preferred(n * n, cost, B):
-        return _Divisors(t, B)
+        return _Divisors(t, B, _divisor_links(B.exponent_matrix()))
     return _Pairs(t, B)
+
+
+def _applier(t: WeightSequence, B: IndexSet) -> _Transform | _Divisors | _Pairs | None:
+    """The cheapest way to apply B's pair matrix _APPLIES times, about one
+    spectral solve: None for dense storage, else B's cheapest operator.
+
+    One comparison of costs in ns (see `_APPLIES`): dense storage, up to
+    `_DENSE_CAP`, pays the pair blocks once and a product per apply; the
+    pair blocks as an operator pay themselves per apply; the transform pays
+    per apply, and the divisor factorization a build, along the links on a
+    set closed under divisors and by its lexsort otherwise, then per apply.
+    Every operator has a fixed cost, so a small set is stored before its
+    rows are read, and every member has an entry, so the entries are counted
+    and the closure tested only when even one entry per member could win."""
+    n, m = len(B), len(B.universe())
+    square_free = B.is_square_free()
+    pair = _SLICE_NS * len(_slices(m)) if square_free else _POSITION_NS * m
+    dense = n * n * (pair + _APPLIES * _DENSE_NS) if n <= _DENSE_CAP else math.inf
+    if dense <= _OPERATOR_NS:
+        return None
+    costs = {_Pairs: _APPLIES * n * n * pair}
+    if square_free and m <= _XOR_TABLE_MAX_BITS:
+        costs[_Transform] = _OPERATOR_NS + _APPLIES * _TRANSFORM_NS * m * ((1 << m) + _TRANSFORM_LEVEL)
+    links = None
+    if _OPERATOR_NS + _APPLIES * _ENTRY_NS * n < min(dense, *costs.values()):
+        E = B.exponent_matrix()
+        entries = float(np.prod(E + 1.0, axis=1).sum())
+        width = int(np.count_nonzero(E, axis=1).max())
+        links = _divisor_links(E)
+        build, words = (_LINKED_NS, _LINKED_WORDS) if links is not None else (_KEYED_NS * width, 2 * width + 8)
+        if entries * words <= _DIVISOR_WORDS:
+            costs[_Divisors] = _OPERATOR_NS + entries * (build + _APPLIES * _ENTRY_NS)
+    best = min(costs, key=costs.get)
+    if dense <= costs[best]:
+        return None
+    return _Divisors(t, B, links) if best is _Divisors else best(t, B)
 
 
 def gcd_row_sums(t: WeightSequence, B: IndexSet) -> np.ndarray:
@@ -1145,7 +1246,7 @@ def lcm_closure_bound(
     the inner sums from `LcmClosure`; returns (rhs, S <= rhs * (1 + tol), S).
     """
     inner = LcmClosure(B).subset_sums([t.weights_for(B.universe())])[0][:, 0]
-    rhs = math.fsum(inner * inner)
+    rhs = math.fsum((inner * inner).tolist())
     s = gcd_sum(t, B)
     return rhs, s <= rhs * (1.0 + tol) + tol, s
 
@@ -1153,11 +1254,14 @@ def lcm_closure_bound(
 class GcdMatrix:
     """Symmetric unit-diagonal matrix with entries t^|a-b| over B's members.
 
-    Up to n = _DENSE_CAP the matrix is stored densely (built lazily) and
-    matvec multiplies it; above, matvec applies B's one operator, chosen by
-    `_operator`: the transform, the divisor factorization or the pair blocks.
-    `min_eigenvalue` reads neither when B is closed under divisors and
-    `_inverse` applies M^-1 instead.
+    `matvec` and `row_sums` take the cheapest way `_applier` finds for about
+    one spectral solve: dense storage, built from the pair blocks on first
+    use (n at most _DENSE_CAP), or one of B's operators, built once: the
+    transform, the divisor factorization (along the divisor links on a set
+    closed under divisors) or the pair blocks.  The dense solve of
+    `min_eigenvalue` builds the stored matrix on demand, which then serves
+    matvec too; where B is closed under divisors and `_inverse` prefers it,
+    `min_eigenvalue` applies M^-1 instead.
     """
 
     def __init__(self, t: WeightSequence, B: IndexSet):
@@ -1180,13 +1284,19 @@ class GcdMatrix:
         return self._dense
 
     @cached_property
-    def _operator(self) -> _Transform | _Divisors | _Pairs:
-        return _operator(self.t, self.B)
+    def _operator(self) -> _Transform | _Divisors | _Pairs | None:
+        return _applier(self.t, self.B)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.n <= _DENSE_CAP:
-            return self.dense() @ v
-        return self._operator.apply(v)
+        if self._dense is None and self._operator is not None:
+            return self._operator.apply(v)
+        return self.dense() @ v
+
+    def row_sums(self) -> np.ndarray:
+        """Per-member row sums, from the storage or operator matvec uses."""
+        if self._dense is None and self._operator is not None:
+            return self._operator.apply()
+        return self.dense().sum(axis=1)
 
 
 def gcd_matrix(t: WeightSequence, B: IndexSet) -> GcdMatrix:

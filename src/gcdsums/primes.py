@@ -388,13 +388,17 @@ def _pollard_brent(n: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime -> exponent for n >= 1: trial division by the primes below 1000,
-    then Miller-Rabin and Pollard-Brent on what is left."""
+    then Miller-Rabin and Pollard-Brent on what is left.  Trial division
+    that stops at p^2 > n leaves 1 or a prime, as every prime below p is
+    divided out, so only a cofactor above 997^2 needs Miller-Rabin."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     out: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
-            break
+            if n > 1:
+                out[n] = 1
+            return out
         if n % p == 0:
             e = 0
             while n % p == 0:

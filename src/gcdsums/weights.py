@@ -207,10 +207,10 @@ class AuxiliaryWeights(WeightSequence):
     c: float
 
     def __post_init__(self):
-        if self.n < 21:
-            raise DomainError(f"n must be >= 21, got {self.n}")
-        if not self.c > 0:
-            raise DomainError(f"c must be positive, got {self.c}")
+        if not 21 <= self.n < math.inf:  # NaN fails too; an int of any size passes
+            raise DomainError(f"n must be finite and >= 21, got {self.n}")
+        if not 0 < self.c < math.inf:
+            raise DomainError(f"c must be finite and positive, got {self.c}")
 
     @property
     def threshold(self) -> float:

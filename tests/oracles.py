@@ -211,6 +211,27 @@ def trial_division(n: int) -> dict:
     return out
 
 
+def smallest_prime_factors(limit: int) -> list:
+    """spf[n] for 0 <= n <= limit, spf[n] = n for a prime and 0 for n < 2:
+    each prime p, from the largest up to sqrt(limit) down, marks its
+    multiples from p^2, so the smallest mark is written last."""
+    spf = list(range(limit + 1))
+    spf[:2] = [0, 0]
+    for p in reversed(range(2, math.isqrt(limit) + 1)):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
+
+
+def factorization_from_spf(n: int, spf: list) -> dict:
+    """Prime -> exponent of 1 <= n < len(spf), by repeated smallest factors."""
+    out = {}
+    while n > 1:
+        p = spf[n]
+        out[p] = out.get(p, 0) + 1
+        n //= p
+    return out
+
+
 def primes_upto(limit: int) -> list:
     """Primes <= limit by a plain bytearray sieve of Eratosthenes."""
     flags = bytearray([1]) * (limit + 1)
@@ -443,6 +464,20 @@ def random_downset_reference(rng, n: int, m: int) -> set:
     chosen = {0}
     while len(chosen) < n:
         chosen.add(rng.choice(addable_reference(chosen, m)))
+    return chosen
+
+
+def grown_downset(rng, n: int, m: int) -> set:
+    """A random downset of n masks of the m-cube, grown from {0} one random
+    mask at a time among those whose lower covers are all in it, kept in a
+    list as they become addable: O(n m^2), for sets too large for
+    `random_downset_reference`, which rescans the cube per mask."""
+    chosen, ready = {0}, [1 << b for b in range(m)]
+    while len(chosen) < n:
+        x = ready.pop(rng.randrange(len(ready)))
+        chosen.add(x)
+        ready += [y for y in (x | 1 << b for b in range(m) if not x >> b & 1)
+                  if all(y ^ 1 << c in chosen for c in range(m) if y >> c & 1)]
     return chosen
 
 

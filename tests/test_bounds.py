@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from gcdsums import (
     DomainError,
@@ -183,6 +185,26 @@ def test_tail_sum_below_direct_sum(n):
 @pytest.mark.parametrize("n", [21, 25, 256, 1024, 10**6, 10**9])
 def test_tail_sum_bit_identical_to_unchunked_formula(n):
     assert tail_sum(n) == tail_unchunked(n)
+
+
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), max_size=40),
+                max_size=4))
+def test_exact_sum_equals_fsum(chunks):
+    arrays = [np.array(chunk, dtype=np.float64) for chunk in chunks]
+    flat = [x for chunk in chunks for x in chunk]
+    try:
+        expected = math.fsum(flat)
+    except OverflowError:  # an exact sum beyond the doubles
+        return
+    assert bounds_module._exact_sum(arrays) == expected
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 1 << 15), st.floats(0.5, 1.0))
+def test_exact_sum_equals_fsum_on_decreasing_runs(first, length, ratio):
+    # positive decreasing terms, as in the tail series: a few long runs of exponents
+    terms = first * ratio ** np.arange(length, dtype=np.float64)
+    chunks = [terms[lo : lo + 4096] for lo in range(0, length, 4096)]
+    assert bounds_module._exact_sum(chunks) == math.fsum(terms.tolist())
 
 
 def test_tail_sum_memoized_per_n():

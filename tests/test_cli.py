@@ -776,6 +776,33 @@ def test_matrix_tol_reaches_min_eigenvalue(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["min_eigenvalue"] > 0
 
 
+@pytest.mark.parametrize("masks", [range(0, 128, 3), range(1 << 10)], ids=["subset", "cube-10"])
+def test_matrix_takes_one_operator(tmp_path, capsys, monkeypatch, masks):
+    # row sums and the largest eigenvalue from the one choice of `_applier`,
+    # dense storage for the small set and the transform for the 10-cube; the
+    # sum's operator is never built
+    import gcdsums.gcdsum as gcdsum_module
+
+    lines = ["mi" + "".join(f" {b + 1}:1" for b in range(10) if x >> b & 1) for x in masks]
+    path = write(tmp_path, "set.txt", "\n".join(lines) + "\n")
+    chosen = []
+    choose = gcdsum_module._applier
+
+    def refuse(t, B):
+        raise AssertionError("the sum's operator was built")
+
+    monkeypatch.setattr(gcdsum_module, "_operator", refuse)
+    monkeypatch.setattr(gcdsum_module, "_applier", lambda t, B: chosen.append(choose(t, B)) or chosen[-1])
+    code, out, _ = run(capsys, ["matrix", path, "--stat", "spectral"])
+    assert code == 0 and len(chosen) == 1
+    assert (chosen[0] is None) == (len(masks) < 1024)
+    report = json.loads(out)
+    t = [PrimePowerWeights(0.5).weight_at(j) for j in range(1, 11)]
+    if len(masks) == 1024:
+        assert report["spectral_norm"] == pytest.approx(math.prod(1 + x for x in t), rel=1e-12)
+        assert report["max_row_sum"] == pytest.approx(math.prod(2 + 2 * x for x in t) / 1024, rel=1e-12)
+
+
 @pytest.mark.parametrize("cap", [None, 10])
 def test_matrix_deterministic_output_is_byte_identical(tmp_path, capsys, monkeypatch, cap):
     import gcdsums.gcdsum as gcdsum_module

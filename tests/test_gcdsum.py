@@ -23,6 +23,7 @@ from oracles import (
     brute_pair_sum_mp,
     brute_weighted_form,
     eager_index_set,
+    grown_downset,
     random_downset_reference,
 )
 
@@ -712,8 +713,10 @@ def test_matrix_free_matvec_agrees():
     positive = np.linspace(0.5, 2.0, len(B))
     for path in KERNEL_PATHS:
         # above the dense cap matvec transforms or streams pair blocks, here
-        # several per product
-        with kernel_path(path, _DENSE_CAP=10, _BLOCK_BUDGET=600) as operator:
+        # several per product; matvec takes the sum's operator, which the
+        # path forces, instead of `_applier`'s choice
+        with kernel_path(path, _DENSE_CAP=10, _BLOCK_BUDGET=600,
+                         _applier=gcdsum_module._operator) as operator:
             M = gcd_matrix(half, B)
             assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-15)
             assert np.allclose(M.matvec(positive), reference @ positive, rtol=1e-12, atol=0)
@@ -732,7 +735,8 @@ def test_divisor_matvec_above_dense_cap():
     B = IndexSet(members)
     reference = np.array(brute_pair_matrix(half, B.members))
     v = np.linspace(-1.0, 1.0, len(B))
-    with kernel_path("divisor", _DENSE_CAP=10):
+    # matvec takes the sum's operator, which the path forces
+    with kernel_path("divisor", _DENSE_CAP=10, _applier=gcdsum_module._operator):
         M = gcd_matrix(half, B)
         assert isinstance(M._operator, gcdsum_module._Divisors)
         assert np.allclose(M.matvec(v), reference @ v, rtol=1e-13, atol=1e-14)
@@ -984,6 +988,132 @@ def test_inverse_path_keys_wide_rows_by_bytes():
         reference = float(np.linalg.eigvalsh(M.dense())[0])
         assert min_eigenvalue(M) == pytest.approx(reference, rel=1e-10)
         assert gcdsum_module._divisor_links(E[1:]) is None
+
+
+@st.composite
+def divisor_closed_sets(draw, max_exponent: int = 3):
+    """Every divisor of up to three members on at most 4 positions, with
+    exponents up to `max_exponent`; no member gives the set {0}."""
+    tops = draw(st.lists(multi_indices(max_index=4, max_exponent=max_exponent), max_size=3))
+    universe = sorted({j for top in tops for j in top.support()})
+    rows = {divisor for top in tops
+            for divisor in itertools.product(*(range(top.exponent(j) + 1) for j in universe))}
+    rows.add((0,) * len(universe))
+    return IndexSet.from_rows(universe, np.array(sorted(rows), dtype=np.int16).reshape(len(rows), -1))
+
+
+CHAIN = IndexSet.from_rows([2], np.arange(12)[:, None])  # 1, p_2, ..., p_2^11
+
+
+@settings(max_examples=40)
+@given(B=st.one_of(divisor_closed_sets(max_exponent=1), divisor_closed_sets(), square_free_downsets()),
+       t=st.sampled_from([half, PrimePowerWeights(1.0)]))
+@example(B=IndexSet([zero]), t=half)
+@example(B=CHAIN, t=half)
+def test_forward_divisor_operator_on_closed_sets(B, t):
+    # M v = T (c . T^T v) over the entries reached along the divisor links
+    links = gcdsum_module._divisor_links(B.exponent_matrix())
+    assert links is not None
+    operator = gcdsum_module._Divisors(t, B, links)
+    reference = np.array(brute_pair_matrix(t, B.members))
+    positive = 1.0 + np.arange(len(B)) % 3
+    assert np.allclose(operator.apply(positive), reference @ positive, rtol=1e-13, atol=0)
+    v = np.cos(np.arange(len(B)))
+    assert np.linalg.norm(operator.apply(v) - reference @ v) <= 1e-13 * np.linalg.norm(reference @ v)
+    assert math.fsum(operator.apply()) == pytest.approx(float(reference.sum()), rel=1e-13)
+
+
+@settings(max_examples=60)
+@given(B=st.one_of(divisor_closed_sets(max_exponent=1), divisor_closed_sets(), square_free_downsets()))
+@example(B=IndexSet([zero]))
+@example(B=CHAIN)
+def test_links_labelled_divisors_equal_lexsort_labelled(B):
+    # the same entries, grouped by member in member order, and the same form
+    # to the last bit; within a member the entries come in another order
+    linked = gcdsum_module._Divisors(half, B, gcdsum_module._divisor_links(B.exponent_matrix()))
+    keyed = gcdsum_module._Divisors(half, B)
+    assert np.array_equal(linked.owner, keyed.owner)
+    assert sorted(zip(linked.owner.tolist(), linked.value.tolist())) == \
+        sorted(zip(keyed.owner.tolist(), keyed.value.tolist()))
+    assert sorted(linked.scale.tolist()) == sorted(keyed.scale.tolist())
+    positive = 1.0 + np.arange(len(B)) % 3
+    assert linked.form() == keyed.form()
+    assert linked.form(positive) == keyed.form(positive)
+    assert np.allclose(linked.apply(positive), keyed.apply(positive), rtol=1e-14, atol=0)
+
+
+# `_applier`s that always store the matrix or build one operator
+SPECTRAL_PATHS = {
+    "dense": lambda t, B: None,
+    "transform": gcdsum_module._Transform,
+    "links": lambda t, B: gcdsum_module._Divisors(t, B, gcdsum_module._divisor_links(B.exponent_matrix())),
+    "lexsort": gcdsum_module._Divisors,
+    "pairs": gcdsum_module._Pairs,
+}
+
+
+@pytest.mark.parametrize("path", list(SPECTRAL_PATHS))
+def test_spectral_norm_matches_eigvalsh_on_every_path(path, monkeypatch):
+    rng = random.Random(23)
+    sets = [IndexSet.from_masks(grown_downset(rng, 150, 9)),  # closed
+            IndexSet.from_masks(rng.sample(range(1, 1 << 9), 150)),
+            index_set_from_integers(range(1, 201)),  # closed, with exponents
+            index_set_from_integers(rng.sample(range(2, 10**4), 150))]
+    monkeypatch.setattr(gcdsum_module, "_applier", SPECTRAL_PATHS[path])
+    for B in sets:
+        if path == "transform" and not B.is_square_free():
+            continue
+        if path == "links" and gcdsum_module._divisor_links(B.exponent_matrix()) is None:
+            continue
+        M = gcd_matrix(half, B)
+        lam = spectral_norm(M)
+        assert (M._dense is None) == (path != "dense")
+        reference = float(np.linalg.eigvalsh(np.array(brute_pair_matrix(half, B.members)))[-1])
+        assert lam == pytest.approx(reference, rel=1e-12)
+        assert np.allclose(M.row_sums(), gcd_row_sums(half, B), rtol=1e-13, atol=0)
+
+
+def test_applier_by_cost():
+    # small sets and cubes up to 8 stay dense without reading their rows; the
+    # benchmark's larger downsets take the divisor factorization along the
+    # links, and larger cubes the transform
+    rng = random.Random(5)
+
+    def refuse(E):
+        raise AssertionError("closure test on a small set")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcdsum_module, "_divisor_links", refuse)
+        for k in range(1, 7):
+            assert gcdsum_module._applier(half, cube_construction(k)) is None
+        assert gcdsum_module._applier(half, IndexSet.from_masks(rng.sample(range(1 << 10), 40))) is None
+    for n in (120, 200):  # the benchmark's `matrix --stat both` shapes
+        assert gcdsum_module._applier(half, IndexSet.from_masks(rng.sample(range(1 << 10), n))) is None
+    assert gcdsum_module._applier(half, cube_construction(8)) is None
+    for k in (10, 12, 13):
+        assert isinstance(gcdsum_module._applier(half, cube_construction(k)), gcdsum_module._Transform)
+    for n, m in ((700, 13), (1000, 14), (4000, 16)):
+        B = IndexSet.from_masks(grown_downset(rng, n, m))
+        operator = gcdsum_module._applier(half, B)
+        assert isinstance(operator, gcdsum_module._Divisors)
+        assert len(operator.scale) == n  # labelled by the links: the divisors are the members
+    B = index_set_from_integers(rng.sample(range(2, 10**8), 250))
+    assert isinstance(gcdsum_module._applier(half, B), gcdsum_module._Divisors)
+
+
+def test_stored_matrix_serves_matvec():
+    # the dense solve of a set that is not closed stores the matrix, which
+    # matvec then reads instead of the operator it had chosen
+    rng = random.Random(8)
+    B = IndexSet.from_masks(rng.sample(range(1, 1 << 12), 1500))
+    M = gcd_matrix(half, B)
+    v = np.cos(np.arange(len(B)))
+    assert isinstance(M._operator, gcdsum_module._Transform) and M._dense is None
+    by_operator = M.matvec(v)
+    lowest = min_eigenvalue(M)
+    assert M._dense is not None and lowest > 0
+    assert np.array_equal(M.matvec(v), M._dense @ v)
+    assert np.allclose(M.matvec(v), by_operator, rtol=1e-12, atol=1e-12)
 
 
 def test_small_sets_skip_the_closure_test(monkeypatch):

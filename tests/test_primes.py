@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from oracles import FIRST_PRIMES, primes_upto, trial_division
+from oracles import (FIRST_PRIMES, factorization_from_spf, primes_upto, smallest_prime_factors,
+                     trial_division)
 
 import gcdsums.primes as primes_module
 from gcdsums import DomainError, PrimeRangeError, PrimeTable, from_integer, to_integer
@@ -432,6 +433,27 @@ def test_probable_prime_above_exact_bound_only_raises():
 @given(st.integers(1, 10**12))
 def test_factorize_matches_trial_division(n):
     assert factorize(n) == trial_division(n)
+
+
+def test_factorize_matches_sieve_below_2e5():
+    # every cofactor left by trial division below 997^2 is 1 or a prime
+    spf = smallest_prime_factors(200_000)
+    for n in range(1, 200_000):
+        assert factorize(n) == factorization_from_spf(n, spf), n
+
+
+def test_factorize_semiprimes_near_1e7():
+    rng = random.Random(7)
+    primes = [p for p in range(10**7 - 600, 10**7 + 600) if is_prime_slow(p)]
+    for _ in range(50):
+        # the factors are known by construction; trial division would take
+        # 10^7 steps a number
+        p, q = rng.sample(primes, 2)
+        r = rng.choice((2, 997, 1009))
+        assert factorize(p * q) == {p: 1, q: 1}
+        assert factorize(p * q * r) == {p: 1, q: 1, r: 1}
+    for p in primes[:20]:
+        assert factorize(p) == {p: 1} and factorize(p * p) == {p: 2}
 
 
 def test_factorize_large_factors():

@@ -187,6 +187,18 @@ def test_aux_requires_n_at_least_21():
         AuxiliaryWeights(half, 20, 1.0)
 
 
+@pytest.mark.parametrize("n, c", [(math.inf, 1.0), (math.nan, 1.0), (1e6, math.inf), (1e6, math.nan),
+                                  (-math.inf, 1.0), (1e6, -math.inf)])
+def test_aux_refuses_non_finite_parameters(n, c):
+    # an infinite c gave weight_at(100) = inf, outside (0, 1)
+    with pytest.raises(DomainError, match="finite"):
+        AuxiliaryWeights(half, n, c)
+
+
+def test_aux_accepts_any_finite_n():
+    assert AuxiliaryWeights(half, 10**400, 1.0).weight_at(1) == half.weight_at(1)
+
+
 def test_verify_decay_prime_half():
     assert verify_decay(half, 10**5) <= 1.0
 

@@ -3,8 +3,9 @@
 tracemalloc sees numpy's buffers and the regular-expression engine's
 backtracking state, so a traced peak bounds what a call keeps live.  The
 shapes are those of the benchmark's set files: sparse square-free sets on 40
-positions, smooth integers on 12 primes, random integers below 10^8 and
-random subsets of the 14-cube.
+positions, smooth integers on 12 primes, random integers below 10^8,
+random subsets of the 14-cube, and for the spectrum a downset of the
+16-cube and the 12-cube.
 """
 
 import math
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 import gcdsums.gcdsum as gcdsum_module
-from gcdsums import IndexSet, PrimePowerWeights, gcd_sum
+from gcdsums import IndexSet, PrimePowerWeights, gcd_matrix, gcd_sum, spectral_norm
 from gcdsums.cli import parse_set_file
 from gcdsums.gcdsum import index_set_from_integers
+from gcdsums.search import cube_construction
+from oracles import grown_downset
 
 half = PrimePowerWeights(0.5)
 
@@ -89,6 +92,20 @@ def test_exponent_blocks_of_one_row_match_one_block(monkeypatch):
     assert len(list(gcdsum_module._pair_blocks(half, B))) == 1
     assert np.allclose(gcdsum_module._Pairs(half, B).apply(), rows, rtol=1e-14, atol=0)
     assert gcdsum_module._Pairs(half, B).form() == pytest.approx(blocked, rel=1e-14)
+
+
+def downset_set(n=4000, m=16, seed=3):
+    return IndexSet.from_masks(grown_downset(random.Random(seed), n, m))
+
+
+@pytest.mark.parametrize("make, bound", [(downset_set, 16.0), (lambda: cube_construction(12), 32.0)],
+                         ids=["downset-4000", "cube-12"])
+def test_spectral_norm_stores_no_dense_matrix(make, bound):
+    # the divisor factorization along the links and the transform; dense
+    # storage would hold 128 MB on either
+    B = make()
+    gcd_sum(half, B)  # weights and caches of the set
+    assert traced_peak(lambda: spectral_norm(gcd_matrix(half, B))) <= bound
 
 
 @pytest.mark.parametrize("make, operator", [
